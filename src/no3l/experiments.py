@@ -19,7 +19,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -40,6 +40,9 @@ from .sampling import (
     write_pointset,
 )
 from .triples import box_triple_counts
+
+# JSON value types accepted for each manifest field annotation.
+_JSON_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,26 @@ class TrialManifest:
     def from_json_file(cls, path: str | os.PathLike) -> "TrialManifest":
         with open(path, "r", encoding="ascii") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: manifest is not a JSON object")
+        declared = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(raw) - set(declared))
+        if unknown:
+            raise ValueError(f"{path}: unknown manifest key(s) {', '.join(unknown)}")
+        missing = sorted(
+            name for name, f in declared.items()
+            if f.default is MISSING and name not in raw
+        )
+        if missing:
+            raise ValueError(f"{path}: missing manifest key(s) {', '.join(missing)}")
+        for name, value in raw.items():
+            # f.type is the annotation's text: "int", "float" or "str"
+            allowed = _JSON_FIELD_TYPES[declared[name].type]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(
+                    f"{path}: manifest key {name} must be {declared[name].type},"
+                    f" got {value!r}"
+                )
         return cls(**raw)
 
 

@@ -18,6 +18,18 @@ with mix64(z) the usual shift-xor-multiply avalanche
 z *= 0x94D049BB133111EB; z ^= z >> 31).  The scalar path below and the
 vectorized numpy path agree bit for bit; a test pins both.
 
+The vectorized path never forms u.  It keeps a cell iff::
+
+    h < ceil(p * 2**53) << 11
+
+which is the same test as u < p: h >> 11 and p * 2**53 are both exact in
+float64 (a 53-bit integer, and p scaled by a power of two), so u < p iff
+the integer h >> 11 is below p * 2**53, iff it is below the ceiling, iff
+h is below the ceiling times 2**11.  That bound reaches 2**64 at p = 1, so
+the code tests the equivalent h <= (ceil(p * 2**53) << 11) - 1, whose
+right side always fits in uint64 (at p = 1 it is 2**64 - 1: every cell is
+kept).
+
 Inclusion probabilities: shell T >= 1 keeps a point with probability
 min(1, c / (2**T * sqrt(T))); shell 0 (the single point (1, 1)) with
 probability min(1, c).
@@ -43,8 +55,10 @@ _Y_SALT = 0xC2B2AE3D27D4EB4F
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
 
-# Target number of grid cells evaluated per vectorized block.
-_BLOCK_CELLS = 1 << 21
+# Most grid cells hashed per vectorized block.  At 2**16 cells the block's
+# two uint64 buffers (1 MiB) stay in a 2 MiB L2 cache; on a 2-core Xeon,
+# 2**15 to 2**16 was fastest and 2**21 about 1.5x slower.
+_BLOCK_CELLS = 1 << 16
 
 FORMAT_MAGIC = "#no3l v1"
 _META_KEYS = ("kind", "seed", "c", "window_exponent")
@@ -63,10 +77,16 @@ def point_uniform(seed: int, x: int, y: int) -> float:
     return (h >> 11) * 2.0**-53
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_MUL2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """_mix64 of every word of z, written back into z; tmp (same shape) is scratch."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX_MUL1)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX_MUL2)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def shell_probability(T: int, c: float) -> float:
@@ -135,11 +155,15 @@ class PointSet:
         full_meta.update(meta or {})
         w = full_meta.get("window_exponent")
         if w is not None:
-            limit = (1 << w) - 1
+            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+                raise ValueError(
+                    f"window_exponent must be a nonnegative integer, got {w!r}"
+                )
+            # bit_length tests v <= 2**w - 1 without building 2**w for a huge w
             for p in pts:
-                if not (1 <= p[0] <= limit and 1 <= p[1] <= limit):
+                if min(p) < 1 or max(p).bit_length() > w:
                     raise ValueError(
-                        f"point {p} outside declared window [1, {limit}]^2"
+                        f"point {p} outside declared window [1, 2**{w} - 1]^2"
                     )
         self.points: tuple[Point, ...] = tuple(pts)
         self.meta: dict = full_meta
@@ -167,11 +191,22 @@ class PointSet:
         return PointSet(kept, self.meta)
 
 
+def _keep_bound(prob: float) -> int:
+    """The bound b with (h <= b) == ((h >> 11) * 2**-53 < prob) for 64-bit h.
+
+    b = (ceil(prob * 2**53) << 11) - 1 is at most 2**64 - 1 (at prob == 1),
+    so it always fits in uint64.
+    """
+    return (math.ceil(prob * 2.0**53) << 11) - 1
+
+
 def sample_window(cfg: SamplerConfig) -> PointSet:
     """One seeded realization over the window of cfg.
 
-    Shells are scanned in row bands with the vectorized mix; the point (1, 1)
-    of shell 0 goes through the scalar path, which is bit-identical.
+    Shells are scanned in blocks of whole rows, at most _BLOCK_CELLS cells
+    (or one row, if wider), with the vectorized mix run in place in two
+    buffers allocated once per call; the point (1, 1) of shell 0 goes
+    through the scalar path, which is bit-identical.
     """
     meta = {
         "kind": "sampled",
@@ -189,27 +224,42 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
         ys_out.append(np.array([1], dtype=np.int64))
 
     seed = np.uint64(cfg.seed)
-    for T in range(1, cfg.window_exponent):
+    # The widest row below has 2**W - 1 cells, the largest rectangle
+    # 2**(W-1) such rows.
+    w = cfg.window_exponent
+    width_max = (1 << w) - 1
+    buf_cells = min(max(_BLOCK_CELLS, width_max), (1 << (w - 1)) * width_max)
+    h_buf = np.empty(buf_cells, dtype=np.uint64)
+    tmp_buf = np.empty(buf_cells, dtype=np.uint64)
+    keep_buf = np.empty(buf_cells, dtype=bool)
+    for T in range(1, w):
         prob = shell_probability(T, cfg.c)
         if prob == 0.0:
             continue
+        bound = np.uint64(_keep_bound(prob))
         lo, hi = 1 << T, (1 << (T + 1)) - 1
         # Shell T as two rectangles of rows: x < lo with y in [lo, hi], and
         # x in [lo, hi] with y in [1, hi].
         for x_lo, x_hi, y_lo, y_hi in ((1, lo - 1, lo, hi), (lo, hi, 1, hi)):
             if x_lo > x_hi:
                 continue
-            width = y_hi - y_lo + 1
-            ys = np.arange(y_lo, y_hi + 1, dtype=np.uint64)
-            y_salted = ys * np.uint64(_Y_SALT)
-            rows_per_block = max(1, _BLOCK_CELLS // width)
+            cols = y_hi - y_lo + 1
+            rows_per_block = max(1, _BLOCK_CELLS // cols)
+            y_salted = np.arange(y_lo, y_hi + 1, dtype=np.uint64)
+            y_salted *= np.uint64(_Y_SALT)
             for x0 in range(x_lo, x_hi + 1, rows_per_block):
                 x1 = min(x0 + rows_per_block - 1, x_hi)
-                xs = np.arange(x0, x1 + 1, dtype=np.uint64)
-                h1 = _mix64_vec(seed ^ (xs * np.uint64(_X_SALT)))
-                h = _mix64_vec(h1[:, None] ^ y_salted[None, :])
-                u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-                keep_x, keep_y = np.nonzero(u < prob)
+                rows = x1 - x0 + 1
+                h1 = np.arange(x0, x1 + 1, dtype=np.uint64)
+                h1 *= np.uint64(_X_SALT)
+                h1 ^= seed
+                _mix64_inplace(h1, np.empty_like(h1))
+                cells = rows * cols
+                h = h_buf[:cells].reshape(rows, cols)
+                np.bitwise_xor(h1[:, None], y_salted[None, :], out=h)
+                _mix64_inplace(h, tmp_buf[:cells].reshape(rows, cols))
+                keep = np.less_equal(h, bound, out=keep_buf[:cells].reshape(rows, cols))
+                keep_x, keep_y = np.nonzero(keep)
                 if keep_x.size:
                     xs_out.append(keep_x.astype(np.int64) + x0)
                     ys_out.append(keep_y.astype(np.int64) + y_lo)

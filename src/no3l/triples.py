@@ -5,8 +5,9 @@ canonical direction of the difference vector; a line through the anchor
 holding j other points contributes C(j, 2) ordered-anchor triples, and every
 unordered triple is seen from each of its three members, so the grand total
 is divisible by 3.  All arithmetic is integer-exact; the numpy path packs
-normalized directions into int64 keys and must return the same numbers as
-the scalar path.
+normalized directions into int64 keys, sized from the set's coordinate span
+(a set too wide to pack exactly is rejected with ValueError), and must
+return the same numbers as the scalar path.
 
 A quadratic-time variant attributes each triple to its largest member in the
 (inf_norm, x, y) order.  Those per-point counts drive both the deletion
@@ -32,10 +33,6 @@ BRUTE_FORCE_CAP = 2000
 # per-anchor numpy path does.  Both are exact, the cutover is performance only.
 _VECTOR_MIN_POINTS = 192
 
-# Direction components fit in +-2**21 for windows up to exponent 20, so this
-# packing is collision-free in int64.
-_KEY_SHIFT = np.int64(1) << np.int64(22)
-
 
 def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
     pts = list(obj.points) if isinstance(obj, PointSet) else [tuple(p) for p in obj]
@@ -48,7 +45,29 @@ def _pair_sum(counts: Iterable[int]) -> int:
     return sum(n * (n - 1) // 2 for n in counts)
 
 
-def _direction_keys(xs: np.ndarray, ys: np.ndarray, i: int, prefix: bool) -> np.ndarray:
+def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.int64]:
+    """Coordinate arrays and the multiplier that packs directions into int64.
+
+    A normalized direction (a, b) of two members has |a| <= s, the larger
+    coordinate span, and 0 <= b <= s; so a * (s + 1) + b is collision-free,
+    and fits in int64 while s * (s + 1) + s does.
+    """
+    try:
+        xs = np.array([p[0] for p in pts], dtype=np.int64)
+        ys = np.array([p[1] for p in pts], dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"coordinates must fit in int64 ({exc})") from exc
+    s = max(int(xs.max()) - int(xs.min()), int(ys.max()) - int(ys.min()))
+    if s * (s + 1) + s > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"coordinate span {s} too large to pack directions exactly in int64"
+        )
+    return xs, ys, np.int64(s + 1)
+
+
+def _direction_keys(
+    xs: np.ndarray, ys: np.ndarray, mult: np.int64, i: int, prefix: bool
+) -> np.ndarray:
     stop = i if prefix else len(xs)
     dx = xs[:stop] - xs[i]
     dy = ys[:stop] - ys[i]
@@ -60,7 +79,7 @@ def _direction_keys(xs: np.ndarray, ys: np.ndarray, i: int, prefix: bool) -> np.
     flip = (b < 0) | ((b == 0) & (a < 0))
     np.negative(a, out=a, where=flip)
     np.negative(b, out=b, where=flip)
-    return a * _KEY_SHIFT + b
+    return a * mult + b
 
 
 def count_collinear_triples(ps: PointSet | Iterable[Point]) -> int:
@@ -71,11 +90,10 @@ def count_collinear_triples(ps: PointSet | Iterable[Point]) -> int:
         return 0
     total = 0
     if m >= _VECTOR_MIN_POINTS:
-        xs = np.array([p[0] for p in pts], dtype=np.int64)
-        ys = np.array([p[1] for p in pts], dtype=np.int64)
+        xs, ys, mult = _packed_coords(pts)
         for i in range(m):
             _, counts = np.unique(
-                _direction_keys(xs, ys, i, prefix=False), return_counts=True
+                _direction_keys(xs, ys, mult, i, prefix=False), return_counts=True
             )
             total += int((counts * (counts - 1) // 2).sum())
     else:
@@ -87,7 +105,11 @@ def count_collinear_triples(ps: PointSet | Iterable[Point]) -> int:
                 d = canonical_direction((xj - xi, yj - yi))
                 buckets[d] = buckets.get(d, 0) + 1
             total += _pair_sum(buckets.values())
-    assert total % 3 == 0
+    if total % 3:
+        raise RuntimeError(
+            f"anchor-pair total {total} is not divisible by 3; the direction"
+            " buckets are inconsistent"
+        )
     return total // 3
 
 
@@ -137,11 +159,10 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     if m < 3:
         return counts
     if m >= _VECTOR_MIN_POINTS:
-        xs = np.array([p[0] for p in pts], dtype=np.int64)
-        ys = np.array([p[1] for p in pts], dtype=np.int64)
+        xs, ys, mult = _packed_coords(pts)
         for i in range(2, m):
             _, sizes = np.unique(
-                _direction_keys(xs, ys, i, prefix=True), return_counts=True
+                _direction_keys(xs, ys, mult, i, prefix=True), return_counts=True
             )
             counts[i] = int((sizes * (sizes - 1) // 2).sum())
     else:

@@ -156,3 +156,43 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_verify_rejects_non_integer_window_meta(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_text(
+        '#no3l v1\n#meta {"c": null, "kind": null, "seed": null,'
+        ' "window_exponent": "a"}\n1\t1\n',
+        encoding="ascii",
+    )
+    assert main(["verify", "--in", str(path)]) == 2
+    assert "window_exponent" in capsys.readouterr().err
+
+
+def test_verify_rejects_coordinates_too_wide_to_pack(tmp_path, capsys):
+    path = tmp_path / "wide.tsv"
+    pts = [(i, i * i) for i in range(1, 200)] + [(1, 2**62)]
+    write_pointset(PointSet(pts, {"kind": "baseline"}), path)
+    assert main(["verify", "--in", str(path)]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc,needle",
+    [
+        ({"base_seed": 3, "trial_count": 2, "c": 0.2, "window_exponent": 6,
+          "trails": 2}, "trails"),
+        ({"base_seed": 3, "c": 0.2, "window_exponent": 6}, "trial_count"),
+        ({"base_seed": 3, "trial_count": "2", "c": 0.2, "window_exponent": 6},
+         "trial_count"),
+        ([3, 2, 0.2, 6], "JSON object"),
+    ],
+    ids=["unknown-key", "missing-key", "wrong-type", "not-an-object"],
+)
+def test_stats_rejects_bad_manifest(tmp_path, capsys, doc, needle):
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps(doc), encoding="ascii")
+    assert main(["stats", "--manifest", str(man), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert len(err.splitlines()) == 1

@@ -7,11 +7,13 @@ statistics recomputed from the persisted per-trial point files.
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from no3l.construct import delete_max_of_triples
 from no3l.experiments import (
+    _JSON_FIELD_TYPES,
     EventRecord,
     TrialManifest,
     density_box_sides,
@@ -30,6 +32,12 @@ def _manifest(tmp_path, **kw):
                 out_dir=str(tmp_path / "trials"))
     args.update(kw)
     return TrialManifest(**args)
+
+
+def test_every_manifest_field_has_a_json_type_check():
+    # from_json_file looks each field's annotation up in this map
+    for f in fields(TrialManifest):
+        assert f.type in _JSON_FIELD_TYPES, f.name
 
 
 def test_manifest_validation():

@@ -9,15 +9,18 @@ round-trips under hypothesis.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from no3l import sampling
 from no3l.geom import shell_size
 from no3l.sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
     SamplerConfig,
+    _keep_bound,
     expected_shell_count,
     inclusion_probability,
     point_uniform,
@@ -105,6 +108,47 @@ def test_sample_window_matches_scalar_scan(seed, c, w):
     assert ps.meta["seed"] == seed
     assert ps.meta["c"] == c
     assert ps.meta["window_exponent"] == w
+
+
+@pytest.mark.parametrize(
+    "block,seed,c,w",
+    [(7, 42, 0.5, 6), (7, 5, 3.0, 5), (64, 7, 0.15, 7), (64, 9, 40.0, 6)],
+)
+def test_sample_window_matches_scalar_scan_across_blocks(monkeypatch, block, seed, c, w):
+    # Tiny blocks split each rectangle into many blocks, some holding a
+    # single row wider than the block and the last one partial; c = 3.0 and
+    # 40.0 saturate the low shells (probability 1).
+    monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
+    cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
+    assert sorted(sample_window(cfg).points) == sorted(_reference_scan(cfg))
+
+
+def _float_keep(h: int, p: float) -> bool:
+    return (h >> 11) * 2.0**-53 < p
+
+
+probabilities = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(1, 2**53).map(lambda k: k * 2.0**-53),
+    st.just(1.0),
+    st.builds(
+        shell_probability,
+        st.integers(0, WINDOW_EXPONENT_CAP),
+        st.floats(min_value=1e-6, max_value=1e7),
+    ),
+)
+
+
+@given(st.integers(0, 2**64 - 1), probabilities)
+@settings(max_examples=500)
+def test_integer_threshold_matches_float_compare(h, p):
+    b = _keep_bound(p)
+    assert 0 <= b < 1 << 64
+    bound = np.uint64(b)
+    # the random word, and both words at the edge of the bound
+    for word in (h, b, b + 1):
+        if word < 1 << 64:
+            assert bool(np.uint64(word) <= bound) == _float_keep(word, p)
 
 
 def test_sample_window_zero_rate_is_empty():

@@ -6,6 +6,7 @@ prefix counts are cross-checked against the triple enumerator, whose
 output is itself checked against itertools.combinations.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -104,6 +105,30 @@ def test_vectorized_path_on_a_large_set():
     ordered = sorted(ps.points, key=norm_lex_key)
     assert sum(prefix_triple_counts(ordered)) == n_fast
     assert sum(1 for _ in enumerate_collinear_triples(ps)) == n_fast
+
+
+def test_wide_coordinates_pack_without_collisions():
+    # a * 2**22 + b packing made (1, 2**22 + 1) and (2, 1) the same direction
+    rng = random.Random(2024)
+    pts = {(rng.randint(10**6, 10**7), rng.randint(10**6, 10**7)) for _ in range(200)}
+    pts |= {(1, 1), (2, 2**22 + 2), (3, 2)}
+    assert len(pts) > 192
+    want = count_collinear_triples_bruteforce(pts)
+    assert sum(prefix_triple_counts(pts)) == want
+    assert count_collinear_triples(pts) == want
+
+
+@pytest.mark.parametrize(
+    "far",
+    [(1, 2**62), (1, -(2**62)), (1, 2**64)],
+    ids=["span-too-wide", "negative-span-too-wide", "beyond-int64"],
+)
+def test_unpackable_coordinates_are_rejected(far):
+    pts = [(i, i * i) for i in range(1, 200)] + [far]
+    with pytest.raises(ValueError):
+        count_collinear_triples(pts)
+    with pytest.raises(ValueError):
+        prefix_triple_counts(pts)
 
 
 def test_triples_within_box():
