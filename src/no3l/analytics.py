@@ -40,12 +40,9 @@ beyond the sampling window's.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -436,30 +433,3 @@ def weight_ratio_report(T: int, c: float) -> WeightRatioReport:
         T=T, c=c, line_count=line_count, max_ratio=best[0],
         argmax_direction=best[1], argmax_offset=best[2],
     )
-
-
-def report_rows(reports: Iterable[object]) -> list[dict]:
-    """Dataclass reports as plain dicts, ready for JSON or CSV."""
-    rows = []
-    for r in reports:
-        d = asdict(r)
-        rows.append(d)
-    return rows
-
-
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, sort_keys=True, indent=2) + "\n"
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    """One CSV row per report; columns in field order of the first row."""
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {k: json.dumps(v) if isinstance(v, (list, tuple)) else v for k, v in row.items()}
-        )
-    return buf.getvalue()

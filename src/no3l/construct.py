@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .geom import Point, line_points_in_rect, line_through
+import numpy as np
+
 from .sampling import PointSet
 from .triples import prefix_triple_counts
 
 GREEDY_WINDOW_CAP = 13
 PARABOLA_MODULUS_CAP = 1 << 32
+# Cells marked per scatter in the greedy scan; bounds its memory at W = 13.
+_SCATTER_CELLS = 1 << 20
 
 
 def delete_max_of_triples(sample: PointSet) -> PointSet:
@@ -81,10 +84,10 @@ def greedy_construct(window_exponent: int) -> PointSet:
     """Greedy scan of [1, 2**W - 1]^2 in (inf_norm, x, y) order.
 
     A candidate is rejected iff it lies on a line through two already
-    accepted points.  Rather than rescanning accepted pairs, every line
-    through a newly accepted point and an earlier accepted point is walked
-    once and its grid points marked blocked; accepted sets stay triple-free,
-    so no line is ever walked twice.
+    accepted points.  Rather than rescanning accepted pairs, each newly
+    accepted point blocks, in one vectorized step, every grid cell on the
+    lines through it and the earlier accepted points; the scan then only
+    visits the cells of each norm layer that are still free.
     """
     if not 1 <= window_exponent <= GREEDY_WINDOW_CAP:
         raise ValueError(
@@ -92,26 +95,89 @@ def greedy_construct(window_exponent: int) -> PointSet:
             f" got {window_exponent}"
         )
     n = (1 << window_exponent) - 1
-    blocked = bytearray((n + 1) * (n + 1))
-    accepted: list[Point] = []
+    blocked = np.zeros((n + 1, n + 1), dtype=bool)
+    flat = blocked.reshape(-1)
+    # A row holds at most two members of a triple-free set.
+    xs = np.empty(2 * n, dtype=np.int64)
+    ys = np.empty(2 * n, dtype=np.int64)
+    m = 0
     for norm in range(1, n + 1):
-        for cand in ((x, norm) for x in range(1, norm)):
-            _greedy_step(cand, accepted, blocked, n)
-        for cand in ((norm, y) for y in range(1, norm + 1)):
-            _greedy_step(cand, accepted, blocked, n)
+        # The layer in scan order: (x, norm) for x < norm, then (norm, y).
+        column = [(int(x), norm) for x in np.flatnonzero(~blocked[1:norm, norm]) + 1]
+        row = [(norm, int(y)) for y in np.flatnonzero(~blocked[norm, 1 : norm + 1]) + 1]
+        for x, y in column + row:
+            if blocked[x, y]:
+                continue
+            _block_lines(flat, x, y, xs[:m], ys[:m], n)
+            xs[m] = x
+            ys[m] = y
+            m += 1
+    accepted = zip(xs[:m].tolist(), ys[:m].tolist())
     meta = {"kind": "baseline", "window_exponent": window_exponent}
     return PointSet(accepted, meta)
 
 
-def _greedy_step(
-    cand: Point, accepted: list[Point], blocked: bytearray, n: int
+def _block_lines(
+    flat: np.ndarray, cx: int, cy: int, xs: np.ndarray, ys: np.ndarray, n: int
 ) -> None:
-    if blocked[cand[0] * (n + 1) + cand[1]]:
-        return
-    for prior in accepted:
-        for x, y in line_points_in_rect(line_through(cand, prior), n):
-            blocked[x * (n + 1) + y] = 1
-    accepted.append(cand)
+    """Set every cell of [1, n]^2 on a line through (cx, cy) and some (xs, ys).
+
+    ``flat`` is the (n + 1) x (n + 1) grid indexed by x * (n + 1) + y.  The
+    line to a prior point is (cx, cy) + s * (a, b) with (a, b) the reduced
+    difference; its cells inside the box form one parameter range [lo, hi],
+    hence one arithmetic run of flat indices.
+    """
+    a = xs - cx
+    b = ys - cy
+    g = np.gcd(a, b)
+    a //= g
+    b //= g
+    lo, hi = _param_range(cx, a, n)
+    lo_y, hi_y = _param_range(cy, b, n)
+    np.maximum(lo, lo_y, out=lo)
+    np.minimum(hi, hi_y, out=hi)
+    counts = hi - lo + 1
+    strides = a * (n + 1) + b
+    starts = (cx * (n + 1) + cy) + lo * strides
+    ends = np.cumsum(counts)
+    first = 0
+    while first < len(counts):
+        # Lines in chunks of about _SCATTER_CELLS cells, at least one line each.
+        done = int(ends[first - 1]) if first else 0
+        last = int(np.searchsorted(ends, done + _SCATTER_CELLS, side="right"))
+        last = max(last, first + 1)
+        chunk = slice(first, last)
+        _scatter_runs(flat, starts[chunk], strides[chunk], counts[chunk])
+        first = last
+
+
+def _param_range(c: int, step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds [lo, hi] of the integers s with 1 <= c + s * step <= n.
+
+    Where step is 0 the coordinate never leaves [1, n]; the bounds returned
+    there, -n and n, are looser than the other coordinate's.
+    """
+    size = np.abs(step)
+    forward = step > 0
+    behind = np.where(forward, c - 1, n - c)
+    ahead = np.where(forward, n - c, c - 1)
+    still = size == 0
+    size[still] = 1
+    behind[still] = n
+    ahead[still] = n
+    return -(behind // size), ahead // size
+
+
+def _scatter_runs(
+    flat: np.ndarray, starts: np.ndarray, strides: np.ndarray, counts: np.ndarray
+) -> None:
+    """flat[start + i * stride] = True for i < count, for every run (count >= 1)."""
+    steps = np.repeat(strides, counts)
+    heads = np.cumsum(counts) - counts
+    # Each run's head is reached from the previous run's last cell.
+    steps[heads[0]] = starts[0]
+    steps[heads[1:]] = starts[1:] - (starts[:-1] + (counts[:-1] - 1) * strides[:-1])
+    flat[np.cumsum(steps, out=steps)] = True
 
 
 def density_profile(

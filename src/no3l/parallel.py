@@ -31,9 +31,12 @@ def resolve_workers() -> int:
 
 
 def map_ordered(fn: Callable[[A], R], items: Sequence[A]) -> list[R]:
-    """Apply fn to every item, preserving order; parallel when workers > 1."""
-    workers = resolve_workers()
-    if workers <= 1 or len(items) <= 1:
+    """Apply fn to every item, preserving order; parallel when workers > 1.
+
+    The pool never has more workers than there are items.
+    """
+    workers = min(resolve_workers(), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,25 +1,22 @@
 """Exact counting and enumeration of collinear triples.
 
-The fast counter buckets, for every anchor point, all other points by the
-canonical direction of the difference vector; a line through the anchor
-holding j other points contributes C(j, 2) ordered-anchor triples, and every
-unordered triple is seen from each of its three members, so the grand total
-is divisible by 3.  All arithmetic is integer-exact; the numpy path packs
-normalized directions into int64 keys, sized from the set's coordinate span
-(a set too wide to pack exactly is rejected with ValueError), and must
-return the same numbers as the scalar path.
-
-A quadratic-time variant attributes each triple to its largest member in the
-(inf_norm, x, y) order.  Those per-point counts drive both the deletion
-construction and the whole profile T -> triples inside [1, 2**T]^2, because
-a triple of positive-quadrant points lies in that box exactly when its
-largest member does.
+One kernel does the counting.  It orders the points by (inf_norm, x, y)
+and, for every point, buckets the points before it by the canonical
+direction of the difference vector: a line through the point holding j
+earlier points contributes C(j, 2) triples whose largest member it is.
+Every triple has exactly one largest member, so these per-point counts sum
+to the total; they also drive the deletion construction and the whole
+profile T -> triples inside [1, 2**T]^2, because a triple of
+positive-quadrant points lies in that box exactly when its largest member
+does.  All arithmetic is integer-exact.  The numpy path packs normalized
+directions into int64 keys, sized from the set's coordinate span (a set
+too wide to pack exactly is rejected with ValueError), and must return the
+same numbers as the scalar path used for small sets.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,14 +63,12 @@ def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.int
 
 
 def _direction_keys(
-    xs: np.ndarray, ys: np.ndarray, mult: np.int64, i: int, prefix: bool
+    xs: np.ndarray, ys: np.ndarray, mult: np.int64, i: int
 ) -> np.ndarray:
-    stop = i if prefix else len(xs)
-    dx = xs[:stop] - xs[i]
-    dy = ys[:stop] - ys[i]
+    """Packed directions from point i to each of the points before it."""
+    dx = xs[:i] - xs[i]
+    dy = ys[:i] - ys[i]
     g = np.gcd(dx, dy)
-    if not prefix:
-        g[i] = 1  # the anchor itself; its (0, 0) key collides with nothing
     a = dx // g
     b = dy // g
     flip = (b < 0) | ((b == 0) & (a < 0))
@@ -83,34 +78,12 @@ def _direction_keys(
 
 
 def count_collinear_triples(ps: PointSet | Iterable[Point]) -> int:
-    """Number of unordered collinear triples, by anchor-direction bucketing."""
-    pts = _as_points(ps)
-    m = len(pts)
-    if m < 3:
-        return 0
-    total = 0
-    if m >= _VECTOR_MIN_POINTS:
-        xs, ys, mult = _packed_coords(pts)
-        for i in range(m):
-            _, counts = np.unique(
-                _direction_keys(xs, ys, mult, i, prefix=False), return_counts=True
-            )
-            total += int((counts * (counts - 1) // 2).sum())
-    else:
-        for i, (xi, yi) in enumerate(pts):
-            buckets: dict[tuple[int, int], int] = {}
-            for j, (xj, yj) in enumerate(pts):
-                if j == i:
-                    continue
-                d = canonical_direction((xj - xi, yj - yi))
-                buckets[d] = buckets.get(d, 0) + 1
-            total += _pair_sum(buckets.values())
-    if total % 3:
-        raise RuntimeError(
-            f"anchor-pair total {total} is not divisible by 3; the direction"
-            " buckets are inconsistent"
-        )
-    return total // 3
+    """Number of unordered collinear triples.
+
+    Every triple has exactly one largest member, so this is the sum of the
+    per-point prefix counts.
+    """
+    return sum(prefix_triple_counts(ps))
 
 
 def count_collinear_triples_bruteforce(ps: PointSet | Iterable[Point]) -> int:
@@ -162,7 +135,7 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
         xs, ys, mult = _packed_coords(pts)
         for i in range(2, m):
             _, sizes = np.unique(
-                _direction_keys(xs, ys, mult, i, prefix=True), return_counts=True
+                _direction_keys(xs, ys, mult, i), return_counts=True
             )
             counts[i] = int((sizes * (sizes - 1) // 2).sum())
     else:

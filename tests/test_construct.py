@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from no3l import construct
 from no3l.construct import (
     delete_max_of_triples,
     density_profile,
     greedy_construct,
     modular_parabola,
 )
-from no3l.geom import norm_lex_key
+from no3l.geom import line_points_in_rect, line_through, norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
 from no3l.triples import (
     count_collinear_triples,
@@ -25,7 +26,23 @@ from no3l.triples import (
     prefix_triple_counts,
 )
 
-GREEDY_SIZES = {1: 1, 2: 4, 3: 8, 4: 20, 5: 46, 6: 84, 7: 162}
+GREEDY_SIZES = {1: 1, 2: 4, 3: 8, 4: 20, 5: 46, 6: 84, 7: 162, 8: 340, 9: 646, 10: 1336}
+
+
+def _reference_greedy(window_exponent):
+    """The greedy scan one cell at a time, walking each accepted pair's line."""
+    n = (1 << window_exponent) - 1
+    blocked = set()
+    accepted = []
+    for norm in range(1, n + 1):
+        layer = [(x, norm) for x in range(1, norm)] + [(norm, y) for y in range(1, norm + 1)]
+        for cand in layer:
+            if cand in blocked:
+                continue
+            for prior in accepted:
+                blocked.update(line_points_in_rect(line_through(cand, prior), n))
+            accepted.append(cand)
+    return accepted
 
 
 def test_delete_max_on_a_hand_case():
@@ -96,6 +113,19 @@ def test_greedy_sizes_and_triple_freeness():
         assert len(ps) == size
         assert count_collinear_triples(ps) == 0
         assert ps.meta["window_exponent"] == w
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_greedy_matches_reference_walk(w):
+    assert greedy_construct(w).points == tuple(_reference_greedy(w))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_greedy_chunked_scatter_matches_reference_walk(monkeypatch, cells):
+    # chunks of one line, of a few lines, and lines longer than a chunk
+    monkeypatch.setattr(construct, "_SCATTER_CELLS", cells)
+    for w in (4, 6):
+        assert greedy_construct(w).points == tuple(_reference_greedy(w))
 
 
 def test_greedy_smallest_windows():

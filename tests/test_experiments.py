@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import pytest
 
+from no3l import parallel
 from no3l.construct import delete_max_of_triples
 from no3l.experiments import (
     _JSON_FIELD_TYPES,
@@ -194,6 +195,36 @@ def test_resolve_workers(monkeypatch):
 def test_map_ordered_preserves_order(monkeypatch):
     monkeypatch.setenv("NO3L_THREADS", "2")
     assert map_ordered(_square, [3, 1, 2]) == [9, 1, 4]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "threads, items, pool_size",
+    [("64", 20, 20), ("2", 20, 2), ("64", 1, None), ("1", 5, None)],
+)
+def test_map_ordered_pool_never_exceeds_items(monkeypatch, threads, items, pool_size):
+    monkeypatch.setenv("NO3L_THREADS", threads)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    assert map_ordered(_square, list(range(items))) == [v * v for v in range(items)]
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
 
 
 def _square(v):

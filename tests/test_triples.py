@@ -10,7 +10,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from no3l.geom import collinear, norm_lex_key
@@ -95,6 +95,48 @@ def test_prefix_counts_match_enumeration(pts):
         by_anchor[anchor] = by_anchor.get(anchor, 0) + 1
     for p, cnt in zip(ordered, counts):
         assert cnt == by_anchor.get(p, 0)
+
+
+# Small negative coordinates, and collinear runs far out at 10**6 - 10**7
+# where the direction keys need a wide packing multiplier.
+_small_points = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+_wide = st.integers(10**6, 10**7)
+_wide_runs = st.builds(
+    lambda x, y, a, b, k: [(x + i * a, y + i * b) for i in range(k)],
+    _wide, _wide, st.integers(-3000, 3000), st.integers(-3000, 3000), st.integers(1, 4),
+)
+mixed_sets = st.lists(st.one_of(_small_points.map(lambda p: [p]), _wide_runs), max_size=25).map(
+    lambda groups: list(dict.fromkeys(p for g in groups for p in g))
+)
+
+
+def _wide_set(seed):
+    """The wide-span reproducer's shape, plus a few collinear runs and a patch
+    of negative coordinates: 200 random points in the 10**6 - 10**7 range and
+    (1, 1), (2, 2**22 + 2), (3, 2)."""
+    rng = random.Random(seed)
+    pts = {(rng.randint(10**6, 10**7), rng.randint(10**6, 10**7)) for _ in range(200)}
+    pts |= {(1, 1), (2, 2**22 + 2), (3, 2)}
+    pts |= {(rng.randint(-30, 0), rng.randint(-30, 30)) for _ in range(20)}
+    for _ in range(5):
+        x, y = rng.randint(10**6, 10**7), rng.randint(10**6, 10**7)
+        a, b = rng.randint(-3000, 3000), rng.randint(1, 3000)
+        pts.update((x + i * a, y + i * b) for i in range(3))
+    return list(pts)
+
+
+@given(mixed_sets)
+@settings(max_examples=120, deadline=None)
+def test_counter_equals_bruteforce_on_mixed_sets(pts):
+    assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=4, deadline=None, phases=[Phase.generate])  # a seed has nothing to shrink
+def test_counter_equals_bruteforce_on_wide_sets(seed):
+    pts = _wide_set(seed)
+    assert len(pts) >= 192  # the numpy path
+    assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
 
 
 def test_vectorized_path_on_a_large_set():
