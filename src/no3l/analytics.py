@@ -17,10 +17,24 @@ k = b*x - a*y indexes the parallel family, and weighted bincounts over k
 accumulate W, W_2, W_3 per line in one vectorized pass per direction.
 
 Lines with a single box point would be enumerated wastefully, so each
-direction is scanned over three rectangles: the points with an in-box
-neighbour at +(a, b), those with one at -(a, b), and (subtracted once) those
-with both.  Every point of every line with at least two box points is
-counted exactly once, and one-point lines drop out altogether.
+direction is scanned over disjoint rectangles: F, the points with an
+in-box neighbour at +(a, b), plus the points with a neighbour at -(a, b)
+but none at +(a, b), which are the last points of the lines.  Every point
+of every line with at least two box points is counted exactly once, and
+one-point lines drop out altogether.  The offset bins span only the
+offsets of F, which every line with two or more points reaches; a box
+point outside the rectangles may fall outside the bins, so the beta pass
+below visits only the rectangles' points.
+
+The probability grid is symmetric under the mirror (x, y) -> (y, x),
+which maps direction (a, b) to (b, a) for a >= 0 and to (-b, -a) for
+a < 0, and maps each line onto a line of the mirror direction with the
+same weights.  So the exact sums and beta visit one direction of each
+mirror pair, the one with |a| < b, and count it twice; the diagonals
+(1, 1) and (-1, 1) are their own mirrors and count once.  For beta, a
+mirror direction adds the transpose of its partner's contribution.
+enumerate_box_lines and weight_ratio_report still walk every direction,
+in order.
 
 The same pass serves the variance split for Y_T.  With
 
@@ -62,6 +76,23 @@ def _require_cap(T: int, cap: int, what: str) -> None:
         raise ValueError(f"{what} is capped at box exponent {cap}, got {T}")
 
 
+def require_cubable_rate(c: float) -> None:
+    """Reject a nonzero rate whose cube is not a positive finite float.
+
+    The normalized moment k1_hat divides by c**3 and the triple-count
+    threshold multiplies by it, so such a rate would overflow or divide by
+    zero there.
+    """
+    try:
+        cube = c**3
+    except OverflowError:
+        cube = math.inf
+    if c != 0 and not 0.0 < cube < math.inf:
+        raise ValueError(
+            f"sampling rate {c!r} is out of range: c**3 must be a positive finite float"
+        )
+
+
 def line_weight(line: LatticeLine, T: int, c: float) -> float:
     """Sum of inclusion probabilities over the line's points in [1, 2**T]^2."""
     pts = line_points_in_box(line, T)
@@ -96,38 +127,78 @@ def _probability_grids(T: int, c: float) -> tuple[np.ndarray, ...]:
     return P, P * P, P * P * P
 
 
-def _direction_line_sums(
-    n: int, a: int, b: int, grids: tuple[np.ndarray, ...]
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-line counts and power sums for one direction, indexed by offset.
+def _interval_minus(lo: int, hi: int, cut_lo: int, cut_hi: int) -> tuple[int, int]:
+    """[lo, hi] minus [cut_lo, cut_hi], two intervals of equal length.
 
-    Returns (kmin, cnt, w1, w2, w3); bin j describes the line with offset
-    kmin + j.  Bins cover every offset the full box can realize, so lookups
-    by arbitrary box points are always in range; only lines with >= 2 box
-    points get nonzero entries.
+    Equal lengths make the difference a single (possibly empty) interval.
     """
-    kmin = b * 1 + min(-a * 1, -a * n)
-    kmax = b * n + max(-a * 1, -a * n)
+    if lo > cut_lo:
+        return max(lo, cut_hi + 1), hi
+    return lo, min(hi, cut_lo - 1)
+
+
+def _neighbour_rects(n: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
+    """Disjoint rectangles covering the box points on lines with >= 2 points.
+
+    The first is F, the points with an in-box neighbour at +(a, b); the
+    others cover the points with a neighbour at -(a, b) but none at +(a, b),
+    the last point of each line.  Rectangles are (x_lo, x_hi, y_lo, y_hi),
+    inclusive, and may be empty.
+    """
+    fx = (max(1, 1 - a), min(n, n - a))
+    fy = (1, n - b)
+    bx = (max(1, 1 + a), min(n, n + a))
+    by = (1 + b, n)
+    both_x = (max(fx[0], bx[0]), min(fx[1], bx[1]))
+    return [
+        (*fx, *fy),
+        (*_interval_minus(*bx, *fx), *by),
+        (*both_x, *_interval_minus(*by, *fy)),
+    ]
+
+
+def _direction_line_sums(
+    n: int, a: int, b: int, grids: Sequence[np.ndarray]
+) -> tuple[int, np.ndarray, list[np.ndarray], list]:
+    """Per-line point counts and sums of each grid for one direction.
+
+    Returns (kmin, cnt, sums, parts), indexed by offset: bin j describes
+    the line with offset kmin + j, and sums[i] holds the line sums of
+    grids[i].  The bins span only the offsets of F, the points with an
+    in-box neighbour at +(a, b), because every line with >= 2 box points
+    has all but its last point there.  A box point on no such line may
+    have an offset outside the bins, so lookups go through parts: one
+    (rect, bin index array) per nonempty rectangle of _neighbour_rects,
+    which between them hold each point of each line with >= 2 box points
+    exactly once.  Every bin is either such a line (cnt >= 2) or empty,
+    with cnt and all sums exactly zero.
+    """
+    rects = _neighbour_rects(n, a, b)
+    fx_lo, fx_hi, fy_lo, fy_hi = rects[0]
+    kmin = b * fx_lo + min(-a * fy_lo, -a * fy_hi)
+    kmax = b * fx_hi + max(-a * fy_lo, -a * fy_hi)
     span = kmax - kmin + 1
-    cnt = np.zeros(span, dtype=np.int64)
-    sums = [np.zeros(span) for _ in range(3)]
-    # Points with an in-box neighbour at +(a, b), at -(a, b), minus both.
-    rects = (
-        (max(1, 1 - a), min(n, n - a), max(1, 1 - b), min(n, n - b), 1),
-        (max(1, 1 + a), min(n, n + a), max(1, 1 + b), min(n, n + b), 1),
-        (1 + abs(a), n - abs(a), 1 + abs(b), n - abs(b), -1),
-    )
-    for x_lo, x_hi, y_lo, y_hi, sign in rects:
+    parts = []
+    for x_lo, x_hi, y_lo, y_hi in rects:
         if x_lo > x_hi or y_lo > y_hi:
             continue
         xs = np.arange(x_lo, x_hi + 1, dtype=np.int64)
         ys = np.arange(y_lo, y_hi + 1, dtype=np.int64)
-        idx = np.add.outer(b * xs - kmin, -a * ys).ravel()
-        cnt += sign * np.bincount(idx, minlength=span)
-        for acc, grid in zip(sums, grids):
-            w = grid[x_lo - 1 : x_hi, y_lo - 1 : y_hi].ravel()
-            acc += sign * np.bincount(idx, weights=w, minlength=span)
-    return kmin, cnt, sums[0], sums[1], sums[2]
+        parts.append(((x_lo, x_hi, y_lo, y_hi), np.add.outer(b * xs - kmin, -a * ys)))
+    idx = np.concatenate([k.ravel() for _, k in parts])
+    cnt = np.bincount(idx, minlength=span)
+    sums = [
+        np.bincount(
+            idx,
+            weights=np.concatenate(
+                [grid[x_lo - 1 : x_hi, y_lo - 1 : y_hi].ravel()
+                 for (x_lo, x_hi, y_lo, y_hi), _ in parts]
+            ),
+            minlength=span,
+        )
+        for grid in grids
+    ]
+    return kmin, cnt, sums, parts
 
 
 @dataclass(frozen=True)
@@ -155,7 +226,15 @@ class VarianceBoundReport:
 
 
 def _family_scan(T: int, c: float, want_beta: bool):
-    """One pass over all direction families; optionally also the beta grid."""
+    """One pass over all direction families; optionally also the beta grid.
+
+    Only one direction of each x<->y mirror pair is scanned (|a| < b, which
+    takes (0, 1) for the axes), and its parts count twice; the two diagonal
+    directions, |a| == b, are their own mirrors and count once.  The grids
+    are symmetric, so a mirror's beta contribution is the transpose of its
+    partner's: paired directions accumulate in one grid, the diagonal ones
+    in another, and beta is paired + paired.T + diagonal.
+    """
     if c <= 0:
         raise ValueError(f"sampling rate must be > 0, got {c}")
     n = 1 << T
@@ -165,31 +244,36 @@ def _family_scan(T: int, c: float, want_beta: bool):
     w4_parts: list[float] = []
     ey_parts: list[float] = []
     line_count = 0
-    beta = np.zeros((n, n)) if want_beta else None
-    xs_full = np.arange(1, n + 1, dtype=np.int64)
+    paired = np.zeros((n, n)) if want_beta else None
+    diagonal = np.zeros((n, n)) if want_beta else None
     for a, b in _box_directions(n):
-        kmin, cnt, w1, w2, w3 = _direction_line_sums(n, a, b, grids)
-        lines = cnt >= 2
-        if lines.any():
-            line_count += int(lines.sum())
-            s1 = w1[lines]
-            w3_parts.append(float(np.sum(s1**3)))
-            w4_parts.append(float(np.sum(s1**4)))
-            rich = cnt >= 3
-            if rich.any():
-                e3 = w1[rich] ** 3 - 3.0 * w1[rich] * w2[rich] + 2.0 * w3[rich]
-                ey_parts.append(float(np.sum(e3)) / 6.0)
+        if abs(a) > b:
+            continue
+        mult = 2 if abs(a) < b else 1
+        _, cnt, (w1, w2, w3), parts = _direction_line_sums(n, a, b, grids)
+        # empty bins hold zero sums, so only e3 needs a mask
+        line_count += mult * int(np.count_nonzero(cnt))
+        sq = w1 * w1
+        w3_parts.append(mult * float(np.sum(sq * w1)))
+        w4_parts.append(mult * float(np.sum(sq * sq)))
+        rich = np.flatnonzero(cnt >= 3)
+        if rich.size:
+            r1 = w1[rich]
+            e3 = r1**3 - 3.0 * r1 * w2[rich] + 2.0 * w3[rich]
+            ey_parts.append(mult * float(np.sum(e3)) / 6.0)
         if want_beta:
-            idx = np.add.outer(b * xs_full - kmin, -a * xs_full)
-            pair = 0.5 * ((w1[idx] - P) ** 2 - (w2[idx] - P2))
-            beta += np.where(cnt[idx] >= 2, pair, 0.0)
+            acc = paired if mult == 2 else diagonal
+            # every point of parts lies on a line with >= 2 box points
+            for (x_lo, x_hi, y_lo, y_hi), k in parts:
+                box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
+                acc[box] += 0.5 * ((w1[k] - P[box]) ** 2 - (w2[k] - P2[box]))
     return (
         math.fsum(w3_parts),
         math.fsum(w4_parts),
         math.fsum(ey_parts),
         line_count,
         P,
-        beta,
+        paired + paired.T + diagonal if want_beta else None,
     )
 
 
@@ -207,9 +291,8 @@ def enumerate_box_lines(T: int) -> Iterator[LatticeLine]:
     """Every line with >= 2 points in [1, 2**T]^2, grouped by direction."""
     _require_cap(T, ENUMERATION_CAP, "line family enumeration")
     n = 1 << T
-    ones = (np.ones((n, n)),) * 3
     for a, b in _box_directions(n):
-        kmin, cnt, _, _, _ = _direction_line_sums(n, a, b, ones)
+        kmin, cnt, _, _ = _direction_line_sums(n, a, b, ())
         for j in np.nonzero(cnt >= 2)[0]:
             yield LatticeLine((a, b), kmin + int(j))
 
@@ -314,6 +397,7 @@ def monte_carlo_moments(
         raise ValueError("need at least one seed")
     if c < 0:
         raise ValueError(f"sampling rate must be >= 0, got {c}")
+    require_cubable_rate(c)
     w = ts[-1] + 1
     vectors = map_ordered(_mc_vectors, [(s, c, w) for s in seeds])
     x_by_seed = [[xv[t] for t in ts] for xv, _ in vectors]
@@ -408,7 +492,7 @@ def weight_ratio_report(T: int, c: float) -> WeightRatioReport:
     if c <= 0:
         raise ValueError(f"sampling rate must be > 0, got {c}")
     n = 1 << T
-    grids = _probability_grids(T, c)
+    P = _probability_grids(T, c)[0]
     sqrt_t = math.sqrt(T)
     shell_of_norm = np.array(
         [v.bit_length() - 1 for v in range(1, n + 1)], dtype=np.int64
@@ -416,7 +500,7 @@ def weight_ratio_report(T: int, c: float) -> WeightRatioReport:
     best = (-1.0, (0, 1), 0)
     line_count = 0
     for a, b in _box_directions(n):
-        kmin, cnt, w1, _, _ = _direction_line_sums(n, a, b, grids)
+        kmin, cnt, (w1,), _ = _direction_line_sums(n, a, b, (P,))
         lines = np.nonzero(cnt >= 2)[0]
         if lines.size == 0:
             continue

@@ -25,8 +25,10 @@ from typing import Sequence
 
 from .analytics import (
     ENUMERATION_CAP,
+    VARIANCE_CAP,
     TrialStatistics,
     monte_carlo_moments,
+    require_cubable_rate,
     variance_bounds,
     weight_sums,
 )
@@ -73,6 +75,7 @@ class TrialManifest:
         if self.log_base != "ln":
             raise ValueError(f"density ratios are defined for log_base 'ln', got {self.log_base!r}")
         SamplerConfig(self.base_seed, self.c, self.window_exponent)
+        require_cubable_rate(self.c)
 
     @property
     def seeds(self) -> list[int]:
@@ -333,11 +336,11 @@ def lemma_report(
     t_values: Sequence[int],
     c: float,
     seeds: Sequence[int],
-    enum_cap: int = 7,
-    var_cap: int = 6,
 ) -> dict:
     """Exact bounds next to Monte Carlo moments, per box exponent.
 
+    The exact weight sums stop at ENUMERATION_CAP and the variance bounds
+    at VARIANCE_CAP; the report echoes both as enum_cap and var_cap.
     Also reports, per exponent, the frequencies of trials missing the
     shell-count side, the triple-count side, and their joint event, the
     Chebyshev tail bound 4*sqrt(T) / (c*2**T) for the shell-count side, a
@@ -348,8 +351,8 @@ def lemma_report(
     """
     ts = list(t_values)
     mc = monte_carlo_moments(ts, c, seeds)
-    weights = [asdict(weight_sums(t, c)) for t in ts if c > 0 and t <= enum_cap]
-    bounds = [asdict(variance_bounds(t, c)) for t in ts if c > 0 and t <= var_cap]
+    weights = [asdict(weight_sums(t, c)) for t in ts if c > 0 and t <= ENUMERATION_CAP]
+    bounds = [asdict(variance_bounds(t, c)) for t in ts if c > 0 and t <= VARIANCE_CAP]
     x_miss = []
     y_miss = []
     miss_freq = []
@@ -370,8 +373,8 @@ def lemma_report(
         "t_values": ts,
         "c": c,
         "sample_size": mc.sample_size,
-        "enum_cap": enum_cap,
-        "var_cap": var_cap,
+        "enum_cap": ENUMERATION_CAP,
+        "var_cap": VARIANCE_CAP,
         "monte_carlo": asdict(mc),
         "weights": weights,
         "variance_bounds": bounds,

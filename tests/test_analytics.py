@@ -16,6 +16,9 @@ from no3l.analytics import (
     ENUMERATION_CAP,
     VARIANCE_CAP,
     LineWeightReport,
+    _box_directions,
+    _direction_line_sums,
+    _probability_grids,
     beta,
     beta_box_grid,
     enumerate_box_lines,
@@ -43,6 +46,20 @@ EY_NORM_HALF = {
     5: 9.216594739518001,
     6: 11.158470631443617,
     7: 12.351870072868996,
+}
+
+
+# weight_sums(T, 0.5) as (sum_w3, sum_w4, exact_ey, line_count) and
+# variance_bounds(T, 0.5) as (v1, v2, v3, total), recorded from the full
+# direction walk with full-span bins that the mirror-paired scan replaced
+WEIGHT_SUMS_HALF = {
+    5: (383.1236734257433, 216.9879748313323, 16.487145886903374, 239050),
+    6: (1153.301713501195, 539.1441782290568, 36.44341247582463, 3825234),
+    7: (3763.4744150723413, 1496.4246204685535, 74.697089004326, 61193214),
+}
+VARIANCE_BOUNDS_HALF = {
+    5: (117.95387267504967, 216.9879748313323, 16.487145886903374, 351.42899339328534),
+    6: (330.49198148734246, 539.1441782290568, 36.44341247582463, 906.079572192224),
 }
 
 
@@ -273,3 +290,85 @@ def test_weight_report_shape():
     assert isinstance(rep, LineWeightReport)
     assert rep.T == 2
     assert rep.c == 0.3
+
+
+def _mirror(a, b):
+    return (b, a) if a >= 0 else (-b, -a)
+
+
+def _sorted_line_rows(n, a, b, grids):
+    _, cnt, sums, _ = _direction_line_sums(n, a, b, grids)
+    keep = cnt > 0
+    rows = np.column_stack([cnt[keep]] + [w[keep] for w in sums])
+    # round the sort key so last-bit differences cannot reorder near ties
+    return rows[np.lexsort(np.round(rows, 12).T[::-1])]
+
+
+@pytest.mark.parametrize("T", [3, 4])
+def test_mirror_directions_have_equal_line_sums(T):
+    n = 1 << T
+    grids = _probability_grids(T, 0.5)
+    dirs = _box_directions(n)
+    for a, b in dirs:
+        assert _mirror(a, b) in dirs
+        mine = _sorted_line_rows(n, a, b, grids)
+        theirs = _sorted_line_rows(n, *_mirror(a, b), grids)
+        assert mine.shape == theirs.shape
+        np.testing.assert_array_equal(mine[:, 0], theirs[:, 0])
+        np.testing.assert_allclose(mine, theirs, rtol=1e-15, atol=0)
+
+
+def test_bins_hold_exactly_the_lines_with_two_points():
+    # a bin is a line with >= 2 box points or has zero count and sums, and
+    # the parts cover each point of those lines once
+    T, n = 3, 8
+    grids = _probability_grids(T, 0.5)
+    pts = {(x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
+    for a, b in _box_directions(n):
+        kmin, cnt, sums, parts = _direction_line_sums(n, a, b, grids)
+        members = {}
+        for x, y in pts:
+            members.setdefault(b * x - a * y, []).append((x, y))
+        want = {k: m for k, m in members.items() if len(m) >= 2}
+        got = {kmin + j for j in np.flatnonzero(cnt)}
+        assert got == set(want)
+        for k, m in want.items():
+            assert cnt[k - kmin] == len(m)
+            assert sums[0][k - kmin] == pytest.approx(
+                math.fsum(_prob(p, 0.5) for p in m), rel=1e-15
+            )
+        for w in sums:
+            assert not w[cnt == 0].any()
+        covered = [
+            (x, y)
+            for (x_lo, x_hi, y_lo, y_hi), _ in parts
+            for x in range(x_lo, x_hi + 1)
+            for y in range(y_lo, y_hi + 1)
+        ]
+        assert sorted(covered) == sorted(p for m in want.values() for p in m)
+
+
+def test_beta_grid_is_symmetric_and_matches_scalar():
+    grid = beta_box_grid(4, 0.5)
+    np.testing.assert_allclose(grid, grid.T, rtol=1e-15, atol=0)
+    for x in [(1, 2), (3, 7), (16, 5), (9, 14)]:
+        assert grid[x[0] - 1, x[1] - 1] == pytest.approx(beta(x, 4, 0.5), rel=1e-11)
+
+
+@pytest.mark.parametrize("T", sorted(WEIGHT_SUMS_HALF))
+def test_weight_sums_pins(T):
+    w3, w4, ey, lines = WEIGHT_SUMS_HALF[T]
+    got = weight_sums(T, 0.5)
+    assert got.line_count == lines
+    assert got.sum_w3 == pytest.approx(w3, rel=1e-12)
+    assert got.sum_w4 == pytest.approx(w4, rel=1e-12)
+    assert got.exact_ey == pytest.approx(ey, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", sorted(VARIANCE_BOUNDS_HALF))
+def test_variance_bounds_pins(T):
+    got = variance_bounds(T, 0.5)
+    want = VARIANCE_BOUNDS_HALF[T]
+    assert (got.v1_bound, got.v2_bound, got.v3_bound, got.var_bound_total) == (
+        pytest.approx(want, rel=1e-12)
+    )

@@ -196,3 +196,40 @@ def test_stats_rejects_bad_manifest(tmp_path, capsys, doc, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert len(err.splitlines()) == 1
+
+
+RATES_WITHOUT_A_FLOAT_CUBE = pytest.mark.parametrize(
+    "rate", ["1e200", "1e-200"], ids=["cube-overflows", "cube-underflows"]
+)
+
+
+@RATES_WITHOUT_A_FLOAT_CUBE
+def test_lemmas_rejects_rate_without_a_float_cube(capsys, rate):
+    assert main(["lemmas", "--tmin", "2", "--tmax", "3", "--c", rate,
+                 "--trials", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "c**3" in err
+    assert len(err.splitlines()) == 1
+
+
+@RATES_WITHOUT_A_FLOAT_CUBE
+def test_bench_rejects_rate_without_a_float_cube(capsys, rate):
+    assert main(["bench", "--c", rate, "--window", "3", "--trials", "2",
+                 "--nmin", "2", "--alpha", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "c**3" in err
+    assert len(err.splitlines()) == 1
+
+
+@RATES_WITHOUT_A_FLOAT_CUBE
+def test_stats_rejects_rate_without_a_float_cube(tmp_path, capsys, rate):
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({
+        "base_seed": 3, "trial_count": 2, "c": float(rate), "window_exponent": 3,
+    }), encoding="ascii")
+    out = tmp_path / "runs"
+    assert main(["stats", "--manifest", str(man), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "c**3" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()

@@ -275,7 +275,7 @@ def test_lemma_report_csv_one_row_per_exponent():
     assert lines[0].startswith("T,c,sample_size,")
     assert len(lines) == 4
     # beyond both caps the exact columns go blank
-    rep_high = lemma_report([7, 8], 0.4, range(1, 4), enum_cap=7, var_cap=6)
+    rep_high = lemma_report([7, 8], 0.4, range(1, 4))
     rows = lemma_report_csv(rep_high).splitlines()
     t7 = rows[1].split(",")
     t8 = rows[2].split(",")

@@ -7,6 +7,7 @@ output is itself checked against itertools.combinations.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -140,13 +141,13 @@ def test_counter_equals_bruteforce_on_wide_sets(seed):
 
 
 def test_vectorized_path_on_a_large_set():
-    # push the input over the vectorization threshold and compare routes
     ps = sample_window(SamplerConfig(seed=3, c=6.0, window_exponent=5))
     assert len(ps) > 192
-    n_fast = count_collinear_triples(ps)
     ordered = sorted(ps.points, key=norm_lex_key)
-    assert sum(prefix_triple_counts(ordered)) == n_fast
-    assert sum(1 for _ in enumerate_collinear_triples(ps)) == n_fast
+    # enumerate_collinear_triples lists each triple's largest member last
+    by_largest = Counter(t[2] for t in enumerate_collinear_triples(ps))
+    assert prefix_triple_counts(ordered) == [by_largest[p] for p in ordered]
+    assert count_collinear_triples(ps) == sum(by_largest.values())
 
 
 def test_wide_coordinates_pack_without_collisions():
