@@ -17,7 +17,6 @@ from .analytics import (
     beta_box_grid,
     enumerate_box_lines,
     line_weight,
-    line_weight_excluding,
     monte_carlo_moments,
     variance_bounds,
     weight_ratio_report,
@@ -43,14 +42,11 @@ from .geom import (
     LatticeLine,
     canonical_direction,
     collinear,
-    first_shell,
     inf_norm,
     line_points_in_box,
     line_points_in_rect,
     line_through,
-    lines_meeting_shell,
     norm_lex_key,
-    primitive_directions_with_norm,
     shell_index,
     shell_size,
 )
@@ -69,9 +65,7 @@ from .sampling import (
 from .triples import (
     count_collinear_triples,
     count_collinear_triples_bruteforce,
-    enumerate_collinear_triples,
     prefix_triple_counts,
-    triples_within_box,
 )
 
 __version__ = "0.1.0"

@@ -99,14 +99,6 @@ def line_weight(line: LatticeLine, T: int, c: float) -> float:
     return math.fsum(shell_probability(shell_index(p), c) for p in pts)
 
 
-def line_weight_excluding(line: LatticeLine, T: int, c: float, x: Point) -> float:
-    """line_weight minus the contribution of x, which must lie on the line."""
-    pts = line_points_in_box(line, T)
-    if x not in pts:
-        raise ValueError(f"point {x} is not on {line} within the box 2**{T}")
-    return math.fsum(shell_probability(shell_index(p), c) for p in pts if p != x)
-
-
 def _box_directions(n: int) -> list[tuple[int, int]]:
     """Canonical directions realized by point pairs of [1, n]^2, by (b, a)."""
     dirs = [(1, 0), (0, 1)] if n >= 2 else []

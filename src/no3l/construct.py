@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .sampling import PointSet
-from .triples import prefix_triple_counts
+from .triples import box_profile, prefix_triple_counts
 
 GREEDY_WINDOW_CAP = 13
 PARABOLA_MODULUS_CAP = 1 << 32
@@ -33,7 +33,23 @@ _SCATTER_CELLS = 1 << 20
 
 def delete_max_of_triples(sample: PointSet) -> PointSet:
     """Remove each point that closes a triple of smaller-or-equal points."""
+    return _survivors(sample, prefix_triple_counts(sample))
+
+
+def delete_max_with_profile(sample: PointSet, t_max: int) -> tuple[PointSet, list[int]]:
+    """delete_max_of_triples(sample) and box_triple_counts(sample, t_max).
+
+    Both come from one kernel pass over the whole sample: a point's prefix
+    count depends only on the points before it, so the counts of the
+    points inside the box are a prefix of the sample's counts.  The sample
+    must lie in the positive quadrant.
+    """
     counts = prefix_triple_counts(sample)
+    return _survivors(sample, counts), box_profile(sample.points, counts, t_max)
+
+
+def _survivors(sample: PointSet, counts: Sequence[int]) -> PointSet:
+    """The members of sample whose prefix triple count is 0."""
     survivors = [p for p, t in zip(sample.points, counts) if t == 0]
     meta = {
         "kind": "constructed",

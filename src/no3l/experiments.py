@@ -32,7 +32,7 @@ from .analytics import (
     variance_bounds,
     weight_sums,
 )
-from .construct import delete_max_of_triples, density_profile
+from .construct import delete_max_with_profile, density_profile
 from .parallel import map_ordered
 from .sampling import (
     PointSet,
@@ -84,7 +84,10 @@ class TrialManifest:
     @classmethod
     def from_json_file(cls, path: str | os.PathLike) -> "TrialManifest":
         with open(path, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"{path}: manifest is nested too deeply to decode") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: manifest is not a JSON object")
         declared = {f.name: f for f in fields(cls)}
@@ -164,8 +167,7 @@ def _run_one_trial(args: tuple[int, float, int]) -> dict:
     seed, c, w = args
     q = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
     x = shell_counts(q, w)
-    y = box_triple_counts(q, w - 1)
-    s = delete_max_of_triples(q)
+    s, y = delete_max_with_profile(q, w - 1)
     survivors = box_triple_counts(s, w - 1)
     if survivors[w - 1] != 0:
         raise RuntimeError(

@@ -158,59 +158,3 @@ def line_points_in_box(line: LatticeLine, T: int) -> list[Point]:
     if T < 0:
         raise ValueError(f"box exponent must be >= 0, got {T}")
     return line_points_in_rect(line, 1 << T)
-
-
-def primitive_directions_with_norm(m: int) -> list[Direction]:
-    """Canonical coprime directions of infinity norm exactly m.
-
-    For m == 1 these are (1, 0), (0, 1), (1, 1), (-1, 1); for m >= 2 there
-    are 4*phi(m) of them, obtained from coprime pairs (m, j) and (j, m)
-    in both sign classes.  Sorted by (b, a).
-    """
-    if m < 1:
-        raise ValueError(f"direction norm must be >= 1, got {m}")
-    if m == 1:
-        dirs = [(1, 0), (0, 1), (1, 1), (-1, 1)]
-    else:
-        dirs = []
-        for j in range(1, m):
-            if math.gcd(j, m) == 1:
-                dirs.extend([(j, m), (-j, m), (m, j), (-m, j)])
-    return sorted(dirs, key=lambda d: (d[1], d[0]))
-
-
-def _line_meets_shell(line: LatticeLine, t: int) -> bool:
-    """Does the line contain a positive-quadrant point of shell t?"""
-    # Shell t is contained in [1, 2**(t+1) - 1]^2; filter by norm exactly.
-    lo = 1 << t
-    for p in line_points_in_rect(line, (1 << (t + 1)) - 1):
-        if inf_norm(p) >= lo:
-            return True
-    return False
-
-
-def lines_meeting_shell(v: Direction, t: int) -> list[LatticeLine]:
-    """All lines of direction v meeting shell t, in increasing offset order.
-
-    Candidate offsets satisfy |k| <= 4 * inf_norm(v) * 2**t; each candidate
-    is kept only if the line really contains a shell point.
-    """
-    if t < 0:
-        raise ValueError(f"shell exponent must be >= 0, got {t}")
-    a, b = canonical_direction(v)
-    m = max(abs(a), abs(b))
-    bound = 4 * m * (1 << t)
-    out = []
-    for k in range(-bound, bound + 1):
-        line = LatticeLine((a, b), k)
-        if _line_meets_shell(line, t):
-            out.append(line)
-    return out
-
-
-def first_shell(line: LatticeLine, t_cap: int = 40) -> int:
-    """Smallest t such that the line meets shell t; errors past t_cap."""
-    for t in range(t_cap + 1):
-        if _line_meets_shell(line, t):
-            return t
-    raise ValueError(f"line {line} meets no shell up to exponent {t_cap}")

@@ -309,6 +309,8 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
             meta = json.loads(meta_line[len("#meta "):])
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:2: meta is not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}:2: meta is nested too deeply to decode") from exc
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: meta is not a JSON object")
         pts: list[Point] = []

@@ -1,34 +1,40 @@
-"""Exact counting and enumeration of collinear triples.
+"""Exact counting of collinear triples.
 
 One kernel does the counting.  It orders the points by (inf_norm, x, y)
-and, for every point, buckets the points before it by the canonical
+and, for every point, groups the points before it by the normalized
 direction of the difference vector: a line through the point holding j
 earlier points contributes C(j, 2) triples whose largest member it is.
 Every triple has exactly one largest member, so these per-point counts sum
 to the total; they also drive the deletion construction and the whole
 profile T -> triples inside [1, 2**T]^2, because a triple of
 positive-quadrant points lies in that box exactly when its largest member
-does.  All arithmetic is integer-exact.  The numpy path packs normalized
-directions into int64 keys, sized from the set's coordinate span (a set
-too wide to pack exactly is rejected with ValueError), and must return the
-same numbers as the scalar path used for small sets.
+does.  All arithmetic is integer-exact.
+
+The points act as anchors in blocks of consecutive ones.  A block's
+(anchor, earlier point) directions are packed into uint64 keys, which
+carry the anchor in their high part, and sorted once; each run of equal
+keys is one line through one anchor.  The packing is sized from the set's
+coordinate span, whatever the set's size: a set whose span is too wide to
+pack a single anchor's keys exactly is rejected with ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Point, canonical_direction, norm_lex_key
+from .geom import Point, norm_lex_key
 from .sampling import PointSet
 
 BRUTE_FORCE_CAP = 2000
 
-# Below this size the pure-Python bucketing path tends to win; above it the
-# per-anchor numpy path does.  Both are exact, the cutover is performance only.
-_VECTOR_MIN_POINTS = 192
+# Earlier-point pairs keyed and sorted together per block of anchors.  It
+# bounds the block's temporaries (a few arrays of this many words); on the
+# benchmark's construct-verify and lemmas-t7, 2**13 and 2**15 were slower.
+_PAIR_BLOCK = 1 << 14
 
 
 def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
@@ -38,12 +44,8 @@ def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
     return pts
 
 
-def _pair_sum(counts: Iterable[int]) -> int:
-    return sum(n * (n - 1) // 2 for n in counts)
-
-
-def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.int64]:
-    """Coordinate arrays and the multiplier that packs directions into int64.
+def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coordinate arrays and the coordinate span s that sizes the key packing.
 
     A normalized direction (a, b) of two members has |a| <= s, the larger
     coordinate span, and 0 <= b <= s; so a * (s + 1) + b is collision-free,
@@ -59,22 +61,48 @@ def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.int
         raise ValueError(
             f"coordinate span {s} too large to pack directions exactly in int64"
         )
-    return xs, ys, np.int64(s + 1)
+    return xs, ys, s
 
 
-def _direction_keys(
-    xs: np.ndarray, ys: np.ndarray, mult: np.int64, i: int
+def _block_counts(
+    xs: np.ndarray, ys: np.ndarray, s: int, radix: int, lo: int, hi: int
 ) -> np.ndarray:
-    """Packed directions from point i to each of the points before it."""
-    dx = xs[:i] - xs[i]
-    dy = ys[:i] - ys[i]
+    """Prefix triple counts of the anchors lo .. hi - 1.
+
+    The key of anchor i and earlier point j is their packed direction,
+    shifted into [0, radix), plus (i - lo) * radix; the caller keeps that
+    below 2**64.
+    """
+    sizes = np.arange(lo, hi)  # anchor i has i earlier points
+    starts = np.cumsum(sizes) - sizes
+    j = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+    dx = xs[j] - np.repeat(xs[lo:hi], sizes)
+    dy = ys[j] - np.repeat(ys[lo:hi], sizes)
+    # Divide by the gcd, negated where that makes the direction point up
+    # (b > 0, or b == 0 and a > 0); dy * (s + 1) + dx has the sign that
+    # decides this, since |dx| <= s.
     g = np.gcd(dx, dy)
-    a = dx // g
-    b = dy // g
-    flip = (b < 0) | ((b == 0) & (a < 0))
-    np.negative(a, out=a, where=flip)
-    np.negative(b, out=b, where=flip)
-    return a * mult + b
+    flip = dy * (s + 1)
+    flip += dx
+    np.negative(g, out=g, where=flip < 0)
+    dx *= s + 1
+    dx += dy
+    dx //= g
+    # Unsigned arithmetic wraps mod 2**64, so adding the shift turns a
+    # negative packed direction into its place in [0, radix).
+    keys = dx.view(np.uint64)
+    offsets = np.arange(hi - lo, dtype=np.uint64) * np.uint64(radix)
+    keys += np.repeat(offsets + np.uint64(s * (s + 1)), sizes)
+    keys.sort()
+    # A line holding L earlier points is a run of L equal keys, which marks
+    # L - 1 consecutive positions of ``same``.
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    firsts = np.flatnonzero(np.diff(same, prepend=-2) != 1)
+    marks = np.diff(firsts, append=len(same))
+    owner = (keys[same[firsts]] // np.uint64(radix)).astype(np.intp)
+    out = np.zeros(hi - lo, dtype=np.int64)
+    np.add.at(out, owner, marks * (marks + 1) // 2)
+    return out
 
 
 def count_collinear_triples(ps: PointSet | Iterable[Point]) -> int:
@@ -100,25 +128,6 @@ def count_collinear_triples_bruteforce(ps: PointSet | Iterable[Point]) -> int:
     return total
 
 
-def enumerate_collinear_triples(
-    ps: PointSet | Iterable[Point],
-) -> Iterator[tuple[Point, Point, Point]]:
-    """Yield each collinear triple once, members ordered by (inf_norm, x, y).
-
-    Triples are grouped by their largest member, which is visited in
-    increasing order.
-    """
-    pts = sorted(_as_points(ps), key=norm_lex_key)
-    for i, (xi, yi) in enumerate(pts):
-        buckets: dict[tuple[int, int], list[Point]] = {}
-        for p in pts[:i]:
-            d = canonical_direction((p[0] - xi, p[1] - yi))
-            buckets.setdefault(d, []).append(p)
-        for members in buckets.values():
-            for p, q in combinations(members, 2):
-                yield (p, q, (xi, yi))
-
-
 def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     """Per-point counts of triples whose largest member is that point.
 
@@ -128,60 +137,58 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     """
     pts = sorted(_as_points(ps), key=norm_lex_key)
     m = len(pts)
-    counts = [0] * m
     if m < 3:
-        return counts
-    if m >= _VECTOR_MIN_POINTS:
-        xs, ys, mult = _packed_coords(pts)
-        for i in range(2, m):
-            _, sizes = np.unique(
-                _direction_keys(xs, ys, mult, i), return_counts=True
-            )
-            counts[i] = int((sizes * (sizes - 1) // 2).sum())
-    else:
-        for i in range(2, m):
-            xi, yi = pts[i]
-            buckets: dict[tuple[int, int], int] = {}
-            for xj, yj in pts[:i]:
-                d = canonical_direction((xj - xi, yj - yi))
-                buckets[d] = buckets.get(d, 0) + 1
-            counts[i] = _pair_sum(buckets.values())
-    return counts
+        return [0] * m
+    xs, ys, s = _packed_coords(pts)
+    # Shifted direction keys lie in [0, radix).  The accepted spans give
+    # radix <= 2**64 - 1 - s, so a block holds at least one anchor.
+    radix = 2 * s * (s + 1) + s + 1
+    max_anchors = (2**64 - 1) // radix
+    counts = np.zeros(m, dtype=np.int64)
+    lo = 2
+    while lo < m:
+        # The largest hi with lo + ... + (hi - 1) <= _PAIR_BLOCK, that is
+        # hi * (hi - 1) <= 2 * _PAIR_BLOCK + lo * (lo - 1).
+        hi = (1 + math.isqrt(1 + 4 * (2 * _PAIR_BLOCK + lo * (lo - 1)))) // 2
+        hi = min(max(hi, lo + 1), lo + max_anchors, m)
+        counts[lo:hi] = _block_counts(xs, ys, s, radix, lo, hi)
+        lo = hi
+    return counts.tolist()
 
 
-def triples_within_box(ps: PointSet | Iterable[Point], T: int) -> int:
-    """Collinear triples among members lying in [1, 2**T]^2."""
-    if T < 0:
-        raise ValueError(f"box exponent must be >= 0, got {T}")
-    n = 1 << T
-    pts = [p for p in _as_points(ps) if 1 <= p[0] <= n and 1 <= p[1] <= n]
-    return count_collinear_triples(pts)
+def box_profile(points: Sequence[Point], counts: Sequence[int], t_max: int) -> list[int]:
+    """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max] from prefix counts.
 
-
-def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
-    """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max], in one pass.
-
-    Requires a positive-quadrant set: then a triple lies in the box of
-    exponent T exactly when its largest member has norm <= 2**T, so the
-    profile is a cumulative sum of the per-point counts.
+    ``points`` is a positive-quadrant set in (inf_norm, x, y) order and
+    ``counts`` holds the prefix_triple_counts of its leading points, at
+    least all those of norm <= 2**t_max.  A triple lies in the box of
+    exponent T exactly when its largest member has norm <= 2**T, so each
+    entry is a prefix sum of the counts.
     """
-    if t_max < 0:
-        raise ValueError(f"box exponent must be >= 0, got {t_max}")
-    pts = sorted(_as_points(ps), key=norm_lex_key)
-    for p in pts:
+    for p in points:
         if p[0] < 1 or p[1] < 1:
             raise ValueError(f"point {p} outside the positive quadrant")
-    top = 1 << t_max
-    inside = [p for p in pts if max(p) <= top]
-    counts = prefix_triple_counts(inside)
-    norms = [max(p) for p in inside]
     profile = []
     acc = 0
     idx = 0
     for T in range(t_max + 1):
         bound = 1 << T
-        while idx < len(inside) and norms[idx] <= bound:
+        while idx < len(counts) and max(points[idx]) <= bound:
             acc += counts[idx]
             idx += 1
         profile.append(acc)
     return profile
+
+
+def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
+    """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max], in one pass.
+
+    Requires a positive-quadrant set.  Only the points of the largest box,
+    which lead such a set's (inf_norm, x, y) order, go through the kernel.
+    """
+    if t_max < 0:
+        raise ValueError(f"box exponent must be >= 0, got {t_max}")
+    pts = sorted(_as_points(ps), key=norm_lex_key)
+    top = 1 << t_max
+    inside = [p for p in pts if max(p) <= top]
+    return box_profile(pts, prefix_triple_counts(inside), t_max)

@@ -23,7 +23,6 @@ from no3l.analytics import (
     beta_box_grid,
     enumerate_box_lines,
     line_weight,
-    line_weight_excluding,
     monte_carlo_moments,
     variance_bounds,
     weight_ratio_report,
@@ -125,10 +124,6 @@ def test_line_weight_hand_case():
     c = 0.5
     want = c + 2 * (c / (2 * 1.0)) + c / (4 * math.sqrt(2))
     assert line_weight(line, 2, c) == pytest.approx(want, rel=1e-12)
-    less = line_weight_excluding(line, 2, c, (1, 1))
-    assert less == pytest.approx(want - c, rel=1e-12)
-    with pytest.raises(ValueError):
-        line_weight_excluding(line, 2, c, (2, 2))
 
 
 def _beta_brute(x, T, c):

@@ -170,11 +170,40 @@ def test_verify_rejects_non_integer_window_meta(tmp_path, capsys):
 
 
 def test_verify_rejects_coordinates_too_wide_to_pack(tmp_path, capsys):
-    path = tmp_path / "wide.tsv"
-    pts = [(i, i * i) for i in range(1, 200)] + [(1, 2**62)]
-    write_pointset(PointSet(pts, {"kind": "baseline"}), path)
-    assert main(["verify", "--in", str(path)]) == 2
-    assert "int64" in capsys.readouterr().err
+    # the same limit holds for a 4-point file and a 200-point one
+    for size in (4, 200):
+        path = tmp_path / f"wide{size}.tsv"
+        pts = [(i, i * i) for i in range(1, size)] + [(1, 2**62)]
+        write_pointset(PointSet(pts, {"kind": "baseline"}), path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "int64" in capsys.readouterr().err
+
+
+DEEPLY_NESTED_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["construct", "--method", "delete-max", "--out", "s.tsv"]],
+    ids=["verify", "construct"],
+)
+def test_deeply_nested_meta_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "deep.tsv"
+    path.write_text(f"#no3l v1\n#meta {DEEPLY_NESTED_JSON}\n1\t1\n", encoding="ascii")
+    assert main([*argv, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_stats_rejects_deeply_nested_manifest(tmp_path, capsys):
+    man = tmp_path / "man.json"
+    man.write_text(DEEPLY_NESTED_JSON, encoding="ascii")
+    assert main(["stats", "--manifest", str(man), "--out", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

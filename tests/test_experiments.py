@@ -17,6 +17,7 @@ from no3l.experiments import (
     _JSON_FIELD_TYPES,
     EventRecord,
     TrialManifest,
+    _run_one_trial,
     density_box_sides,
     lemma_report,
     lemma_report_csv,
@@ -24,7 +25,7 @@ from no3l.experiments import (
     verify_theorem,
 )
 from no3l.parallel import map_ordered, resolve_workers
-from no3l.sampling import read_pointset, shell_counts
+from no3l.sampling import SamplerConfig, read_pointset, sample_window, shell_counts
 from no3l.triples import box_triple_counts, count_collinear_triples
 
 
@@ -98,6 +99,19 @@ def test_run_trials_per_trial_contents(small_run):
         s_counts = shell_counts(s, man.window_exponent)
         for t in range(man.window_exponent - 1):
             assert s_counts[t] >= tr.x[t] - tr.y[t + 1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_one_trial_pass_matches_the_separate_passes(seed):
+    c, w = 0.8, 8
+    raw = _run_one_trial((seed, c, w))
+    q = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
+    s = delete_max_of_triples(q)
+    assert raw["x"] == shell_counts(q, w)
+    assert raw["y"] == box_triple_counts(q, w - 1)
+    assert raw["y"][w - 1] > 0
+    assert raw["s_points"] == s.points
+    assert raw["s_meta"] == s.meta
 
 
 def test_run_trials_events_match_thresholds(small_run):

@@ -16,14 +16,11 @@ from no3l.geom import (
     LatticeLine,
     canonical_direction,
     collinear,
-    first_shell,
     inf_norm,
     line_points_in_box,
     line_points_in_rect,
     line_through,
-    lines_meeting_shell,
     norm_lex_key,
-    primitive_directions_with_norm,
     shell_index,
     shell_size,
 )
@@ -143,56 +140,3 @@ def test_line_points_in_rect_matches_grid_scan(p, q, n):
     a, b = line.direction
     for u, v in zip(got, got[1:]):
         assert (v[0] - u[0], v[1] - u[1]) == (a, b)
-
-
-def test_primitive_directions_with_norm_small():
-    assert primitive_directions_with_norm(1) == [(1, 0), (-1, 1), (0, 1), (1, 1)]
-    two = primitive_directions_with_norm(2)
-    assert set(two) == {(-2, 1), (2, 1), (-1, 2), (1, 2)}
-    assert two == sorted(two, key=lambda d: (d[1], d[0]))
-
-
-def _euler_phi(m: int) -> int:
-    return sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
-
-
-@given(st.integers(min_value=2, max_value=60))
-def test_primitive_directions_count_is_four_phi(m):
-    dirs = primitive_directions_with_norm(m)
-    assert len(dirs) == len(set(dirs)) == 4 * _euler_phi(m)
-    for a, b in dirs:
-        assert max(abs(a), abs(b)) == m
-        assert math.gcd(abs(a), abs(b)) == 1
-        assert b > 0 or (b == 0 and a > 0)
-
-
-def test_lines_meeting_shell_examples():
-    horiz = lines_meeting_shell((1, 0), 1)
-    assert sorted(line.offset for line in horiz) == [-3, -2, -1]
-    diag = lines_meeting_shell((1, 1), 0)
-    assert len(diag) == 1
-    assert diag[0].contains((1, 1))
-
-
-@given(
-    st.sampled_from([(1, 0), (0, 1), (1, 1), (-1, 1), (1, 2), (-3, 2), (5, 3)]),
-    st.integers(min_value=0, max_value=4),
-)
-def test_lines_meeting_shell_matches_point_scan(v, t):
-    lines = lines_meeting_shell(v, t)
-    seen = set()
-    lo, hi = 1 << t, 1 << (t + 1)
-    for x in range(1, hi):
-        for y in range(1, hi):
-            if max(x, y) >= lo:
-                line = LatticeLine(v, v[1] * x - v[0] * y)
-                seen.add(line.offset)
-    assert sorted(line.offset for line in lines) == sorted(seen)
-    assert len(lines) == len(seen)
-
-
-def test_first_shell_examples():
-    line = line_through((2, 1), (4, 2))
-    assert first_shell(line) == 1
-    far = line_through((100, 1), (100, 2))
-    assert first_shell(far) == 6

@@ -1,9 +1,10 @@
 """Collinear-triple counting tests.
 
-The vectorized anchor/direction counter is held against the cubic
-brute-force oracle on random sets and on full grids; the per-anchor
-prefix counts are cross-checked against the triple enumerator, whose
-output is itself checked against itertools.combinations.
+The blocked anchor/direction counter is held against the cubic
+brute-force oracle on random sets and on full grids, at several anchor
+block sizes; its per-point prefix counts are cross-checked against a
+slow triple enumerator kept here as an oracle, whose output is itself
+checked against itertools.combinations.
 """
 
 import random
@@ -14,16 +15,39 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from no3l.geom import collinear, norm_lex_key
+from no3l import triples
+from no3l.geom import canonical_direction, collinear, norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
 from no3l.triples import (
     box_triple_counts,
     count_collinear_triples,
     count_collinear_triples_bruteforce,
-    enumerate_collinear_triples,
     prefix_triple_counts,
-    triples_within_box,
 )
+
+
+def enumerate_collinear_triples(pts):
+    """Yield each collinear triple once, members ordered by (inf_norm, x, y).
+
+    Triples are grouped by their largest member, which is visited in
+    increasing order.
+    """
+    pts = sorted(pts, key=norm_lex_key)
+    for i, (xi, yi) in enumerate(pts):
+        buckets = {}
+        for p in pts[:i]:
+            d = canonical_direction((p[0] - xi, p[1] - yi))
+            buckets.setdefault(d, []).append(p)
+        for members in buckets.values():
+            for p, q in combinations(members, 2):
+                yield (p, q, (xi, yi))
+
+
+def _counts_by_largest(pts):
+    """prefix_triple_counts computed from the enumerator."""
+    by_largest = Counter(t[2] for t in enumerate_collinear_triples(pts))
+    return [by_largest[p] for p in sorted(pts, key=norm_lex_key)]
+
 
 # full-grid triple counts, brute-force verified; OEIS-style regression row
 GRID_TRIPLES = {1: 0, 2: 0, 3: 8, 4: 44, 5: 152}
@@ -136,18 +160,34 @@ def test_counter_equals_bruteforce_on_mixed_sets(pts):
 @settings(max_examples=4, deadline=None, phases=[Phase.generate])  # a seed has nothing to shrink
 def test_counter_equals_bruteforce_on_wide_sets(seed):
     pts = _wide_set(seed)
-    assert len(pts) >= 192  # the numpy path
     assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
 
 
 def test_vectorized_path_on_a_large_set():
     ps = sample_window(SamplerConfig(seed=3, c=6.0, window_exponent=5))
-    assert len(ps) > 192
-    ordered = sorted(ps.points, key=norm_lex_key)
-    # enumerate_collinear_triples lists each triple's largest member last
-    by_largest = Counter(t[2] for t in enumerate_collinear_triples(ps))
-    assert prefix_triple_counts(ordered) == [by_largest[p] for p in ordered]
-    assert count_collinear_triples(ps) == sum(by_largest.values())
+    assert len(ps) > 192  # several anchor blocks
+    counts = _counts_by_largest(ps.points)
+    assert prefix_triple_counts(ps) == counts
+    assert count_collinear_triples(ps) == sum(counts)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@given(pts=mixed_sets)
+@settings(max_examples=40, deadline=None)
+def test_anchor_blocks_of_any_size_agree_with_oracles(block, pts):
+    # 1 puts one anchor in each block; 7 and 64 split most anchors' pairs
+    # across blocks of several anchors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triples, "_PAIR_BLOCK", block)
+        assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+        assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_anchor_blocks_of_any_size_on_a_wide_set(block, monkeypatch):
+    monkeypatch.setattr(triples, "_PAIR_BLOCK", block)
+    pts = _wide_set(block)
+    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
 
 
 def test_wide_coordinates_pack_without_collisions():
@@ -155,7 +195,6 @@ def test_wide_coordinates_pack_without_collisions():
     rng = random.Random(2024)
     pts = {(rng.randint(10**6, 10**7), rng.randint(10**6, 10**7)) for _ in range(200)}
     pts |= {(1, 1), (2, 2**22 + 2), (3, 2)}
-    assert len(pts) > 192
     want = count_collinear_triples_bruteforce(pts)
     assert sum(prefix_triple_counts(pts)) == want
     assert count_collinear_triples(pts) == want
@@ -167,17 +206,32 @@ def test_wide_coordinates_pack_without_collisions():
     ids=["span-too-wide", "negative-span-too-wide", "beyond-int64"],
 )
 def test_unpackable_coordinates_are_rejected(far):
-    pts = [(i, i * i) for i in range(1, 200)] + [far]
-    with pytest.raises(ValueError):
-        count_collinear_triples(pts)
-    with pytest.raises(ValueError):
-        prefix_triple_counts(pts)
+    # the accepted span does not depend on the set's size
+    for size in (4, 200):
+        pts = [(i, i * i) for i in range(1, size)] + [far]
+        with pytest.raises(ValueError):
+            count_collinear_triples(pts)
+        with pytest.raises(ValueError):
+            prefix_triple_counts(pts)
 
 
-def test_triples_within_box():
-    ps = PointSet(_grid(3))
-    assert triples_within_box(ps, 1) == 0
-    assert triples_within_box(ps, 2) == 8
+# The widest span s with s * (s + 1) + s < 2**63: one anchor per block.
+WIDEST_SPAN = 3037000498
+
+
+def test_widest_accepted_span_is_counted_exactly():
+    s = WIDEST_SPAN
+    assert s * (s + 1) + s < 2**63 <= (s + 1) * (s + 2) + s + 1
+    assert (2**64 - 1) // (2 * s * (s + 1) + s + 1) == 1
+    h = s // 2
+    pts = [
+        (0, 0), (h, h), (s, s), (0, s), (s, 0), (h + 1, h - 1), (1, 2), (2, 4),
+        (3, 6), (s, 1), (s - 1, s - 2), (7, s - 5), (s - 9, 11), (h, 3),
+    ]
+    assert count_collinear_triples_bruteforce(pts) > 0
+    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+    with pytest.raises(ValueError):
+        prefix_triple_counts(pts + [(-1, 0)])  # span s + 1
 
 
 def test_box_triple_counts_cumulative():
