@@ -234,6 +234,12 @@ def test_widest_accepted_span_is_counted_exactly():
         prefix_triple_counts(pts + [(-1, 0)])  # span s + 1
 
 
+def test_triples_within_box():
+    ps = PointSet(_grid(3))
+    assert box_triple_counts(ps, 1)[1] == 0
+    assert box_triple_counts(ps, 2)[2] == 8
+
+
 def test_box_triple_counts_cumulative():
     ps = PointSet(_grid(3))
     assert box_triple_counts(ps, 3) == [0, 0, 8, 8]
