@@ -12,14 +12,9 @@ from .analytics import (
     LineWeightReport,
     TrialStatistics,
     VarianceBoundReport,
-    WeightRatioReport,
-    beta,
     beta_box_grid,
-    enumerate_box_lines,
-    line_weight,
     monte_carlo_moments,
     variance_bounds,
-    weight_ratio_report,
     weight_sums,
 )
 from .construct import (
@@ -43,7 +38,6 @@ from .geom import (
     canonical_direction,
     collinear,
     inf_norm,
-    line_points_in_box,
     line_points_in_rect,
     line_through,
     norm_lex_key,
@@ -53,8 +47,6 @@ from .geom import (
 from .sampling import (
     PointSet,
     SamplerConfig,
-    expected_shell_count,
-    inclusion_probability,
     point_uniform,
     read_pointset,
     sample_window,

@@ -33,8 +33,6 @@ same weights.  So the exact sums and beta visit one direction of each
 mirror pair, the one with |a| < b, and count it twice; the diagonals
 (1, 1) and (-1, 1) are their own mirrors and count once.  For beta, a
 mirror direction adds the transpose of its partner's contribution.
-enumerate_box_lines and weight_ratio_report still walk every direction,
-in order.
 
 The same pass serves the variance split for Y_T.  With
 
@@ -56,11 +54,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geom import LatticeLine, Point, _xgcd, line_points_in_box, shell_index
 from .parallel import map_ordered
 from .sampling import SamplerConfig, sample_window, shell_counts, shell_probability
 from .triples import box_triple_counts
@@ -91,12 +88,6 @@ def require_cubable_rate(c: float) -> None:
         raise ValueError(
             f"sampling rate {c!r} is out of range: c**3 must be a positive finite float"
         )
-
-
-def line_weight(line: LatticeLine, T: int, c: float) -> float:
-    """Sum of inclusion probabilities over the line's points in [1, 2**T]^2."""
-    pts = line_points_in_box(line, T)
-    return math.fsum(shell_probability(shell_index(p), c) for p in pts)
 
 
 def _box_directions(n: int) -> list[tuple[int, int]]:
@@ -279,49 +270,8 @@ def weight_sums(T: int, c: float) -> LineWeightReport:
     )
 
 
-def enumerate_box_lines(T: int) -> Iterator[LatticeLine]:
-    """Every line with >= 2 points in [1, 2**T]^2, grouped by direction."""
-    _require_cap(T, ENUMERATION_CAP, "line family enumeration")
-    n = 1 << T
-    for a, b in _box_directions(n):
-        kmin, cnt, _, _ = _direction_line_sums(n, a, b, ())
-        for j in np.nonzero(cnt >= 2)[0]:
-            yield LatticeLine((a, b), kmin + int(j))
-
-
-def beta(x: Point, T: int, c: float) -> float:
-    """Sum of p(y) * p(z) over pairs making a collinear triple with x.
-
-    Scalar reference route: bucket the other box points by direction seen
-    from x and sum e2 per bucket; the vectorized grid must match it.
-    """
-    _require_cap(T, VARIANCE_CAP, "beta")
-    n = 1 << T
-    if not (1 <= x[0] <= n and 1 <= x[1] <= n):
-        raise ValueError(f"point {x} outside box of exponent {T}")
-    buckets: dict[tuple[int, int], list[float]] = {}
-    for px in range(1, n + 1):
-        for py in range(1, n + 1):
-            if (px, py) == x:
-                continue
-            d = (px - x[0], py - x[1])
-            g = math.gcd(d[0], d[1])
-            d = (d[0] // g, d[1] // g)
-            if d[1] < 0 or (d[1] == 0 and d[0] < 0):
-                d = (-d[0], -d[1])
-            buckets.setdefault(d, []).append(
-                shell_probability(shell_index((px, py)), c)
-            )
-    total = []
-    for probs in buckets.values():
-        s1 = math.fsum(probs)
-        s2 = math.fsum(q * q for q in probs)
-        total.append((s1 * s1 - s2) / 2.0)
-    return math.fsum(total)
-
-
 def beta_box_grid(T: int, c: float) -> np.ndarray:
-    """beta over the whole box; entry [x-1, y-1] is beta((x, y), T, c)."""
+    """beta over the whole box; entry [x-1, y-1] is beta at the point (x, y)."""
     _require_cap(T, VARIANCE_CAP, "beta")
     return _family_scan(T, c, want_beta=True)[5]
 
@@ -343,16 +293,41 @@ def variance_bounds(T: int, c: float) -> VarianceBoundReport:
     return report
 
 
+def normalized_moments(
+    t_values: Sequence[int], means: Sequence[float], variances: Sequence[float], c: float
+) -> tuple[float, float]:
+    """(k1_hat, k2_hat): the largest normalized mean and variance of Y_T.
+
+    Over the given exponents, k1_hat is the largest mean * sqrt(T) /
+    (c**3 * 2**T) and k2_hat the largest var / (2**T * T**3.5); both are 0
+    at c = 0, where every Y_T is 0.
+    """
+    k1_hat = k2_hat = 0.0
+    if c > 0:
+        for t, mean, var in zip(t_values, means, variances):
+            k1_hat = max(k1_hat, mean * math.sqrt(t) / (c**3 * 2**t))
+            k2_hat = max(k2_hat, var / (2**t * t**3.5))
+    return k1_hat, k2_hat
+
+
+def x_floor(t: int, c: float) -> float:
+    """Floor of the event X on X_T: c * 2**(T-1) / sqrt(T)."""
+    return c * 2 ** (t - 1) / math.sqrt(t)
+
+
+def y_ceiling(t: int, c: float, k1_hat: float) -> float:
+    """Ceiling of the event Y on Y_T: 2 * k1_hat * c**3 * 2**T / sqrt(T)."""
+    return 2.0 * k1_hat * c**3 * 2**t / math.sqrt(t)
+
+
 @dataclass(frozen=True)
 class TrialStatistics:
     """Seeded Monte Carlo moments of shell counts X_T and triple counts Y_T.
 
     Tail frequencies use the inclusive conventions
-    x_tail_freq[i] = freq(X_T <= c * 2**(T-1) / sqrt(T)) and
-    y_tail_freq[i] = freq(Y_T >= 2 * k1_hat * c**3 * 2**T / sqrt(T)).
-    k1_hat and k2_hat are the largest normalized mean and variance of Y_T
-    over the tested exponents: mean * sqrt(T) / (c**3 * 2**T) and
-    var / (2**T * T**3.5).
+    x_tail_freq[i] = freq(X_T <= x_floor(T, c)) and
+    y_tail_freq[i] = freq(Y_T >= y_ceiling(T, c, k1_hat)); k1_hat and
+    k2_hat come from normalized_moments over the tested exponents.
     """
 
     t_values: list[int]
@@ -399,17 +374,12 @@ def monte_carlo_moments(
     nseed = len(seeds)
     ddof = 1 if nseed > 1 else 0
     x_mean = x_arr.mean(axis=0)
-    y_mean = y_arr.mean(axis=0)
     x_var = x_arr.var(axis=0, ddof=ddof)
-    y_var = y_arr.var(axis=0, ddof=ddof)
-    t_arr = np.array(ts, dtype=np.float64)
-    if c > 0:
-        k1_hat = float(np.max(y_mean * np.sqrt(t_arr) / (c**3 * 2.0**t_arr)))
-    else:
-        k1_hat = 0.0
-    k2_hat = float(np.max(y_var / (2.0**t_arr * t_arr**3.5)))
-    x_thresh = c * 2.0 ** (t_arr - 1) / np.sqrt(t_arr)
-    y_thresh = 2.0 * k1_hat * c**3 * 2.0**t_arr / np.sqrt(t_arr)
+    y_mean = [float(v) for v in y_arr.mean(axis=0)]
+    y_var = [float(v) for v in y_arr.var(axis=0, ddof=ddof)]
+    k1_hat, k2_hat = normalized_moments(ts, y_mean, y_var, c)
+    x_thresh = np.array([x_floor(t, c) for t in ts])
+    y_thresh = np.array([y_ceiling(t, c, k1_hat) for t in ts])
     return TrialStatistics(
         t_values=ts,
         c=c,
@@ -418,94 +388,10 @@ def monte_carlo_moments(
         y_by_seed=y_by_seed,
         x_mean=[float(v) for v in x_mean],
         x_var=[float(v) for v in x_var],
-        y_mean=[float(v) for v in y_mean],
-        y_var=[float(v) for v in y_var],
+        y_mean=y_mean,
+        y_var=y_var,
         x_tail_freq=[float(v) for v in (x_arr <= x_thresh).mean(axis=0)],
         y_tail_freq=[float(v) for v in (y_arr >= y_thresh).mean(axis=0)],
         k1_hat=k1_hat,
         k2_hat=k2_hat,
-    )
-
-
-def _min_box_norm_for_offsets(
-    n: int, a: int, b: int, ks: np.ndarray
-) -> np.ndarray:
-    """Infinity norm of the smallest positive-quadrant point per line.
-
-    Vectorized over offsets; the minimum of max(x(s), y(s)) over integer
-    steps s along (a, b) is attained either at the feasibility edge (both
-    coordinates moving the same way) or next to the crossing of x(s) = y(s)
-    (coordinates moving oppositely; the max of two affine functions is
-    convex, so flooring and ceiling the crossing suffices).
-    """
-    if (a, b) == (0, 1):
-        return ks.copy()
-    if (a, b) == (1, 0):
-        return -ks
-    g, u, v = _xgcd(b, a)
-    x0 = u * ks
-    y0 = -v * ks
-    if a > 0:
-        s = np.maximum(-((x0 - 1) // a), -((y0 - 1) // b))
-        return np.maximum(x0 + s * a, y0 + s * b)
-    lo = -((y0 - 1) // b)
-    hi = (x0 - 1) // (-a)
-    cross = (x0 - y0) // (b - a)
-    best = None
-    for cand in (cross, cross + 1):
-        s = np.clip(cand, lo, hi)
-        norm = np.maximum(x0 + s * a, y0 + s * b)
-        best = norm if best is None else np.minimum(best, norm)
-    return best
-
-
-@dataclass(frozen=True)
-class WeightRatioReport:
-    """Largest normalized line weight over all families of the box.
-
-    For each line the weight W is multiplied by the direction norm m and
-    divided by c * (sqrt(T) - sqrt(max(s, 1) - 1)), s being the first shell
-    the line meets.  Boundedness of the maximum over T is the per-line
-    sanity behind the aggregated third-moment sums.
-    """
-
-    T: int
-    c: float
-    line_count: int
-    max_ratio: float
-    argmax_direction: tuple[int, int]
-    argmax_offset: int
-
-
-def weight_ratio_report(T: int, c: float) -> WeightRatioReport:
-    _require_cap(T, ENUMERATION_CAP, "line family enumeration")
-    if T < 1:
-        raise ValueError("normalized weights need box exponent >= 1")
-    if c <= 0:
-        raise ValueError(f"sampling rate must be > 0, got {c}")
-    n = 1 << T
-    P = _probability_grids(T, c)[0]
-    sqrt_t = math.sqrt(T)
-    shell_of_norm = np.array(
-        [v.bit_length() - 1 for v in range(1, n + 1)], dtype=np.int64
-    )
-    best = (-1.0, (0, 1), 0)
-    line_count = 0
-    for a, b in _box_directions(n):
-        kmin, cnt, (w1,), _ = _direction_line_sums(n, a, b, (P,))
-        lines = np.nonzero(cnt >= 2)[0]
-        if lines.size == 0:
-            continue
-        line_count += int(lines.size)
-        ks = lines + kmin
-        norms = _min_box_norm_for_offsets(n, a, b, ks)
-        s = shell_of_norm[norms - 1]
-        denom = c * (sqrt_t - np.sqrt(np.maximum(s, 1) - 1.0))
-        ratios = w1[lines] * max(abs(a), b) / denom
-        j = int(np.argmax(ratios))
-        if float(ratios[j]) > best[0]:
-            best = (float(ratios[j]), (a, b), int(ks[j]))
-    return WeightRatioReport(
-        T=T, c=c, line_count=line_count, max_ratio=best[0],
-        argmax_direction=best[1], argmax_offset=best[2],
     )

@@ -26,11 +26,13 @@ from typing import Sequence
 from .analytics import (
     ENUMERATION_CAP,
     VARIANCE_CAP,
-    TrialStatistics,
     monte_carlo_moments,
+    normalized_moments,
     require_cubable_rate,
     variance_bounds,
     weight_sums,
+    x_floor,
+    y_ceiling,
 )
 from .construct import delete_max_with_profile, density_profile
 from .parallel import map_ordered
@@ -115,10 +117,10 @@ class TrialManifest:
 class EventRecord:
     """Did trial statistics clear the per-shell thresholds?
 
-    x_ok: X_T >= c * 2**(T-1) / sqrt(T); y_ok: Y_T <= 2 * k1_hat * c**3 *
-    2**T / sqrt(T); e_ok is their conjunction.  With c = 0 both thresholds
-    collapse to 0; by convention the degenerate X-side then counts as
-    missed (a sample of nothing retains nothing) while the Y-side holds.
+    x_ok: X_T >= x_floor(T, c); y_ok: Y_T <= y_ceiling(T, c, k1_hat); e_ok
+    is their conjunction.  With c = 0 both thresholds collapse to 0; by
+    convention the degenerate X-side then counts as missed (a sample of
+    nothing retains nothing) while the Y-side holds.
     """
 
     T: int
@@ -128,12 +130,12 @@ class EventRecord:
 
 
 def _x_ok(x: int, t: int, c: float) -> bool:
-    thr = c * 2 ** (t - 1) / math.sqrt(t)
+    thr = x_floor(t, c)
     return x >= thr if thr > 0 else x > 0
 
 
 def _y_ok(y: int, t: int, c: float, k1_hat: float) -> bool:
-    return y <= 2.0 * k1_hat * c**3 * 2**t / math.sqrt(t)
+    return y <= y_ceiling(t, c, k1_hat)
 
 
 @dataclass(frozen=True)
@@ -206,15 +208,13 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
         _run_one_trial, [(s, manifest.c, w) for s in manifest.seeds]
     )
     t_values = list(range(1, w))
-    k1_hat = 0.0
-    k2_hat = 0.0
-    if manifest.c > 0:
-        for t in t_values:
-            ys = [raw["y"][t] for raw in raws]
-            mean = statistics.fmean(ys)
-            var = statistics.variance(ys) if len(ys) > 1 else 0.0
-            k1_hat = max(k1_hat, mean * math.sqrt(t) / (manifest.c**3 * 2**t))
-            k2_hat = max(k2_hat, var / (2**t * t**3.5))
+    ys = [[raw["y"][t] for raw in raws] for t in t_values]
+    k1_hat, k2_hat = normalized_moments(
+        t_values,
+        [statistics.fmean(y) for y in ys],
+        [statistics.variance(y) if len(y) > 1 else 0.0 for y in ys],
+        manifest.c,
+    )
 
     out_dir = Path(manifest.out_dir)
     if write_files:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, int]
 Direction = tuple[int, int]
@@ -152,9 +151,3 @@ def line_points_in_rect(line: LatticeLine, n: int) -> list[Point]:
     assert lo is not None and hi is not None
     return [(x0 + s * a, y0 + s * b) for s in range(lo, hi + 1)]
 
-
-def line_points_in_box(line: LatticeLine, T: int) -> list[Point]:
-    """All points of the line inside the box [1, 2**T]^2."""
-    if T < 0:
-        raise ValueError(f"box exponent must be >= 0, got {T}")
-    return line_points_in_rect(line, 1 << T)

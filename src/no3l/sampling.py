@@ -41,11 +41,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .geom import Point, inf_norm, norm_lex_key, shell_index, shell_size
+from .geom import Point, norm_lex_key, shell_index
 
 WINDOW_EXPONENT_CAP = 20
 
@@ -98,18 +98,6 @@ def shell_probability(T: int, c: float) -> float:
     if T == 0:
         return min(1.0, c)
     return min(1.0, c / ((1 << T) * math.sqrt(T)))
-
-
-def inclusion_probability(p: Point, c: float) -> float:
-    """Inclusion probability of point p; positive rate c required."""
-    if c <= 0:
-        raise ValueError(f"sampling rate must be > 0, got {c}")
-    return shell_probability(shell_index(p), c)
-
-
-def expected_shell_count(T: int, c: float) -> float:
-    """Expected number of sampled points on shell T."""
-    return shell_size(T) * shell_probability(T, c)
 
 
 @dataclass(frozen=True)
@@ -297,8 +285,8 @@ def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
 
 
 def read_pointset(path: str | os.PathLike) -> PointSet:
-    """Parse the format written by write_pointset; strict about order."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Parse the format written by write_pointset; rows must match its order and form."""
+    with open(path, "r", encoding="ascii", newline="\n") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != FORMAT_MAGIC:
             raise ValueError(f"{path}: bad magic line {magic!r}")
@@ -319,7 +307,15 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{ln}: expected two tab-separated fields")
-            p = (int(fields[0]), int(fields[1]))
+            try:
+                p = (int(fields[0]), int(fields[1]))
+            except ValueError:
+                p = None
+            if p is None or [str(v) for v in p] != fields:
+                raise ValueError(
+                    f"{path}:{ln}: coordinates must be plain decimal integers,"
+                    f" got {fields[0]!r} and {fields[1]!r}"
+                )
             key = norm_lex_key(p)
             if prev_key is not None and key <= prev_key:
                 raise ValueError(f"{path}:{ln}: points not strictly ordered at {p}")

@@ -19,16 +19,15 @@ from no3l.analytics import (
     _box_directions,
     _direction_line_sums,
     _probability_grids,
-    beta,
     beta_box_grid,
-    enumerate_box_lines,
-    line_weight,
     monte_carlo_moments,
+    normalized_moments,
     variance_bounds,
-    weight_ratio_report,
     weight_sums,
+    x_floor,
+    y_ceiling,
 )
-from no3l.geom import LatticeLine, line_through, shell_index
+from no3l.geom import collinear, line_through, shell_index
 from no3l.sampling import SamplerConfig, sample_window, shell_probability
 from no3l.triples import box_triple_counts
 
@@ -96,37 +95,13 @@ def test_weight_sums_against_pair_oracle(T, c):
     assert got.exact_ey == pytest.approx(want_ey, rel=1e-11)
 
 
-def test_enumerate_box_lines_counts_and_membership():
-    for T, want in LINE_COUNTS.items():
-        if T > 3:
-            continue
-        lines = list(enumerate_box_lines(T))
-        assert len(lines) == len(set(lines)) == want
-    # every enumerated line really has >= 2 points in the box
-    n = 4
-    for line in enumerate_box_lines(2):
-        count = sum(
-            1
-            for x in range(1, n + 1)
-            for y in range(1, n + 1)
-            if line.contains((x, y))
-        )
-        assert count >= 2
-
-
 def test_line_count_field_matches_enumeration():
-    assert weight_sums(4, 0.2).line_count == LINE_COUNTS[4]
-
-
-def test_line_weight_hand_case():
-    # horizontal y=1 inside [1,4]^2: probs p0 + p1 + p1 + p2
-    line = LatticeLine((1, 0), -1)
-    c = 0.5
-    want = c + 2 * (c / (2 * 1.0)) + c / (4 * math.sqrt(2))
-    assert line_weight(line, 2, c) == pytest.approx(want, rel=1e-12)
+    for T, want in LINE_COUNTS.items():
+        assert weight_sums(T, 0.2).line_count == want
 
 
 def _beta_brute(x, T, c):
+    """beta at x from every pair of other box points collinear with it."""
     n = 1 << T
     others = [
         (a, b)
@@ -134,8 +109,6 @@ def _beta_brute(x, T, c):
         for b in range(1, n + 1)
         if (a, b) != x
     ]
-    from no3l.geom import collinear
-
     return math.fsum(
         _prob(y, c) * _prob(z, c)
         for y, z in combinations(others, 2)
@@ -143,16 +116,11 @@ def _beta_brute(x, T, c):
     )
 
 
-@pytest.mark.parametrize("x", [(1, 1), (2, 3), (4, 4), (3, 1)])
-def test_beta_scalar_matches_brute(x):
-    assert beta(x, 2, 0.5) == pytest.approx(_beta_brute(x, 2, 0.5), rel=1e-11)
-
-
-def test_beta_grid_matches_scalar():
+def test_beta_grid_matches_brute():
     grid = beta_box_grid(3, 0.4)
     assert grid.shape == (8, 8)
     for x in [(1, 1), (5, 2), (8, 8), (4, 7)]:
-        assert grid[x[0] - 1, x[1] - 1] == pytest.approx(beta(x, 3, 0.4), rel=1e-11)
+        assert grid[x[0] - 1, x[1] - 1] == pytest.approx(_beta_brute(x, 3, 0.4), rel=1e-11)
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
@@ -254,30 +222,18 @@ def test_monte_carlo_zero_rate_degenerates():
     assert mc.y_mean == [0.0, 0.0]
 
 
-def test_weight_ratio_is_rate_invariant():
-    a = weight_ratio_report(3, 0.5)
-    b = weight_ratio_report(3, 0.1)
-    assert a.max_ratio == pytest.approx(b.max_ratio, rel=1e-12)
-    assert a.argmax_direction == b.argmax_direction
+def test_normalized_moments_hand_values():
+    # T = 1: mean 2 * sqrt(1) / (0.5**3 * 2) = 8, var 4 / (2 * 1) = 2;
+    # T = 4: mean 64 * 2 / (0.5**3 * 16) = 64, var 6144 / (16 * 128) = 3
+    assert normalized_moments([1, 4], [2.0, 64.0], [4.0, 6144.0], 0.5) == (64.0, 3.0)
+    assert normalized_moments([1, 4], [0.0, 0.0], [0.0, 0.0], 0.0) == (0.0, 0.0)
 
 
-def test_weight_ratio_pins():
-    assert weight_ratio_report(1, 0.5).max_ratio == pytest.approx(1.5, rel=1e-12)
-    r4 = weight_ratio_report(4, 0.5)
-    assert r4.max_ratio == pytest.approx(7.734375, rel=1e-12)
-    # the witness is the two-point family through (1,1) and (2**T, 2)
-    assert r4.argmax_direction == (15, 1)
-    assert r4.argmax_offset == -14
-    with pytest.raises(ValueError):
-        weight_ratio_report(0, 0.5)
-
-
-def test_weight_ratio_global_bound_at_the_cap():
-    # the per-line normalized weight grows roughly as sqrt over the box
-    # exponent range but stays under 49 for every enumerable T
-    r = weight_ratio_report(ENUMERATION_CAP, 0.5)
-    assert r.max_ratio == pytest.approx(48.14322914360043, rel=1e-10)
-    assert r.max_ratio < 49.0
+def test_event_thresholds_hand_values():
+    # x: 0.5 * 2**3 / sqrt(4) = 2; y: 2 * 64 * 0.5**3 * 2**4 / sqrt(4) = 128
+    assert x_floor(4, 0.5) == 2.0
+    assert y_ceiling(4, 0.5, 64.0) == 128.0
+    assert x_floor(3, 0.0) == y_ceiling(3, 0.0, 0.0) == 0.0
 
 
 def test_weight_report_shape():
@@ -343,11 +299,11 @@ def test_bins_hold_exactly_the_lines_with_two_points():
         assert sorted(covered) == sorted(p for m in want.values() for p in m)
 
 
-def test_beta_grid_is_symmetric_and_matches_scalar():
+def test_beta_grid_is_symmetric_and_matches_brute():
     grid = beta_box_grid(4, 0.5)
     np.testing.assert_allclose(grid, grid.T, rtol=1e-15, atol=0)
     for x in [(1, 2), (3, 7), (16, 5), (9, 14)]:
-        assert grid[x[0] - 1, x[1] - 1] == pytest.approx(beta(x, 4, 0.5), rel=1e-11)
+        assert grid[x[0] - 1, x[1] - 1] == pytest.approx(_beta_brute(x, 4, 0.5), rel=1e-11)
 
 
 @pytest.mark.parametrize("T", sorted(WEIGHT_SUMS_HALF))

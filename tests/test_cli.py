@@ -5,11 +5,15 @@ covers the installed entry point.  Exit statuses are part of the
 contract: 0 success, 1 failed check, 2 usage error.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from no3l.cli import main
 from no3l.sampling import PointSet, read_pointset, write_pointset
@@ -177,6 +181,89 @@ def test_verify_rejects_coordinates_too_wide_to_pack(tmp_path, capsys):
         write_pointset(PointSet(pts, {"kind": "baseline"}), path)
         assert main(["verify", "--in", str(path)]) == 2
         assert "int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["+2\t1", "1_0\t3", "02\t1", " 2\t1", "2\t1\r"],
+    ids=["plus-sign", "underscore", "leading-zero", "leading-space", "carriage-return"],
+)
+def test_verify_rejects_rows_the_writer_never_emits(tmp_path, capsys, row):
+    # each would otherwise read back as a set some other file also encodes
+    path = tmp_path / "odd.tsv"
+    path.write_text(f'#no3l v1\n#meta {{"kind": null}}\n1\t1\n{row}\n', encoding="ascii")
+    assert main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "odd.tsv:4:" in err
+    assert len(err.splitlines()) == 1
+
+
+MUTATION_BYTES = b"+-0_ \t\n\r19a#{}\"\x00\xff"
+
+mutated_files = st.tuples(
+    st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=12, unique=True),
+    st.sampled_from([None, 6]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "replace"]),
+            st.integers(-30, 60),
+            st.sampled_from(MUTATION_BYTES),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+def _write_mutated(path, spec) -> bytes:
+    """Write a valid file, apply the byte edits, and return what was written.
+
+    Edit positions count from the first row, so small offsets hit the rows
+    and negative ones the header.
+    """
+    pts, window, edits = spec
+    write_pointset(PointSet(pts, {"kind": "sampled", "window_exponent": window}), path)
+    data = bytearray(path.read_bytes())
+    rows_start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    for op, offset, byte in edits:
+        at = min(max(rows_start + offset, 0), len(data))
+        if op == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if op == "delete":
+                del data[at]
+            else:
+                data[at] = byte
+    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
+@given(mutated_files)
+@settings(max_examples=300, deadline=None)
+def test_read_pointset_is_canonical_or_rejects(tmp_path_factory, spec):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    data = _write_mutated(tmp / "in.tsv", spec)
+    try:
+        ps = read_pointset(tmp / "in.tsv")
+    except ValueError:
+        return
+    rows = data.decode("ascii").split("\n")[2:]
+    if rows and rows[-1] == "":
+        rows.pop()
+    write_pointset(ps, tmp / "out.tsv")
+    assert (tmp / "out.tsv").read_text(encoding="ascii").split("\n")[2:-1] == rows
+
+
+@given(mutated_files)
+@settings(max_examples=150, deadline=None)
+def test_verify_on_mutated_files_keeps_the_exit_contract(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("fuzz") / "in.tsv"
+    _write_mutated(path, spec)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(["verify", "--in", str(path)])
+    assert status in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 DEEPLY_NESTED_JSON = "[" * 100000 + "]" * 100000

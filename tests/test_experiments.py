@@ -21,6 +21,7 @@ from no3l.experiments import (
     density_box_sides,
     lemma_report,
     lemma_report_csv,
+    monte_carlo_moments,
     run_trials,
     verify_theorem,
 )
@@ -124,6 +125,17 @@ def test_run_trials_events_match_thresholds(small_run):
             assert ev.x_ok == (tr.x[t] >= x_thr)
             assert ev.y_ok == (tr.y[t] <= y_thr)
             assert ev.e_ok == (ev.x_ok and ev.y_ok)
+
+
+def test_run_trials_and_monte_carlo_share_normalized_moments(small_run):
+    # statistics (run_trials) and numpy (monte_carlo_moments) compute the
+    # means exactly on these small integer counts; variances may differ in
+    # the last bit
+    man, res = small_run
+    mc = monte_carlo_moments(range(1, man.window_exponent), man.c, man.seeds)
+    assert res.k1_hat > 0.0
+    assert mc.k1_hat == res.k1_hat
+    assert mc.k2_hat == pytest.approx(res.k2_hat, rel=1e-12, abs=0.0)
 
 
 def test_run_trials_rerun_is_byte_identical(small_run):

@@ -17,7 +17,6 @@ from no3l.geom import (
     canonical_direction,
     collinear,
     inf_norm,
-    line_points_in_box,
     line_points_in_rect,
     line_through,
     norm_lex_key,
@@ -117,7 +116,7 @@ def test_line_through_examples():
     line = line_through((2, 1), (4, 2))
     assert line.direction == (2, 1)
     assert line.offset == 0
-    assert line_points_in_box(line, 3) == [(2, 1), (4, 2), (6, 3), (8, 4)]
+    assert line_points_in_rect(line, 8) == [(2, 1), (4, 2), (6, 3), (8, 4)]
     with pytest.raises(ValueError):
         line_through((5, 5), (5, 5))
 

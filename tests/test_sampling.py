@@ -15,14 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from no3l import sampling
-from no3l.geom import shell_size
+from no3l.geom import shell_index
 from no3l.sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
     SamplerConfig,
     _keep_bound,
-    expected_shell_count,
-    inclusion_probability,
     point_uniform,
     read_pointset,
     sample_window,
@@ -62,17 +60,6 @@ def test_shell_probability_values():
         shell_probability(2, -0.5)
 
 
-def test_inclusion_probability_uses_the_shell():
-    assert inclusion_probability((1, 1), 0.25) == 0.25
-    assert inclusion_probability((5, 2), 0.5) == shell_probability(2, 0.5)
-    with pytest.raises(ValueError):
-        inclusion_probability((1, 1), 0.0)
-
-
-def test_expected_shell_count():
-    assert expected_shell_count(4, 0.1) == shell_size(4) * shell_probability(4, 0.1)
-
-
 def test_sampler_config_validation():
     SamplerConfig(seed=0, c=0.0, window_exponent=1)
     with pytest.raises(ValueError):
@@ -94,7 +81,7 @@ def _reference_scan(cfg: SamplerConfig) -> list[tuple[int, int]]:
     out = []
     for x in range(1, limit + 1):
         for y in range(1, limit + 1):
-            if point_uniform(cfg.seed, x, y) < inclusion_probability((x, y), max(cfg.c, 1e-300)):
+            if point_uniform(cfg.seed, x, y) < shell_probability(shell_index((x, y)), cfg.c):
                 out.append((x, y))
     return out
 
@@ -184,8 +171,6 @@ def test_shell_counts_partition_the_sample():
     assert len(counts) == 7
     assert sum(counts) == len(ps)
     # recount by definition
-    from no3l.geom import shell_index
-
     for t in range(7):
         assert counts[t] == sum(1 for p in ps if shell_index(p) == t)
 
