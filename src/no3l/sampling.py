@@ -274,6 +274,19 @@ def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
     return counts
 
 
+class _NonFinite(ValueError):
+    pass
+
+
+def _finite_float(token: str) -> float:
+    # NaN and Infinity, and literals such as 1e999 that overflow to inf: the
+    # writer cannot emit them, and NaN is not even equal to itself
+    value = float(token)
+    if not math.isfinite(value):
+        raise _NonFinite(token)
+    return value
+
+
 def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
     """Serialize: magic line, one-line JSON meta, then x<TAB>y rows in order."""
     meta = {k: ps.meta.get(k) for k in _META_KEYS}
@@ -285,7 +298,12 @@ def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
 
 
 def read_pointset(path: str | os.PathLike) -> PointSet:
-    """Parse the format written by write_pointset; rows must match its order and form."""
+    """Parse the format written by write_pointset.
+
+    The meta may hold only its keys and finite numbers, and the rows must
+    match its order and form, so a set read back from its own rewrite is
+    equal to it.
+    """
     with open(path, "r", encoding="ascii", newline="\n") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != FORMAT_MAGIC:
@@ -294,13 +312,22 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
         if not meta_line.startswith("#meta "):
             raise ValueError(f"{path}: missing #meta line")
         try:
-            meta = json.loads(meta_line[len("#meta "):])
+            meta = json.loads(
+                meta_line[len("#meta "):],
+                parse_constant=_finite_float,
+                parse_float=_finite_float,
+            )
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:2: meta is not valid JSON ({exc})") from exc
         except RecursionError as exc:
             raise ValueError(f"{path}:2: meta is nested too deeply to decode") from exc
+        except _NonFinite as exc:
+            raise ValueError(f"{path}:2: meta holds the non-finite number {exc}") from exc
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: meta is not a JSON object")
+        unknown = sorted(set(meta) - set(_META_KEYS))
+        if unknown:
+            raise ValueError(f"{path}:2: unknown meta keys {unknown}")
         pts: list[Point] = []
         prev_key = None
         for ln, line in enumerate(fh, start=3):

@@ -1,28 +1,43 @@
 """Exact counting of collinear triples.
 
 One kernel does the counting.  It orders the points by (inf_norm, x, y)
-and, for every point, groups the points before it by the normalized
-direction of the difference vector: a line through the point holding j
-earlier points contributes C(j, 2) triples whose largest member it is.
-Every triple has exactly one largest member, so these per-point counts sum
-to the total; they also drive the deletion construction and the whole
-profile T -> triples inside [1, 2**T]^2, because a triple of
-positive-quadrant points lies in that box exactly when its largest member
-does.  All arithmetic is integer-exact.
+and, for every point, groups the points before it by the direction of the
+difference vector: a line through the point holding j earlier points
+contributes C(j, 2) triples whose largest member it is.  Every triple has
+exactly one largest member, so these per-point counts sum to the total;
+they also drive the deletion construction and the whole profile
+T -> triples inside [1, 2**T]^2, because a triple of positive-quadrant
+points lies in that box exactly when its largest member does.  The counts
+are exact.
 
 The points act as anchors in blocks of consecutive ones.  A block's
-(anchor, earlier point) directions are packed into uint64 keys, which
-carry the anchor in their high part, and sorted once; each run of equal
-keys is one line through one anchor.  The packing is sized from the set's
-coordinate span, whatever the set's size: a set whose span is too wide to
-pack a single anchor's keys exactly is rejected with ValueError.
+(anchor, earlier point) directions become uint64 keys, which carry the
+anchor in their high part, and are sorted once; each run of equal keys is
+one line through one anchor.  Only the direction key depends on the set's
+coordinate span s:
+
+- s <= 2**21 (every window, greedy set and parabola p < 2**21): the float
+  key.  Of a difference (dx, dy), take r = dy / dx with class bit 0 if
+  |dy| <= |dx|, else r = dx / dy with class bit 1; the key is
+  (rint(r * 2**44) + 2**44) * 2 + class, in [0, 2**46].  It is exact:
+  two distinct slopes in [-1, 1] with denominators <= s differ by at
+  least 1 / s**2 >= 2**-42, a correctly rounded quotient errs by at most
+  2**-54 and scaling by 2**44 is exact, so distinct directions round at
+  least 2 apart; and equal directions, (k dx, k dy) and (-dx, -dy)
+  included, have the same exact quotient, so the same float.  No gcd and
+  no sign normalization are needed.
+- s > 2**21: the gcd key, the difference divided by its gcd and signed
+  to point up, packed as a * (s + 1) + b.  It needs
+  s * (s + 1) + s < 2**63: a set whose span is wider is rejected with
+  ValueError, whatever the set's size.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,9 +47,15 @@ from .sampling import PointSet
 BRUTE_FORCE_CAP = 2000
 
 # Earlier-point pairs keyed and sorted together per block of anchors.  It
-# bounds the block's temporaries (a few arrays of this many words); on the
-# benchmark's construct-verify and lemmas-t7, 2**13 and 2**15 were slower.
+# bounds the block's temporaries (a few arrays of this many words).  With
+# the float key, the benchmark's construct-verify took a median wall time of
+# 4.47 / 3.89 / 4.08 / 5.33 s at 2**13 / 2**14 / 2**15 / 2**16 (4 runs each,
+# 2-core Xeon), and 2**16 peaked 2 MB higher.
 _PAIR_BLOCK = 1 << 14
+
+# Widest span the float key counts exactly (see the module docstring).  Its
+# keys lie in [0, 2**46], so a block's anchor offsets start at bit 47.
+_FLOAT_KEY_SPAN = 1 << 21
 
 
 def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
@@ -45,11 +66,10 @@ def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
 
 
 def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coordinate arrays and the coordinate span s that sizes the key packing.
+    """Coordinate arrays and their span s, the larger coordinate range.
 
-    A normalized direction (a, b) of two members has |a| <= s, the larger
-    coordinate span, and 0 <= b <= s; so a * (s + 1) + b is collision-free,
-    and fits in int64 while s * (s + 1) + s does.
+    The gcd key needs s * (s + 1) + s to fit in int64; wider sets are
+    rejected.
     """
     try:
         xs = np.array([p[0] for p in pts], dtype=np.int64)
@@ -64,23 +84,24 @@ def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, int]:
     return xs, ys, s
 
 
-def _block_counts(
-    xs: np.ndarray, ys: np.ndarray, s: int, radix: int, lo: int, hi: int
-) -> np.ndarray:
-    """Prefix triple counts of the anchors lo .. hi - 1.
+def _float_keys(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Direction keys in [0, 2**46] from the quotient of the smaller difference
+    by the larger one; exact for spans up to _FLOAT_KEY_SPAN."""
+    steep = np.abs(dy) > np.abs(dx)
+    r = np.where(steep, dx, dy) / np.where(steep, dy, dx)
+    r *= 2.0**44
+    np.rint(r, out=r)
+    r += 2.0**44
+    r *= 2
+    r += steep
+    return r.astype(np.uint64)
 
-    The key of anchor i and earlier point j is their packed direction,
-    shifted into [0, radix), plus (i - lo) * radix; the caller keeps that
-    below 2**64.
-    """
-    sizes = np.arange(lo, hi)  # anchor i has i earlier points
-    starts = np.cumsum(sizes) - sizes
-    j = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
-    dx = xs[j] - np.repeat(xs[lo:hi], sizes)
-    dy = ys[j] - np.repeat(ys[lo:hi], sizes)
-    # Divide by the gcd, negated where that makes the direction point up
-    # (b > 0, or b == 0 and a > 0); dy * (s + 1) + dx has the sign that
-    # decides this, since |dx| <= s.
+
+def _gcd_keys(dx: np.ndarray, dy: np.ndarray, s: int) -> np.ndarray:
+    """Direction keys in [0, 2 * s * (s + 1) + s]: the gcd-reduced direction
+    (a, b), signed so that b > 0 or b == 0 < a, packed as a * (s + 1) + b and
+    shifted by s * (s + 1).  Overwrites dx."""
+    # dy * (s + 1) + dx has the sign that decides the flip, since |dx| <= s.
     g = np.gcd(dx, dy)
     flip = dy * (s + 1)
     flip += dx
@@ -89,10 +110,31 @@ def _block_counts(
     dx += dy
     dx //= g
     # Unsigned arithmetic wraps mod 2**64, so adding the shift turns a
-    # negative packed direction into its place in [0, radix).
+    # negative packed direction into its place in [0, 2 * s * (s + 1) + s].
     keys = dx.view(np.uint64)
-    offsets = np.arange(hi - lo, dtype=np.uint64) * np.uint64(radix)
-    keys += np.repeat(offsets + np.uint64(s * (s + 1)), sizes)
+    keys += np.uint64(s * (s + 1))
+    return keys
+
+
+def _block_counts(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    keys_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    radix: int,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Prefix triple counts of the anchors lo .. hi - 1.
+
+    The key of anchor i and earlier point j is keys_of(their difference),
+    which lies in [0, radix), plus (i - lo) * radix; the caller keeps that
+    below 2**64.
+    """
+    sizes = np.arange(lo, hi)  # anchor i has i earlier points
+    starts = np.cumsum(sizes) - sizes
+    j = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+    keys = keys_of(xs[j] - np.repeat(xs[lo:hi], sizes), ys[j] - np.repeat(ys[lo:hi], sizes))
+    keys += np.repeat(np.arange(hi - lo, dtype=np.uint64) * np.uint64(radix), sizes)
     keys.sort()
     # A line holding L earlier points is a run of L equal keys, which marks
     # L - 1 consecutive positions of ``same``.
@@ -140,9 +182,12 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     if m < 3:
         return [0] * m
     xs, ys, s = _packed_coords(pts)
-    # Shifted direction keys lie in [0, radix).  The accepted spans give
-    # radix <= 2**64 - 1 - s, so a block holds at least one anchor.
-    radix = 2 * s * (s + 1) + s + 1
+    if s <= _FLOAT_KEY_SPAN:
+        keys_of, radix = _float_keys, 1 << 47
+    else:
+        keys_of, radix = partial(_gcd_keys, s=s), 2 * s * (s + 1) + s + 1
+    # The accepted spans give radix <= 2**64 - 1 - s, so a block holds at
+    # least one anchor.
     max_anchors = (2**64 - 1) // radix
     counts = np.zeros(m, dtype=np.int64)
     lo = 2
@@ -151,7 +196,7 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
         # hi * (hi - 1) <= 2 * _PAIR_BLOCK + lo * (lo - 1).
         hi = (1 + math.isqrt(1 + 4 * (2 * _PAIR_BLOCK + lo * (lo - 1)))) // 2
         hi = min(max(hi, lo + 1), lo + max_anchors, m)
-        counts[lo:hi] = _block_counts(xs, ys, s, radix, lo, hi)
+        counts[lo:hi] = _block_counts(xs, ys, keys_of, radix, lo, hi)
         lo = hi
     return counts.tolist()
 

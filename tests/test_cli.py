@@ -198,11 +198,57 @@ def test_verify_rejects_rows_the_writer_never_emits(tmp_path, capsys, row):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["construct", "--method", "delete-max", "--out", "s.tsv"]],
+    ids=["verify", "construct"],
+)
+@pytest.mark.parametrize(
+    "meta,needle",
+    [
+        ('{"c": NaN, "kind": null, "extra": 1}', "NaN"),
+        ('{"kind": null, "extra": 1}', "extra"),
+        ('{"c": 0.5, "kind": [-Infinity]}', "-Infinity"),
+        ('{"seed": 1e999}', "1e999"),
+    ],
+    ids=["nan-and-unknown-key", "unknown-key", "nested-infinity", "overflowing-literal"],
+)
+def test_meta_the_writer_never_emits_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, meta, needle
+):
+    # each read back to a set that its own rewrite does not reproduce
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "odd.tsv"
+    path.write_text(f"#no3l v1\n#meta {meta}\n1\t1\n", encoding="ascii")
+    assert main([*argv, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "odd.tsv:2:" in err
+    assert needle in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "s.tsv").exists()
+
+
 MUTATION_BYTES = b"+-0_ \t\n\r19a#{}\"\x00\xff"
+
+# Meta lines the writer emits and ones it never does: unknown keys, NaN,
+# infinities and overflowing literals, at the top level or nested.
+_meta_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=2),
+    max_leaves=4,
+)
+meta_lines = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.sampled_from(["kind", "seed", "c", "window_exponent", "extra"]), _meta_values, max_size=5
+    ).map(json.dumps),
+    st.just('{"c": 1e999}'),
+)
 
 mutated_files = st.tuples(
     st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=12, unique=True),
     st.sampled_from([None, 6]),
+    meta_lines,
     st.lists(
         st.tuples(
             st.sampled_from(["insert", "delete", "replace"]),
@@ -216,15 +262,20 @@ mutated_files = st.tuples(
 
 
 def _write_mutated(path, spec) -> bytes:
-    """Write a valid file, apply the byte edits, and return what was written.
+    """Write a valid file, swap in the given meta line, apply the byte edits,
+    and return what was written.
 
     Edit positions count from the first row, so small offsets hit the rows
     and negative ones the header.
     """
-    pts, window, edits = spec
+    pts, window, meta, edits = spec
     write_pointset(PointSet(pts, {"kind": "sampled", "window_exponent": window}), path)
     data = bytearray(path.read_bytes())
     rows_start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    if meta is not None:
+        header = f"#no3l v1\n#meta {meta}\n".encode("ascii")
+        data[:rows_start] = header
+        rows_start = len(header)
     for op, offset, byte in edits:
         at = min(max(rows_start + offset, 0), len(data))
         if op == "insert":
@@ -252,6 +303,7 @@ def test_read_pointset_is_canonical_or_rejects(tmp_path_factory, spec):
         rows.pop()
     write_pointset(ps, tmp / "out.tsv")
     assert (tmp / "out.tsv").read_text(encoding="ascii").split("\n")[2:-1] == rows
+    assert read_pointset(tmp / "out.tsv") == ps
 
 
 @given(mutated_files)

@@ -4,13 +4,17 @@ The blocked anchor/direction counter is held against the cubic
 brute-force oracle on random sets and on full grids, at several anchor
 block sizes; its per-point prefix counts are cross-checked against a
 slow triple enumerator kept here as an oracle, whose output is itself
-checked against itertools.combinations.
+checked against itertools.combinations.  Sets whose span straddles the
+float key's limit, and near-colliding directions just below it, check
+the choice of direction key; test_triples_gcd_key.py runs the small-span
+oracle tests again with the gcd key.
 """
 
 import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -232,6 +236,100 @@ def test_widest_accepted_span_is_counted_exactly():
     assert prefix_triple_counts(pts) == _counts_by_largest(pts)
     with pytest.raises(ValueError):
         prefix_triple_counts(pts + [(-1, 0)])  # span s + 1
+
+
+def _gcd_key_counts(pts):
+    """prefix_triple_counts with every set keyed by the gcd key."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triples, "_FLOAT_KEY_SPAN", 0)
+        return prefix_triple_counts(pts)
+
+
+@st.composite
+def straddling_sets(draw):
+    """Sets of span s in [2**21 - 8, 2**21 + 8], so either key: a box of side s
+    that may hold the origin, two points fixing the span, random points, and
+    horizontal, vertical or sloped runs that extend to both sides of a point,
+    so that the runs' anchors lie at their left and right ends."""
+    s = draw(st.integers(2**21 - 8, 2**21 + 8))
+    x0, y0 = draw(st.integers(-2 * s, s)), draw(st.integers(-2 * s, s))
+
+    def inside():
+        return draw(st.integers(x0, x0 + s)), draw(st.integers(y0, y0 + s))
+
+    pts = {(x0, inside()[1]), (x0 + s, inside()[1])}
+    pts.update(inside() for _ in range(draw(st.integers(0, 8))))
+    steps = st.integers(-s // 3, s // 3)
+    for _ in range(draw(st.integers(0, 4))):
+        cx, cy = inside()
+        a, b = draw(st.one_of(
+            st.tuples(steps, st.just(0)), st.tuples(st.just(0), steps), st.tuples(steps, steps)
+        ))
+        pts.update(
+            (cx + i * a, cy + i * b)
+            for i in range(-3, 4)
+            if x0 <= cx + i * a <= x0 + s and y0 <= cy + i * b <= y0 + s
+        )
+    if draw(st.booleans()):
+        pts = {(y, x) for x, y in pts}
+    return sorted(pts)
+
+
+@given(straddling_sets())
+@settings(max_examples=150, deadline=None)
+def test_spans_straddling_the_float_key_limit_are_counted_exactly(pts):
+    xs, ys = zip(*pts)
+    assert abs(max(max(xs) - min(xs), max(ys) - min(ys)) - 2**21) <= 8
+    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+    assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+
+
+# Farey neighbours p/q, p2/q2 (|p2 * q - p * q2| == 1) with q, q2 in
+# (2**20, 2**21]: slopes 1/(q * q2) ~ 2**-42 apart, the float key's margin.
+FAREY_PAIRS = [
+    ((1, 2**21), (1, 2**21 - 1)),  # near 0
+    ((699051, 2**21), (699050, 2**21 - 3)),  # near 1/3
+    ((1048573, 2**21 - 3), (699049, 1398100)),  # near 1/2
+    ((2**21 - 1, 2**21), (2**21 - 2, 2**21 - 1)),  # near 1, the class boundary
+]
+
+
+@pytest.mark.parametrize("pair", FAREY_PAIRS)
+@pytest.mark.parametrize(
+    "flip",
+    [lambda x, y: (x, y), lambda x, y: (y, x), lambda x, y: (-x, y), lambda x, y: (-y, -x)],
+    ids=["as-is", "transposed", "x-negated", "both-negated"],
+)
+def test_farey_neighbour_directions_get_distinct_float_keys(pair, flip, monkeypatch):
+    (p, q), (p2, q2) = pair
+    assert abs(p2 * q - p * q2) == 1 and 2**20 < min(q, q2) <= max(q, q2) <= 2**21
+    # From anchor o, b and c lie along the two directions; d = 2c - b lies on
+    # the line through b and c, whose direction from o is a Farey neighbour of
+    # c's too.  The one triple is b, c, d.
+    o = (2**21 + 1, 2**21 + 1)
+    steps = [(q, p), (q2, p2), (2 * q2 - q, 2 * p2 - p)]
+    pts = [flip(*o)] + [flip(o[0] - a, o[1] - b) for a, b in steps]
+    dx, dy = (np.array(v) for v in zip(*steps))
+    assert len(set(triples._float_keys(dx, dy).tolist())) == 3
+
+    def no_gcd_key(*args, **kwargs):
+        raise AssertionError("span <= 2**21 must take the float key")
+
+    monkeypatch.setattr(triples, "_gcd_keys", no_gcd_key)
+    assert count_collinear_triples_bruteforce(pts) == 1
+    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+    assert sum(prefix_triple_counts(pts)) == 1
+
+
+_small_negative_sets = st.lists(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)), max_size=40, unique=True
+)
+
+
+@given(st.one_of(random_sets, _small_negative_sets, straddling_sets()))
+@settings(max_examples=150, deadline=None)
+def test_float_and_gcd_keys_give_identical_prefix_counts(pts):
+    assert prefix_triple_counts(pts) == _gcd_key_counts(pts)
 
 
 def test_triples_within_box():
