@@ -216,7 +216,8 @@ def test_verify_rejects_rows_the_writer_never_emits(tmp_path, capsys, row):
 def test_meta_the_writer_never_emits_is_a_usage_error(
     tmp_path, capsys, monkeypatch, argv, meta, needle
 ):
-    # each read back to a set that its own rewrite does not reproduce
+    # each read to a set that its own rewrite did not reproduce, or that the
+    # writer wrote back as NaN or Infinity, which is not JSON
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "odd.tsv"
     path.write_text(f"#no3l v1\n#meta {meta}\n1\t1\n", encoding="ascii")

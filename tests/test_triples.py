@@ -298,7 +298,7 @@ FAREY_PAIRS = [
 @pytest.mark.parametrize(
     "flip",
     [lambda x, y: (x, y), lambda x, y: (y, x), lambda x, y: (-x, y), lambda x, y: (-y, -x)],
-    ids=["as-is", "transposed", "x-negated", "both-negated"],
+    ids=["as-is", "transposed", "x-negated", "negated-transposed"],
 )
 def test_farey_neighbour_directions_get_distinct_float_keys(pair, flip, monkeypatch):
     (p, q), (p2, q2) = pair
