@@ -30,6 +30,20 @@ the code tests the equivalent h <= (ceil(p * 2**53) << 11) - 1, whose
 right side always fits in uint64 (at p = 1 it is 2**64 - 1: every cell is
 kept).
 
+Two more exact shortcuts take per-cell passes out of the second mix
+without changing any kept cell:
+
+- The first xorshift is applied per row and per column, not per cell.  A
+  cell's word is v = r[x] ^ s[y], with r the first mix's row words and
+  s[y] = y * 0xC2B2AE3D27D4EB4F; a logical shift distributes over xor, so
+  v ^ (v >> 30) = (r ^ r >> 30)[x] ^ (s ^ s >> 30)[y].
+- The filter runs before the last xorshift.  With z the word after the
+  second multiply, h = z ^ (z >> 31), and z >> 31 has its top 31 bits
+  clear, so h >> 33 == z >> 33.  Hence h <= b implies z >> 33 <= b >> 33,
+  i.e. z <= b | (2**33 - 1).  Every cell is tested against that weaker
+  bound; only the few that pass get h = z ^ (z >> 31) and the exact test
+  h <= b.
+
 Inclusion probabilities: shell T >= 1 keeps a point with probability
 min(1, c / (2**T * sqrt(T))); shell 0 (the single point (1, 1)) with
 probability min(1, c).
@@ -54,10 +68,14 @@ _X_SALT = 0x9E3779B97F4A7C15
 _Y_SALT = 0xC2B2AE3D27D4EB4F
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
+_LOW33 = (1 << 33) - 1
 
 # Most grid cells hashed per vectorized block.  At 2**16 cells the block's
-# two uint64 buffers (1 MiB) stay in a 2 MiB L2 cache; on a 2-core Xeon,
-# 2**15 to 2**16 was fastest and 2**21 about 1.5x slower.
+# two uint64 buffers (1 MiB) stay in a 2 MiB L2 cache.  On a 2-core Xeon,
+# sample_window at seed 1 (median of 5) took, for 2**14 / 2**15 / 2**16 /
+# 2**17 cells: W = 13, c = 0.1: 0.233 / 0.209 / 0.204 / 0.246 s; W = 14:
+# 0.913 / 0.840 / 0.755 / 0.851 s; W = 12, c = 1.0: 0.087 / 0.082 / 0.072
+# / 0.071 s.
 _BLOCK_CELLS = 1 << 16
 
 FORMAT_MAGIC = "#no3l v1"
@@ -191,10 +209,15 @@ def _keep_bound(prob: float) -> int:
 def sample_window(cfg: SamplerConfig) -> PointSet:
     """One seeded realization over the window of cfg.
 
-    Shells are scanned in blocks of whole rows, at most _BLOCK_CELLS cells
-    (or one row, if wider), with the vectorized mix run in place in two
-    buffers allocated once per call; the point (1, 1) of shell 0 goes
-    through the scalar path, which is bit-identical.
+    Each shell is two rectangles of rows.  The first mix runs once per row
+    of a rectangle, and the second mix's first xorshift once per row and
+    once per column; the cells are then hashed in blocks of whole rows, at
+    most _BLOCK_CELLS cells (or one row, if wider), in buffers allocated
+    once per call.  A block makes six passes: the row-column xor, multiply,
+    shift, xor, multiply, and the weak z-bound test; the few cells that
+    pass it get the last xorshift and the exact test (module docstring).
+    The point (1, 1) of shell 0 goes through the scalar path, which is
+    bit-identical.
     """
     meta = {
         "kind": "sampled",
@@ -217,14 +240,18 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
     w = cfg.window_exponent
     width_max = (1 << w) - 1
     buf_cells = min(max(_BLOCK_CELLS, width_max), (1 << (w - 1)) * width_max)
-    h_buf = np.empty(buf_cells, dtype=np.uint64)
+    z_buf = np.empty(buf_cells, dtype=np.uint64)
     tmp_buf = np.empty(buf_cells, dtype=np.uint64)
     keep_buf = np.empty(buf_cells, dtype=bool)
     for T in range(1, w):
         prob = shell_probability(T, cfg.c)
         if prob == 0.0:
             continue
-        bound = np.uint64(_keep_bound(prob))
+        bound = _keep_bound(prob)
+        # h <= bound implies z <= bound | (2**33 - 1): h >> 33 == z >> 33
+        # (module docstring).
+        z_bound = np.uint64(bound | _LOW33)
+        bound = np.uint64(bound)
         lo, hi = 1 << T, (1 << (T + 1)) - 1
         # Shell T as two rectangles of rows: x < lo with y in [lo, hi], and
         # x in [lo, hi] with y in [1, hi].
@@ -233,24 +260,33 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
                 continue
             cols = y_hi - y_lo + 1
             rows_per_block = max(1, _BLOCK_CELLS // cols)
-            y_salted = np.arange(y_lo, y_hi + 1, dtype=np.uint64)
-            y_salted *= np.uint64(_Y_SALT)
-            for x0 in range(x_lo, x_hi + 1, rows_per_block):
-                x1 = min(x0 + rows_per_block - 1, x_hi)
-                rows = x1 - x0 + 1
-                h1 = np.arange(x0, x1 + 1, dtype=np.uint64)
-                h1 *= np.uint64(_X_SALT)
-                h1 ^= seed
-                _mix64_inplace(h1, np.empty_like(h1))
-                cells = rows * cols
-                h = h_buf[:cells].reshape(rows, cols)
-                np.bitwise_xor(h1[:, None], y_salted[None, :], out=h)
-                _mix64_inplace(h, tmp_buf[:cells].reshape(rows, cols))
-                keep = np.less_equal(h, bound, out=keep_buf[:cells].reshape(rows, cols))
-                keep_x, keep_y = np.nonzero(keep)
-                if keep_x.size:
-                    xs_out.append(keep_x.astype(np.int64) + x0)
-                    ys_out.append(keep_y.astype(np.int64) + y_lo)
+            row_words = np.arange(x_lo, x_hi + 1, dtype=np.uint64)
+            row_words *= np.uint64(_X_SALT)
+            row_words ^= seed
+            _mix64_inplace(row_words, np.empty_like(row_words))
+            row_words ^= row_words >> np.uint64(30)
+            col_words = np.arange(y_lo, y_hi + 1, dtype=np.uint64)
+            col_words *= np.uint64(_Y_SALT)
+            col_words ^= col_words >> np.uint64(30)
+            for r0 in range(0, x_hi - x_lo + 1, rows_per_block):
+                block_rows = row_words[r0 : r0 + rows_per_block]
+                cells = block_rows.size * cols
+                z = z_buf[:cells]
+                np.bitwise_xor(
+                    block_rows[:, None], col_words[None, :], out=z.reshape(-1, cols)
+                )
+                z *= np.uint64(_MIX_MUL1)
+                z ^= np.right_shift(z, np.uint64(27), out=tmp_buf[:cells])
+                z *= np.uint64(_MIX_MUL2)
+                keep = np.less_equal(z, z_bound, out=keep_buf[:cells])
+                if not keep.any():
+                    continue
+                idx = np.flatnonzero(keep)
+                h = z[idx]
+                h ^= h >> np.uint64(31)
+                keep_row, keep_col = np.divmod(idx[h <= bound], cols)
+                xs_out.append(keep_row + (x_lo + r0))
+                ys_out.append(keep_col + y_lo)
 
     if not xs_out:
         return PointSet((), meta)

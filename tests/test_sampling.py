@@ -7,7 +7,9 @@ against a scalar reference scan, and the PointSet text format
 round-trips under hypothesis.
 """
 
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +110,100 @@ def test_sample_window_matches_scalar_scan_across_blocks(monkeypatch, block, see
     monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
     cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
     assert sorted(sample_window(cfg).points) == sorted(_reference_scan(cfg))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _xorshift30(v: int) -> int:
+    return v ^ (v >> 30)
+
+
+@given(st.integers(0, _MASK64), st.integers(0, _MASK64))
+def test_first_xorshift_distributes_over_xor(a, b):
+    # the block loop applies it to row and column words, not to their xor
+    assert _xorshift30(a ^ b) == _xorshift30(a) ^ _xorshift30(b)
+
+
+def _last_words(seed: int, x: int, y: int) -> tuple[int, int]:
+    """(z, h): the second mix's word before and after its last xorshift."""
+    v = sampling._mix64(seed ^ ((x * sampling._X_SALT) & _MASK64))
+    v ^= (y * sampling._Y_SALT) & _MASK64
+    z = (_xorshift30(v) * sampling._MIX_MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * sampling._MIX_MUL2) & _MASK64
+    return z, z ^ (z >> 31)
+
+
+def _rate_with_bound(t: int, bound: int) -> float:
+    """A rate c whose shell-t keep bound is exactly ``bound``."""
+    k = (bound + 1) >> 11
+    c = k * 2.0**-53 * (1 << t) * math.sqrt(t)
+    for _ in range(64):
+        got = _keep_bound(shell_probability(t, c)) >> 11
+        if got == k - 1:
+            return c
+        c = math.nextafter(c, math.inf if got < k - 1 else 0.0)
+    raise AssertionError(f"no rate gives bound {bound:#x} on shell {t}")
+
+
+@pytest.mark.parametrize("bound_at", ["between-h-and-z", "just-below-h"])
+def test_filter_edge_cells_match_the_scalar_scan(bound_at):
+    # A shell bound in [h, z) keeps the cell although z > bound: the coarse
+    # test must compare z against bound | (2**33 - 1).  A bound just below h
+    # passes that coarse test and drops the cell only in the exact recheck.
+    w, t, x, y = 4, 3, 9, 5
+    # the first seed whose cell (9, 5) of shell 3 has room for a bound in [h, z)
+    seed = next(
+        s for s in range(100) if _last_words(s, x, y)[0] >> 11 > _last_words(s, x, y)[1] >> 11
+    )
+    z, h = _last_words(seed, x, y)
+    assert (h >> 11) * 2.0**-53 == point_uniform(seed, x, y)
+    if bound_at == "between-h-and-z":
+        bound = ((h >> 11) << 11) | 0x7FF
+        assert h <= bound < z
+    else:
+        bound = ((h >> 11) << 11) - 1
+        assert bound < h and z <= bound | ((1 << 33) - 1)
+    cfg = SamplerConfig(seed=seed, c=_rate_with_bound(t, bound), window_exponent=w)
+    assert _keep_bound(shell_probability(t, cfg.c)) == bound
+    ref = _reference_scan(cfg)
+    assert ((x, y) in ref) == (bound_at == "between-h-and-z")
+    assert sorted(sample_window(cfg).points) == sorted(ref)
+
+
+@given(
+    seed=st.integers(0, _MASK64),
+    w=st.integers(1, 6),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+    log_scale=st.booleans(),
+    block=st.sampled_from([1, 7, 64, 1 << 16]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_window_matches_scalar_scan_hypothesis(seed, w, fraction, log_scale, block):
+    # c from 1e-6 (or 0) up to the rate that saturates every shell of the window
+    saturation = max(1.0, (1 << (w - 1)) * math.sqrt(w - 1))
+    c = 1e-6 * (saturation / 1e-6) ** fraction if log_scale else fraction * saturation
+    cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
+    with mock.patch.object(sampling, "_BLOCK_CELLS", block):
+        got = sample_window(cfg)
+    assert sorted(got.points) == sorted(_reference_scan(cfg))
+
+
+# sha256 of write_pointset(sample_window(cfg)) at benchmark scale, where the
+# scalar scan cannot reach
+WINDOW_FILE_PINS = [
+    ((1, 0.1, 13), 754, "d72e9078f30924907113968f873342c02882bbb9f4af8991ecae2b6d77d481d6"),
+    ((1, 1.0, 12), 3979, "64b0193456e99eb085be1d5c2dab76e08525011b19cb63a6637946d59a4bd091"),
+]
+
+
+@pytest.mark.parametrize("cfg_args,size,digest", WINDOW_FILE_PINS)
+def test_sample_window_file_bytes_pinned(tmp_path, cfg_args, size, digest):
+    ps = sample_window(SamplerConfig(*cfg_args))
+    path = tmp_path / "q.tsv"
+    write_pointset(ps, path)
+    assert len(ps) == size
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def _float_keep(h: int, p: float) -> bool:
