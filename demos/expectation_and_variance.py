@@ -24,7 +24,7 @@ Usage: python3 demos/expectation_and_variance.py [--c 0.5] [--tmax 6] [--trials 
 import argparse
 import math
 
-from no3l.analytics import monte_carlo_moments, variance_bounds, weight_sums
+from no3l.analytics import exact_reports, monte_carlo_moments
 
 
 def main() -> None:
@@ -38,12 +38,14 @@ def main() -> None:
     ts = list(range(2, args.tmax + 1))
     seeds = range(args.base_seed, args.base_seed + args.trials)
     mc = monte_carlo_moments(ts, args.c, seeds)
+    # one exact family scan per exponent serves both tables
+    weights, bounds = exact_reports(ts, args.c)
 
     print(f"c={args.c}, {args.trials} seeds\n")
     print("  T    exact_ey   mc_mean      z    ey_norm    sum_w3_norm")
     prev_norm = None
-    for i, t in enumerate(ts):
-        ws = weight_sums(t, args.c)
+    for i, ws in enumerate(weights):
+        t = ws.T
         se = math.sqrt(mc.y_var[i] / mc.sample_size) or float("nan")
         z = (mc.y_mean[i] - ws.exact_ey) / se
         scale = args.c**3 * 2**t / math.sqrt(t)
@@ -55,11 +57,8 @@ def main() -> None:
               f"{prev_norm:>9.4f}{note:<10} {ws.sum_w3 / scale:>9.1f}")
 
     print("\n  T    mc_var    v1+v2+v3 bound")
-    for i, t in enumerate(ts):
-        if t > 6:
-            break
-        vb = variance_bounds(t, args.c)
-        print(f"{t:>3} {mc.y_var[i]:>9.2f} {vb.var_bound_total:>13.2f}"
+    for i, vb in enumerate(bounds):
+        print(f"{vb.T:>3} {mc.y_var[i]:>9.2f} {vb.var_bound_total:>13.2f}"
               f"   = {vb.v1_bound:.2f} + {vb.v2_bound:.2f} + {vb.v3_bound:.2f}")
 
 

@@ -44,6 +44,15 @@ of W**3 and W**4 over lines with >= 2 points), E[Y_T] itself, and
 sum of p(x) * beta(x)**2.  beta also satisfies the exact identity
 sum of p(x) * beta(x) = 3 * E[Y_T], which makes a sharp self-test.
 
+One scan per exponent serves both reports: exact_reports builds beta
+only where T <= VARIANCE_CAP, and weight_sums, variance_bounds and
+beta_box_grid are single-exponent calls of the same scan.  The scans run
+on the worker pool, every exponent's tasks in one map: a scan without
+beta is split into slices of its directions of about equal work, and
+math.fsum joins their per-direction parts, rounding the exact sum once;
+a scan with beta is one task, so beta and v1 are summed in one order.
+Neither the slicing nor the worker count changes a bit of the output.
+
 Caps: full line-family scans are quartic-ish in the box side, so exact
 enumeration is allowed up to box exponent 7 and the variance machinery up
 to 6.  Desk-scale Monte Carlo estimates for the same quantities have no cap
@@ -59,11 +68,28 @@ from typing import Sequence
 import numpy as np
 
 from .parallel import map_ordered
-from .sampling import SamplerConfig, sample_window, shell_counts, shell_probability
+from .sampling import (
+    WINDOW_EXPONENT_CAP,
+    SamplerConfig,
+    sample_window,
+    shell_counts,
+    shell_probability,
+)
 from .triples import box_triple_counts
 
 ENUMERATION_CAP = 7
 VARIANCE_CAP = 6
+
+# Cells (_direction_cells: box points plus offset bins) per task of a
+# weight-only family scan.  On a 2-core Xeon a T = 7 direction costs about
+# 19 ns a box point, 8 ns an offset bin and 27 us besides, so counting the
+# bins keeps the slices of large b, with few points but wide bins, from
+# running long.  lemma_report's exact phase (T = 3..7, c = 0.5, 2 workers;
+# three interleaved rounds, median of 5 each) took 1.39-1.71 / 1.48-1.69 /
+# 1.52-1.64 s at 2**21 / 2**22 / 2**23 cells, T = 7 then making 73 / 37 /
+# 19 tasks, against 2.5-2.9 s on 1 worker; slicing by box points alone
+# gave 1.69-1.79 s at 2**19 to 2**24.
+_SCAN_CHUNK_CELLS = 1 << 22
 
 
 def _require_cap(T: int, cap: int, what: str) -> None:
@@ -208,18 +234,32 @@ class VarianceBoundReport:
     var_bound_total: float
 
 
-def _family_scan(T: int, c: float, want_beta: bool):
-    """One pass over all direction families; optionally also the beta grid.
+def _direction_cells(n: int, dirs: np.ndarray) -> np.ndarray:
+    """Array cells the scan of each direction (a, b) with |a| <= b walks.
+
+    That is the box points of its _neighbour_rects, (n - |a|) * (n - b),
+    min(|a|, n - |a|) * (n - b) and max(n - 2|a|, 0) * min(b, n - b), plus
+    its offset bins, b * (n - |a| - 1) + |a| * (n - b - 1) + 1.
+    """
+    a, b = np.abs(dirs[:, 0]), dirs[:, 1]
+    points = (n - a) * (n - b) + np.minimum(a, n - a) * (n - b)
+    points += np.maximum(n - 2 * a, 0) * np.minimum(b, n - b)
+    return points + b * (n - a - 1) + a * (n - b - 1) + 1
+
+
+def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
+    """Per-direction parts of one slice of an exponent's scanned directions.
 
     Only one direction of each x<->y mirror pair is scanned (|a| < b, which
     takes (0, 1) for the axes), and its parts count twice; the two diagonal
-    directions, |a| == b, are their own mirrors and count once.  The grids
-    are symmetric, so a mirror's beta contribution is the transpose of its
-    partner's: paired directions accumulate in one grid, the diagonal ones
-    in another, and beta is paired + paired.T + diagonal.
+    directions, |a| == b, are their own mirrors and count once.  Returns the
+    w3, w4 and e3 parts of each direction and the slice's line count; a beta
+    scan, which always gets every direction, also returns v1 and beta.  The
+    grids are symmetric, so a mirror's beta contribution is the transpose of
+    its partner's: paired directions accumulate in one grid, the diagonal
+    ones in another, and beta is paired + paired.T + diagonal.
     """
-    if c <= 0:
-        raise ValueError(f"sampling rate must be > 0, got {c}")
+    T, c, dirs, want_beta = args
     n = 1 << T
     grids = _probability_grids(T, c)
     P, P2, _ = grids
@@ -229,9 +269,7 @@ def _family_scan(T: int, c: float, want_beta: bool):
     line_count = 0
     paired = np.zeros((n, n)) if want_beta else None
     diagonal = np.zeros((n, n)) if want_beta else None
-    for a, b in _box_directions(n):
-        if abs(a) > b:
-            continue
+    for a, b in dirs:
         mult = 2 if abs(a) < b else 1
         _, cnt, (w1, w2, w3), parts = _direction_line_sums(n, a, b, grids)
         # empty bins hold zero sums, so only e3 needs a mask
@@ -250,30 +288,75 @@ def _family_scan(T: int, c: float, want_beta: bool):
             for (x_lo, x_hi, y_lo, y_hi), k in parts:
                 box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
                 acc[box] += 0.5 * ((w1[k] - P[box]) ** 2 - (w2[k] - P2[box]))
-    return (
-        math.fsum(w3_parts),
-        math.fsum(w4_parts),
-        math.fsum(ey_parts),
-        line_count,
-        P,
-        paired + paired.T + diagonal if want_beta else None,
-    )
+    if not want_beta:
+        return w3_parts, w4_parts, ey_parts, line_count, None, None
+    beta = paired + paired.T + diagonal
+    return w3_parts, w4_parts, ey_parts, line_count, float((P * beta**2).sum()), beta
+
+
+def _family_scans(
+    requests: Sequence[tuple[int, float, bool]],
+) -> list[tuple[LineWeightReport, VarianceBoundReport | None, np.ndarray | None]]:
+    """One family scan per (T, c, want_beta) request, all on the worker pool.
+
+    A weight-only scan is split into consecutive slices of its directions
+    of about _SCAN_CHUNK_CELLS cells each (_direction_cells); a beta scan
+    is one task, so beta and v1 are summed in one order whatever the worker
+    count.  Every task of every request goes through one map_ordered call,
+    largest first, and math.fsum joins the per-direction parts: it rounds
+    the exact sum once, so neither the slicing nor the worker count can
+    change a bit.  Returns, per request, its weight report and, for a beta
+    scan, its variance report and beta grid.
+    """
+    tasks = []  # (cells, request index, task args)
+    for i, (T, c, want_beta) in enumerate(requests):
+        if c <= 0:
+            raise ValueError(f"sampling rate must be > 0, got {c}")
+        n = 1 << T
+        dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b]
+        cells = _direction_cells(n, np.array(dirs, dtype=np.int64).reshape(-1, 2))
+        cuts = [0, len(dirs)]
+        if not want_beta:
+            # direction j joins slice (cells before j) // _SCAN_CHUNK_CELLS
+            slot = (np.cumsum(cells) - cells) // _SCAN_CHUNK_CELLS
+            cuts[1:1] = (np.flatnonzero(np.diff(slot)) + 1).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            tasks.append((int(cells[lo:hi].sum()), i, (T, c, dirs[lo:hi], want_beta)))
+    order = sorted(range(len(tasks)), key=lambda j: tasks[j][0], reverse=True)
+    outs: list = [None] * len(tasks)
+    for j, out in zip(order, map_ordered(_scan_chunk, [tasks[j][2] for j in order])):
+        outs[j] = out
+    reports = []
+    for i, (T, c, want_beta) in enumerate(requests):
+        mine = [out for (_, owner, _), out in zip(tasks, outs) if owner == i]
+        weights = LineWeightReport(
+            T=T, c=c,
+            sum_w3=math.fsum(p for out in mine for p in out[0]),
+            sum_w4=math.fsum(p for out in mine for p in out[1]),
+            exact_ey=math.fsum(p for out in mine for p in out[2]),
+            line_count=sum(out[3] for out in mine),
+        )
+        bounds = beta = None
+        if want_beta:
+            v1, beta = mine[0][4:]
+            bounds = VarianceBoundReport(
+                T=T, c=c, v1_bound=v1, v2_bound=weights.sum_w4, v3_bound=weights.exact_ey,
+                var_bound_total=v1 + weights.sum_w4 + weights.exact_ey,
+            )
+        reports.append((weights, bounds, beta))
+    return reports
 
 
 def weight_sums(T: int, c: float) -> LineWeightReport:
     """Exact sums of W**3, W**4 and e3 over the box's line families."""
     _require_cap(T, ENUMERATION_CAP, "line family enumeration")
-    sum_w3, sum_w4, exact_ey, line_count, _, _ = _family_scan(T, c, want_beta=False)
-    return LineWeightReport(
-        T=T, c=c, sum_w3=sum_w3, sum_w4=sum_w4, exact_ey=exact_ey,
-        line_count=line_count,
-    )
+    return _family_scans([(T, c, False)])[0][0]
 
 
 def beta_box_grid(T: int, c: float) -> np.ndarray:
     """beta over the whole box; entry [x-1, y-1] is beta at the point (x, y)."""
     _require_cap(T, VARIANCE_CAP, "beta")
-    return _family_scan(T, c, want_beta=True)[5]
+    return _family_scans([(T, c, True)])[0][2]
 
 
 def variance_bounds(T: int, c: float) -> VarianceBoundReport:
@@ -284,13 +367,23 @@ def variance_bounds(T: int, c: float) -> VarianceBoundReport:
     v3 is the diagonal E[Y_T].
     """
     _require_cap(T, VARIANCE_CAP, "variance bounds")
-    sum_w3, sum_w4, exact_ey, _, P, beta_grid = _family_scan(T, c, want_beta=True)
-    v1 = float((P * beta_grid**2).sum())
-    report = VarianceBoundReport(
-        T=T, c=c, v1_bound=v1, v2_bound=sum_w4, v3_bound=exact_ey,
-        var_bound_total=v1 + sum_w4 + exact_ey,
-    )
-    return report
+    return _family_scans([(T, c, True)])[0][1]
+
+
+def exact_reports(
+    t_values: Sequence[int], c: float
+) -> tuple[list[LineWeightReport], list[VarianceBoundReport]]:
+    """Weight and variance reports for many exponents, one family scan each.
+
+    The first list holds weight_sums for each T up to ENUMERATION_CAP, the
+    second variance_bounds for each T up to VARIANCE_CAP; exponents past a
+    cap are left out of that cap's list.
+    """
+    ts = [t for t in t_values if t <= ENUMERATION_CAP]
+    for t in ts:
+        _require_cap(t, ENUMERATION_CAP, "line family enumeration")
+    scans = _family_scans([(t, c, t <= VARIANCE_CAP) for t in ts])
+    return [w for w, _, _ in scans], [v for _, v, _ in scans if v is not None]
 
 
 def normalized_moments(
@@ -345,6 +438,29 @@ class TrialStatistics:
     k2_hat: float
 
 
+def require_moment_inputs(t_values: Sequence[int], c: float, seeds: Sequence[int]) -> None:
+    """Reject exponents, rate or seeds that monte_carlo_moments cannot sample.
+
+    The exponents must be strictly increasing and >= 1, and the largest, T,
+    must leave the sampled window 2**(T+1) within the sampler's cap.
+    """
+    ts = list(t_values)
+    if not ts or sorted(set(ts)) != ts:
+        raise ValueError(f"need strictly increasing box exponents, got {t_values}")
+    if ts[0] < 1:
+        raise ValueError("box exponents below 1 have no normalized moments")
+    if ts[-1] >= WINDOW_EXPONENT_CAP:
+        raise ValueError(
+            f"box exponents must be at most {WINDOW_EXPONENT_CAP - 1}, so that the sampled"
+            f" window 2**(T+1) stays within 2**{WINDOW_EXPONENT_CAP}; got {ts[-1]}"
+        )
+    if not seeds:
+        raise ValueError("need at least one seed")
+    for seed in seeds:
+        SamplerConfig(seed=seed, c=c, window_exponent=ts[-1] + 1)
+    require_cubable_rate(c)
+
+
 def _mc_vectors(args: tuple[int, float, int]) -> tuple[list[int], list[int]]:
     seed, c, w = args
     ps = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
@@ -356,15 +472,7 @@ def monte_carlo_moments(
 ) -> TrialStatistics:
     """Sample X_T and Y_T over the given seeds and summarize their moments."""
     ts = list(t_values)
-    if not ts or sorted(set(ts)) != ts:
-        raise ValueError(f"need strictly increasing box exponents, got {t_values}")
-    if ts[0] < 1:
-        raise ValueError("box exponents below 1 have no normalized moments")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if c < 0:
-        raise ValueError(f"sampling rate must be >= 0, got {c}")
-    require_cubable_rate(c)
+    require_moment_inputs(ts, c, seeds)
     w = ts[-1] + 1
     vectors = map_ordered(_mc_vectors, [(s, c, w) for s in seeds])
     x_by_seed = [[xv[t] for t in ts] for xv, _ in vectors]

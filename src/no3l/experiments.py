@@ -26,11 +26,11 @@ from typing import Sequence
 from .analytics import (
     ENUMERATION_CAP,
     VARIANCE_CAP,
+    exact_reports,
     monte_carlo_moments,
     normalized_moments,
     require_cubable_rate,
-    variance_bounds,
-    weight_sums,
+    require_moment_inputs,
     x_floor,
     y_ceiling,
 )
@@ -349,12 +349,13 @@ def lemma_report(
     summability proxy (the sum of the joint miss frequencies), and whether
     joint misses decay by at least a factor 1.5 per exponent over the top
     half of the range.  With c = 0 the X-side misses everywhere (the empty
-    sample retains nothing) and the Y-side never does.
+    sample retains nothing) and the Y-side never does.  Every input is
+    checked before any sample is drawn or any line family scanned.
     """
     ts = list(t_values)
+    require_moment_inputs(ts, c, seeds)
     mc = monte_carlo_moments(ts, c, seeds)
-    weights = [asdict(weight_sums(t, c)) for t in ts if c > 0 and t <= ENUMERATION_CAP]
-    bounds = [asdict(variance_bounds(t, c)) for t in ts if c > 0 and t <= VARIANCE_CAP]
+    weights, bounds = exact_reports(ts, c) if c > 0 else ([], [])
     x_miss = []
     y_miss = []
     miss_freq = []
@@ -378,8 +379,8 @@ def lemma_report(
         "enum_cap": ENUMERATION_CAP,
         "var_cap": VARIANCE_CAP,
         "monte_carlo": asdict(mc),
-        "weights": weights,
-        "variance_bounds": bounds,
+        "weights": [asdict(w) for w in weights],
+        "variance_bounds": [asdict(v) for v in bounds],
         "x_miss_freq": x_miss,
         "y_miss_freq": y_miss,
         "event_miss_freq": miss_freq,

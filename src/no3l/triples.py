@@ -26,8 +26,10 @@ coordinate span s:
   least 2 apart; and equal directions, (k dx, k dy) and (-dx, -dy)
   included, have the same exact quotient, so the same float.  No gcd and
   no sign normalization are needed.
-- s > 2**21: the gcd key, the difference divided by its gcd and signed
-  to point up, packed as a * (s + 1) + b.  It needs
+- s > 2**21: the gcd key, the difference divided by its gcd, packed as
+  a * (s + 1) + b.  No sign normalization is needed here either: the
+  earlier points on a line through an anchor lie on one side of it (see
+  _gcd_keys).  It needs
   s * (s + 1) + s < 2**63: a set whose span is wider is rejected with
   ValueError, whatever the set's size.
 """
@@ -98,21 +100,28 @@ def _float_keys(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def _gcd_keys(dx: np.ndarray, dy: np.ndarray, s: int) -> np.ndarray:
-    """Direction keys in [0, 2 * s * (s + 1) + s]: the gcd-reduced direction
-    (a, b), signed so that b > 0 or b == 0 < a, packed as a * (s + 1) + b and
-    shifted by s * (s + 1).  Overwrites dx."""
-    # dy * (s + 1) + dx has the sign that decides the flip, since |dx| <= s.
+    """Direction keys in [0, 2 * (s * (s + 1) + s)]: the gcd-reduced
+    difference (a, b), packed as a * (s + 1) + b and shifted by
+    s * (s + 1) + s.  Overwrites dx.
+
+    The differences are not signed.  The anchor is the largest of the points
+    it is compared with, and the (inf_norm, x, y) key is convex along any
+    line, so the earlier points on a line through the anchor all lie on one
+    side of it: their differences share a sign and reduce to one (a, b).
+    Packing is one-to-one on one anchor's differences, although b may be
+    negative: two packings agree only for b < 0 < b2 with b2 - b = s + 1,
+    which would take two differences whose y parts differ by more than the
+    span s.  The shift covers the most negative packing, -(s * (s + 1) + s),
+    so every key stays in its anchor's range.
+    """
     g = np.gcd(dx, dy)
-    flip = dy * (s + 1)
-    flip += dx
-    np.negative(g, out=g, where=flip < 0)
     dx *= s + 1
     dx += dy
     dx //= g
     # Unsigned arithmetic wraps mod 2**64, so adding the shift turns a
-    # negative packed direction into its place in [0, 2 * s * (s + 1) + s].
+    # negative packed direction into its place in [0, 2 * (s * (s + 1) + s)].
     keys = dx.view(np.uint64)
-    keys += np.uint64(s * (s + 1))
+    keys += np.uint64(s * (s + 1) + s)
     return keys
 
 
@@ -185,9 +194,9 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     if s <= _FLOAT_KEY_SPAN:
         keys_of, radix = _float_keys, 1 << 47
     else:
-        keys_of, radix = partial(_gcd_keys, s=s), 2 * s * (s + 1) + s + 1
-    # The accepted spans give radix <= 2**64 - 1 - s, so a block holds at
-    # least one anchor.
+        keys_of, radix = partial(_gcd_keys, s=s), 2 * (s * (s + 1) + s) + 1
+    # The accepted spans give radix <= 2**64 - 1, so a block holds at least
+    # one anchor.
     max_anchors = (2**64 - 1) // radix
     counts = np.zeros(m, dtype=np.int64)
     lo = 2

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from no3l import analytics
 from no3l.analytics import (
     ENUMERATION_CAP,
     VARIANCE_CAP,
@@ -20,6 +21,7 @@ from no3l.analytics import (
     _direction_line_sums,
     _probability_grids,
     beta_box_grid,
+    exact_reports,
     monte_carlo_moments,
     normalized_moments,
     variance_bounds,
@@ -28,6 +30,7 @@ from no3l.analytics import (
     y_ceiling,
 )
 from no3l.geom import collinear, line_through, shell_index
+from no3l.parallel import map_ordered
 from no3l.sampling import SamplerConfig, sample_window, shell_probability
 from no3l.triples import box_triple_counts
 
@@ -323,3 +326,64 @@ def test_variance_bounds_pins(T):
     assert (got.v1_bound, got.v2_bound, got.v3_bound, got.var_bound_total) == (
         pytest.approx(want, rel=1e-12)
     )
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_direction_cells_count_the_rect_points_and_the_bins(T):
+    n = 1 << T
+    grids = _probability_grids(T, 0.5)
+    dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b]
+    want = []
+    for a, b in dirs:
+        _, cnt, _, parts = _direction_line_sums(n, a, b, grids)
+        want.append(sum(k.size for _, k in parts) + cnt.size)
+    assert analytics._direction_cells(n, np.array(dirs)).tolist() == want
+
+
+@pytest.fixture(scope="module")
+def serial_reports_half():
+    """weight_sums and variance_bounds at c = 0.5 for T = 1 .. VARIANCE_CAP, on 1 worker."""
+    ts = range(1, VARIANCE_CAP + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("NO3L_THREADS", "1")
+        return [weight_sums(t, 0.5) for t in ts], [variance_bounds(t, 0.5) for t in ts]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_one_scan_per_exponent_equals_the_per_exponent_reports(
+    monkeypatch, serial_reports_half, workers
+):
+    monkeypatch.setenv("NO3L_THREADS", workers)
+    # weight_sums(6) splits its scan; exact_reports scans T = 6 with beta, whole
+    ts = [*range(1, VARIANCE_CAP + 1), ENUMERATION_CAP + 1]
+    assert exact_reports(ts, 0.5) == serial_reports_half
+
+
+def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch):
+    ts = range(1, 6)  # one task per scan at the default chunk size
+    want = {t: (weight_sums(t, 0.3), variance_bounds(t, 0.3), beta_box_grid(t, 0.3)) for t in ts}
+    tasks = []
+
+    def recording(fn, items):
+        tasks.extend(items)
+        return map_ordered(fn, items)
+
+    monkeypatch.setattr(analytics, "map_ordered", recording)
+    monkeypatch.setattr(analytics, "_SCAN_CHUNK_CELLS", 1)
+    monkeypatch.setenv("NO3L_THREADS", "2")
+    requests = [(t, 0.3, want_beta) for t in ts for want_beta in (False, True)]
+    got = analytics._family_scans(requests)
+    for (t, _, want_beta), (weights, bounds, beta) in zip(requests, got):
+        mine = [dirs for T, _, dirs, b in tasks if (T, b) == (t, want_beta)]
+        # each task gets its own slice; only weight-only scans are split
+        assert sorted(d for dirs in mine for d in dirs) == sorted(
+            (a, b) for a, b in _box_directions(1 << t) if abs(a) <= b
+        )
+        assert weights == want[t][0]
+        if want_beta:
+            assert len(mine) == 1
+            assert bounds == want[t][1]
+            assert np.array_equal(beta, want[t][2])
+        else:
+            assert len(mine) > 1
+            assert bounds is None and beta is None

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from no3l import experiments
 from no3l.cli import main
 from no3l.sampling import PointSet, read_pointset, write_pointset
 
@@ -130,6 +131,37 @@ def test_lemmas_json_contains_exact_and_sampled_means(tmp_path):
     assert doc["t_values"] == [2, 3]
     assert len(doc["weights"]) == 2
     assert len(doc["monte_carlo"]["y_mean"]) == 2
+
+
+def test_lemmas_json_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    written = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NO3L_THREADS", workers)
+        out = tmp_path / f"lemmas{workers}.json"
+        assert main(["lemmas", "--tmin", "3", "--tmax", "7", "--c", "0.5",
+                     "--trials", "20", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "flags,needle",
+    [
+        (["--tmax", "21"], "box exponents must be at most 19"),
+        (["--tmax", "4", "--base-seed", str(2**64 - 1)], "seed must fit in 64 bits"),
+    ],
+    ids=["tmax-past-the-window-cap", "seeds-past-64-bits"],
+)
+def test_lemmas_rejects_bad_input_before_any_work(capsys, monkeypatch, flags, needle):
+    def no_work(*args):
+        raise AssertionError("sampled or scanned before validating")
+
+    monkeypatch.setattr(experiments, "monte_carlo_moments", no_work)
+    monkeypatch.setattr(experiments, "exact_reports", no_work)
+    assert main(["lemmas", "--tmin", "3", "--c", "0.5", "--trials", "2", *flags]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert len(err.splitlines()) == 1
 
 
 def test_lemmas_rejects_reversed_range(capsys):

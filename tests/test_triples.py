@@ -194,6 +194,19 @@ def test_anchor_blocks_of_any_size_on_a_wide_set(block, monkeypatch):
     assert prefix_triple_counts(pts) == _counts_by_largest(pts)
 
 
+def test_full_span_differences_of_consecutive_anchors():
+    # Span 19: anchor (-10, -3) sees (9, 4) at (19, 7), and the next anchor,
+    # (9, 10), sees (-10, -3) at (-19, -13).  Unsigned gcd keys shifted by
+    # only s * (s + 1) wrap the second into the first anchor's range, onto
+    # the first's key, and made one spurious triple.
+    pts = [
+        (0, -2), (3, -4), (-5, 3), (5, 5), (-6, 6), (-3, -6), (-7, -8), (-6, 8),
+        (-9, -5), (1, 9), (6, 9), (9, 4), (-10, -3), (9, 10),
+    ]
+    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+    assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+
+
 def test_wide_coordinates_pack_without_collisions():
     # a * 2**22 + b packing made (1, 2**22 + 1) and (2, 1) the same direction
     rng = random.Random(2024)
@@ -226,7 +239,7 @@ WIDEST_SPAN = 3037000498
 def test_widest_accepted_span_is_counted_exactly():
     s = WIDEST_SPAN
     assert s * (s + 1) + s < 2**63 <= (s + 1) * (s + 2) + s + 1
-    assert (2**64 - 1) // (2 * s * (s + 1) + s + 1) == 1
+    assert (2**64 - 1) // (2 * (s * (s + 1) + s) + 1) == 1
     h = s // 2
     pts = [
         (0, 0), (h, h), (s, s), (0, s), (s, 0), (h + 1, h - 1), (1, 2), (2, 4),

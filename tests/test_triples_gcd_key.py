@@ -13,6 +13,7 @@ from test_triples import (  # noqa: F401  (collected here under the gcd key)
     test_box_triple_counts_cumulative,
     test_fast_counter_equals_bruteforce,
     test_full_grid_counts,
+    test_full_span_differences_of_consecutive_anchors,
     test_prefix_counts_match_enumeration,
     test_small_hand_cases,
     test_spans_straddling_the_float_key_limit_are_counted_exactly,
