@@ -103,8 +103,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ps = read_pointset(args.infile)
-    pts = ps.in_box(args.box) if args.box is not None else list(ps)
-    triples = count_collinear_triples(pts)
+    triples = count_collinear_triples(ps.in_box(args.box) if args.box is not None else ps)
     print(f"triples: {triples}")
     return 0 if triples == 0 else 1
 

@@ -53,10 +53,8 @@ _JSON_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 class TrialManifest:
     """Complete description of a trial batch; trial i uses base_seed + i.
 
-    t_exact_cap bounds the box exponent of any exact-analytics report
-    built alongside this manifest (see lemma_report); running the trials
-    themselves never enumerates line families, so it does not affect
-    run_trials output.
+    t_exact_cap and log_base change no computation: they are only validated
+    here and echoed into aggregate.json's manifest block.
     """
 
     base_seed: int

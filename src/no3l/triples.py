@@ -32,6 +32,16 @@ coordinate span s:
   _gcd_keys).  It needs
   s * (s + 1) + s < 2**63: a set whose span is wider is rejected with
   ValueError, whatever the set's size.
+
+A large call is spread over the worker pool.  The caller's process sorts
+the points (a PointSet is taken as stored: it is already in that order,
+without duplicates) and rejects duplicates and spans too wide to key; only
+then are the anchors 2 .. m - 1 cut into consecutive ranges of about
+_TASK_PAIRS pairs each, in closed form, since the anchors before a hold
+a * (a - 1) / 2 pairs.  The ranges go through one parallel.map_ordered
+call; each task runs the block loop over its anchors, and the counts are
+joined in anchor order, so they are the same at any worker count.  A set
+with fewer pairs is one range, counted in-process with no pool.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .geom import Point, norm_lex_key
+from .parallel import map_ordered
 from .sampling import PointSet
 
 BRUTE_FORCE_CAP = 2000
@@ -54,6 +65,15 @@ BRUTE_FORCE_CAP = 2000
 # 4.47 / 3.89 / 4.08 / 5.33 s at 2**13 / 2**14 / 2**15 / 2**16 (4 runs each,
 # 2-core Xeon), and 2**16 peaked 2 MB higher.
 _PAIR_BLOCK = 1 << 14
+
+# Earlier-point pairs per pool task: prefix_triple_counts cuts its anchors
+# into ranges of about this many pairs, so a set with fewer pairs (a W = 13
+# trial's Q, a parabola p = 2003, a greedy W = 10 set) is counted
+# in-process.  With 2 workers, the benchmark's construct-verify took a
+# median wall time of 2.31 / 2.35 / 3.14 s at 2**21 / 2**22 / 2**23 against
+# 3.11 s unsplit (4 runs each, 2-core Xeon): 2**23 leaves its W = 12 Qs
+# whole.  2**22 peaked 0.25 MB lower than 2**21.
+_TASK_PAIRS = 1 << 22
 
 # Widest span the float key counts exactly (see the module docstring).  Its
 # keys lie in [0, 2**46], so a block's anchor offsets start at bit 47.
@@ -186,11 +206,48 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     storage order).  Summing a prefix of the result counts the triples among
     the corresponding smallest points.
     """
-    pts = sorted(_as_points(ps), key=norm_lex_key)
+    pts = _ordered_points(ps)
     m = len(pts)
     if m < 3:
         return [0] * m
     xs, ys, s = _packed_coords(pts)
+    # A range's anchors compare only with the points before its end.
+    tasks = [(xs[:hi], ys[:hi], s, lo, hi) for lo, hi in _anchor_ranges(m)]
+    return [0, 0] + np.concatenate(map_ordered(_range_counts, tasks)).tolist()
+
+
+def _ordered_points(ps: PointSet | Iterable[Point]) -> Sequence[Point]:
+    """The points in (inf_norm, x, y) order; a PointSet is stored in it,
+    without duplicates."""
+    if isinstance(ps, PointSet):
+        return ps.points
+    return sorted(_as_points(ps), key=norm_lex_key)
+
+
+def _anchor_ranges(m: int) -> list[tuple[int, int]]:
+    """Consecutive ranges of the anchors 2 .. m - 1, of about _TASK_PAIRS
+    pairs each.
+
+    Anchor i has i earlier points, so the anchors before a hold
+    a * (a - 1) / 2 pairs.  The set's P pairs make n = ceil(P / _TASK_PAIRS)
+    ranges; the k-th cut is the largest a whose anchors before it hold at
+    most k * P / n pairs.
+    """
+    pairs = m * (m - 1) // 2
+    n = -(-pairs // _TASK_PAIRS)
+    cuts = [2]
+    for k in range(1, n):
+        cut = (1 + math.isqrt(1 + 8 * (k * pairs // n))) // 2
+        if cut > cuts[-1]:
+            cuts.append(cut)
+    cuts.append(m)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _range_counts(task: tuple[np.ndarray, np.ndarray, int, int, int]) -> np.ndarray:
+    """Prefix triple counts of the anchors lo .. hi - 1 of a set of span s,
+    given the coordinates of its first hi points, one block at a time."""
+    xs, ys, s, lo, hi = task
     if s <= _FLOAT_KEY_SPAN:
         keys_of, radix = _float_keys, 1 << 47
     else:
@@ -198,16 +255,16 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     # The accepted spans give radix <= 2**64 - 1, so a block holds at least
     # one anchor.
     max_anchors = (2**64 - 1) // radix
-    counts = np.zeros(m, dtype=np.int64)
-    lo = 2
-    while lo < m:
-        # The largest hi with lo + ... + (hi - 1) <= _PAIR_BLOCK, that is
-        # hi * (hi - 1) <= 2 * _PAIR_BLOCK + lo * (lo - 1).
-        hi = (1 + math.isqrt(1 + 4 * (2 * _PAIR_BLOCK + lo * (lo - 1)))) // 2
-        hi = min(max(hi, lo + 1), lo + max_anchors, m)
-        counts[lo:hi] = _block_counts(xs, ys, keys_of, radix, lo, hi)
-        lo = hi
-    return counts.tolist()
+    counts = np.zeros(hi - lo, dtype=np.int64)
+    a = lo
+    while a < hi:
+        # The largest b with a + ... + (b - 1) <= _PAIR_BLOCK, that is
+        # b * (b - 1) <= 2 * _PAIR_BLOCK + a * (a - 1).
+        b = (1 + math.isqrt(1 + 4 * (2 * _PAIR_BLOCK + a * (a - 1)))) // 2
+        b = min(max(b, a + 1), a + max_anchors, hi)
+        counts[a - lo: b - lo] = _block_counts(xs, ys, keys_of, radix, a, b)
+        a = b
+    return counts
 
 
 def box_profile(points: Sequence[Point], counts: Sequence[int], t_max: int) -> list[int]:
@@ -242,7 +299,7 @@ def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
     """
     if t_max < 0:
         raise ValueError(f"box exponent must be >= 0, got {t_max}")
-    pts = sorted(_as_points(ps), key=norm_lex_key)
+    pts = _ordered_points(ps)
     top = 1 << t_max
     inside = [p for p in pts if max(p) <= top]
     return box_profile(pts, prefix_triple_counts(inside), t_max)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from no3l import experiments
+from no3l import experiments, parallel, triples
 from no3l.cli import main
 from no3l.sampling import PointSet, read_pointset, write_pointset
+from test_triples import _NoPool
 
 
 def _grid3(path):
@@ -142,6 +143,49 @@ def test_lemmas_json_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypat
                      "--trials", "20", "--out", str(out)]) == 0
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+def test_delete_max_and_verify_bytes_do_not_depend_on_the_worker_count(
+    tmp_path, monkeypatch, capsys
+):
+    q = tmp_path / "q.tsv"
+    assert main(["sample", "--seed", "1", "--c", "1.0", "--window", "12", "--out", str(q)]) == 0
+    # a W = 12, c = 1.0 sample is cut into two anchor ranges, so at two
+    # workers its kernel calls run on a pool
+    assert len(triples._anchor_ranges(len(read_pointset(q)))) == 2
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NO3L_THREADS", workers)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["construct", "--in", "q.tsv", "--method", "delete-max",
+                     "--out", f"s{workers}.tsv"]) == 0
+        assert main(["verify", "--in", f"s{workers}.tsv"]) == 0
+        assert main(["verify", "--in", "q.tsv"]) == 1
+        out = capsys.readouterr().out.replace(f"s{workers}.tsv", "s.tsv")
+        runs.append(((tmp_path / f"s{workers}.tsv").read_bytes(), out))
+    assert runs[0] == runs[1]
+    assert runs[0][1].endswith("triples: 0\ntriples: 15446\n")
+
+
+@pytest.mark.parametrize(
+    "rows, needle",
+    [(["1\t1", "1\t1", "2\t2", "3\t3"], "strictly ordered"),
+     ([f"{i}\t{i * i}" for i in range(1, 60)] + [f"1\t{2**62}"], "int64")],
+    ids=["duplicate", "too-wide"],
+)
+def test_bad_files_exit_2_before_any_pool(tmp_path, capsys, monkeypatch, rows, needle):
+    monkeypatch.setattr(triples, "_TASK_PAIRS", 1)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setenv("NO3L_THREADS", "2")
+    path = tmp_path / "bad.tsv"
+    meta = '{"c": null, "kind": null, "seed": null, "window_exponent": null}'
+    path.write_text("\n".join(["#no3l v1", f"#meta {meta}", *rows]) + "\n", encoding="ascii")
+    for argv in (["verify", "--in", str(path)],
+                 ["construct", "--in", str(path), "--method", "delete-max",
+                  "--out", str(tmp_path / "s.tsv")]):
+        assert main(argv) == 2
+        assert needle in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

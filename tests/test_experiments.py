@@ -228,7 +228,7 @@ class _RecordingPool:
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -255,6 +255,18 @@ def test_map_ordered_pool_never_exceeds_items(monkeypatch, threads, items, pool_
 
 def _square(v):
     return v * v
+
+
+def _workers_seen(_):
+    return resolve_workers()
+
+
+def test_pool_workers_map_serially(monkeypatch):
+    # a worker that maps (a trial at W >= 16 splitting its kernel call, say)
+    # must not fork a pool of its own
+    monkeypatch.setenv("NO3L_THREADS", "2")
+    assert map_ordered(_workers_seen, [0, 1]) == [1, 1]
+    assert resolve_workers() == 2
 
 
 def test_verify_theorem_semantics(small_run):
