@@ -54,12 +54,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .geom import Point, norm_lex_key, shell_index
+from .geom import Point, inf_norm, norm_lex_key, shell_index
 
 WINDOW_EXPONENT_CAP = 20
 
@@ -192,9 +193,16 @@ class PointSet:
         return f"PointSet({len(self.points)} points, meta={self.meta!r})"
 
     def in_box(self, n: int) -> "PointSet":
-        """Members inside [1, n]^2, same provenance."""
-        kept = [p for p in self.points if 1 <= p[0] <= n and 1 <= p[1] <= n]
-        return PointSet(kept, self.meta)
+        """Members inside [1, n]^2, same provenance.
+
+        They are among the leading members, those of norm <= n, and keep
+        their order, so they are not sorted or checked again.
+        """
+        lead = self.points[: bisect_right(self.points, n, key=inf_norm)]
+        box = object.__new__(PointSet)
+        box.points = tuple(p for p in lead if p[0] >= 1 and p[1] >= 1)
+        box.meta = dict(self.meta)
+        return box
 
 
 def _keep_bound(prob: float) -> int:

@@ -10,28 +10,54 @@ T -> triples inside [1, 2**T]^2, because a triple of positive-quadrant
 points lies in that box exactly when its largest member does.  The counts
 are exact.
 
-The points act as anchors in blocks of consecutive ones.  A block's
-(anchor, earlier point) directions become uint64 keys, which carry the
-anchor in their high part, and are sorted once; each run of equal keys is
-one line through one anchor.  Only the direction key depends on the set's
-coordinate span s:
+The points act as anchors in blocks of consecutive ones, at most
+_PAIR_BLOCK (anchor, earlier point) pairs, or row cells, a block.  Each
+pair's difference becomes a direction key, and a block's keys are sorted so
+that each run of equal keys of one anchor is one line through that anchor.
+A block has one of two layouts, chosen by its rows' length:
+
+- Rows, for the anchors with at least _ROW_MIN_POINTS earlier points, and
+  for every anchor of a set keyed by gcd.  Anchors a .. b - 1 make the 2-D
+  block of differences xs[:b - 1] - xs[a:b, None], one row per anchor, with
+  no index gather.  In row i the cells j >= i are not earlier points (j = i
+  is 0 / 0); they get distinct sentinels, above every key, so they make no
+  run.  Each row is sorted on its own; every row but the last ends in a
+  sentinel, so runs read off the flattened block never cross rows.
+- Flat, for the first anchors, whose rows would be short and mostly
+  sentinels.  The pairs are gathered into one array, and each key is packed
+  with its anchor's offset into one int64 before one sort.
+
+Only the direction key depends on the set's coordinate span s:
 
 - s <= 2**21 (every window, greedy set and parabola p < 2**21): the float
-  key.  Of a difference (dx, dy), take r = dy / dx with class bit 0 if
-  |dy| <= |dx|, else r = dx / dy with class bit 1; the key is
-  (rint(r * 2**44) + 2**44) * 2 + class, in [0, 2**46].  It is exact:
-  two distinct slopes in [-1, 1] with denominators <= s differ by at
-  least 1 / s**2 >= 2**-42, a correctly rounded quotient errs by at most
-  2**-54 and scaling by 2**44 is exact, so distinct directions round at
-  least 2 apart; and equal directions, (k dx, k dy) and (-dx, -dy)
-  included, have the same exact quotient, so the same float.  No gcd and
-  no sign normalization are needed.
+  key.  Of a difference (dx, dy), it is q = dy / (|dx| + |dy|) signed by
+  dx, computed as dy / (dx + copysign(dy, dx)), in [-1, 1].  For dx != 0
+  it is r / (1 + |r|) of the slope r = dy / dx, which increases strictly
+  with r; along the vertical it is +1 upward and -1 downward.  So two
+  differences have the same exact key when and only when they lie on one
+  line through the anchor, except that the two sides of a vertical line
+  differ, which splits no line: its earlier points lie on one side of the
+  anchor (below).  The key is exact in float64: shifted to [0, s], the
+  coordinates and the sums above are integers below 2**23; a key is a
+  fraction whose denominator |dx| + |dy| is at most 2s <= 2**22, so two
+  distinct keys differ by at least 2**-44, while a correctly rounded
+  quotient errs by at most 2**-54, and equal fractions round to the same
+  float.  No gcd, no class bit and no sign normalization are needed.  A
+  flat block scales the keys by 2**46 and truncates them, which keeps
+  distinct keys at least 2 apart.
 - s > 2**21: the gcd key, the difference divided by its gcd, packed as
-  a * (s + 1) + b.  No sign normalization is needed here either: the
-  earlier points on a line through an anchor lie on one side of it (see
-  _gcd_keys).  It needs
-  s * (s + 1) + s < 2**63: a set whose span is wider is rejected with
-  ValueError, whatever the set's size.
+  a * (s + 1) + b in int64, with the sentinels s * (s + 1) + s + 1 + j.
+  It needs s * (s + 1) + s < 2**63: a set whose span is wider is rejected
+  with ValueError, whatever the set's size.  Below 2**63 there is then room
+  for more than 5 * 10**9 sentinels, more points than any set in memory.
+
+One side: the earlier points on a line through an anchor o lie on one side
+of it.  Were p and r earlier points on either side, convexity of the norm
+along the line would give norm(o) <= max(norm(p), norm(r)) <= norm(o), so
+the norm would equal norm(o) on the whole segment from p to r, which then
+lies in one edge of the square of that norm.  Along an edge one coordinate
+is fixed and the other is monotone, so the (inf_norm, x, y) order is
+monotone along the segment, and o, inside it, is not larger than both.
 
 A large call is spread over the worker pool.  The caller's process sorts
 the points (a PointSet is taken as stored: it is already in that order,
@@ -59,25 +85,37 @@ from .sampling import PointSet
 
 BRUTE_FORCE_CAP = 2000
 
-# Earlier-point pairs keyed and sorted together per block of anchors.  It
-# bounds the block's temporaries (a few arrays of this many words).  With
-# the float key, the benchmark's construct-verify took a median wall time of
-# 4.47 / 3.89 / 4.08 / 5.33 s at 2**13 / 2**14 / 2**15 / 2**16 (4 runs each,
-# 2-core Xeon), and 2**16 peaked 2 MB higher.
-_PAIR_BLOCK = 1 << 14
+# Earlier-point pairs, or row cells, keyed and sorted together per block of
+# anchors.  It bounds the block's temporaries.  The kernel alone took 16.5 / 13.4 / 12.4 /
+# 12.2 ns a pair at 2**13 / 2**14 / 2**15 / 2**16 on the W = 12, c = 1.0,
+# seed 1 Q (one worker, best of 5).  The benchmark's construct-verify took a
+# median wall time of 2.00 / 1.88 / 1.91 / 1.87 s and CPU time of 2.58 /
+# 2.33 / 2.26 / 2.23 s (4 interleaved runs each), and 1.81 / 1.66 s wall at
+# 2**14 / 2**15 in another 4 each; 2**16 peaked 1.1 MB higher (2-core Xeon).
+_PAIR_BLOCK = 1 << 15
 
 # Earlier-point pairs per pool task: prefix_triple_counts cuts its anchors
 # into ranges of about this many pairs, so a set with fewer pairs (a W = 13
 # trial's Q, a parabola p = 2003, a greedy W = 10 set) is counted
 # in-process.  With 2 workers, the benchmark's construct-verify took a
-# median wall time of 2.31 / 2.35 / 3.14 s at 2**21 / 2**22 / 2**23 against
-# 3.11 s unsplit (4 runs each, 2-core Xeon): 2**23 leaves its W = 12 Qs
-# whole.  2**22 peaked 0.25 MB lower than 2**21.
+# median wall time of 2.00 / 1.91 / 1.94 s and CPU time of 2.32 / 2.26 /
+# 1.85 s at 2**21 / 2**22 / 2**23 (4 interleaved runs each, 2-core Xeon):
+# 2**23 leaves its W = 12 Qs whole, which saves CPU time but not wall time.
 _TASK_PAIRS = 1 << 22
 
-# Widest span the float key counts exactly (see the module docstring).  Its
-# keys lie in [0, 2**46], so a block's anchor offsets start at bit 47.
+# Widest span the float key counts exactly (see the module docstring).
 _FLOAT_KEY_SPAN = 1 << 21
+
+# Anchors with at least this many earlier points are counted in row blocks,
+# the ones before them in flat blocks.  On the W = 12, c = 1.0, seed 1 Q,
+# rows against flat took 31 / 33 ns a pair for the anchors 64 .. 127,
+# 27 / 32 for 128 .. 191, 21 / 40 for 256 .. 383 and 12 / 29 for 512 .. 767;
+# the anchors 2 .. 127 as one square row block took 43 ns a pair against
+# 40 flat.  A lemmas-t7 Monte Carlo sample (W = 8, c = 0.5, m ~ 155) took a
+# median 0.48 ms at 128 and 0.47 ms at 256 (2-core Xeon).  A flat block
+# holds about 40 bytes a pair, so the anchors below 256 (32.6k pairs)
+# peaked at 1.3 MB and those below 128 at 0.33 MB.
+_ROW_MIN_POINTS = 128
 
 
 def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
@@ -106,73 +144,107 @@ def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, int]:
     return xs, ys, s
 
 
-def _float_keys(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Direction keys in [0, 2**46] from the quotient of the smaller difference
-    by the larger one; exact for spans up to _FLOAT_KEY_SPAN."""
-    steep = np.abs(dy) > np.abs(dx)
-    r = np.where(steep, dx, dy) / np.where(steep, dy, dx)
-    r *= 2.0**44
-    np.rint(r, out=r)
-    r += 2.0**44
-    r *= 2
-    r += steep
-    return r.astype(np.uint64)
+def _float_keys(dx: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Direction keys in [-1, 1]: q = dy / (|dx| + |dy|), signed by dx.
+    Exact for spans up to _FLOAT_KEY_SPAN (see the module docstring).  Takes
+    float64 differences and a third array of their shape, and overwrites all
+    three: the keys are returned in dy."""
+    # sgn(dx) * (|dx| + |dy|); a zero difference is +0.0, so sgn(0) = 1
+    dx += np.copysign(dy, dx, out=t)
+    dy /= dx
+    return dy
 
 
-def _gcd_keys(dx: np.ndarray, dy: np.ndarray, s: int) -> np.ndarray:
-    """Direction keys in [0, 2 * (s * (s + 1) + s)]: the gcd-reduced
-    difference (a, b), packed as a * (s + 1) + b and shifted by
-    s * (s + 1) + s.  Overwrites dx.
+def _gcd_keys(dx: np.ndarray, dy: np.ndarray, t: np.ndarray, s: int) -> np.ndarray:
+    """Direction keys in [-(s * (s + 1) + s), s * (s + 1) + s]: the
+    gcd-reduced difference (a, b), packed as a * (s + 1) + b.  Takes int64
+    differences and a third array of their shape, and overwrites dx and t:
+    the keys are returned in dx.
 
-    The differences are not signed.  The anchor is the largest of the points
-    it is compared with, and the (inf_norm, x, y) key is convex along any
-    line, so the earlier points on a line through the anchor all lie on one
-    side of it: their differences share a sign and reduce to one (a, b).
-    Packing is one-to-one on one anchor's differences, although b may be
-    negative: two packings agree only for b < 0 < b2 with b2 - b = s + 1,
-    which would take two differences whose y parts differ by more than the
-    span s.  The shift covers the most negative packing, -(s * (s + 1) + s),
-    so every key stays in its anchor's range.
+    The differences are not signed: the earlier points on a line through an
+    anchor lie on one side of it (see the module docstring), so their
+    differences share a sign and reduce to one (a, b).  Packing is
+    one-to-one on one anchor's differences, although b may be negative: two
+    packings agree only for b < 0 < b2 with b2 - b = s + 1, which would take
+    two differences whose y parts differ by more than the span s.
     """
-    g = np.gcd(dx, dy)
+    np.gcd(dx, dy, out=t)
     dx *= s + 1
     dx += dy
-    dx //= g
-    # Unsigned arithmetic wraps mod 2**64, so adding the shift turns a
-    # negative packed direction into its place in [0, 2 * (s * (s + 1) + s)].
-    keys = dx.view(np.uint64)
-    keys += np.uint64(s * (s + 1) + s)
-    return keys
+    dx //= t
+    return dx
 
 
-def _block_counts(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    keys_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    radix: int,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Prefix triple counts of the anchors lo .. hi - 1.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of equal keys in a sorted array: the position of each run's
+    first key, and C(L, 2) for a run of L keys."""
+    # A run of L equal keys marks L - 1 consecutive positions of ``same``;
+    # ``bounds`` holds where each run of marks starts in it, and its end.
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    new = np.ones(len(same) + 1, dtype=bool)
+    np.not_equal(same[1:] - same[:-1], 1, out=new[1:-1])
+    bounds = np.flatnonzero(new)
+    marks = bounds[1:] - bounds[:-1]
+    return same[bounds[:-1]], marks * (marks + 1) // 2
 
-    The key of anchor i and earlier point j is keys_of(their difference),
-    which lies in [0, radix), plus (i - lo) * radix; the caller keeps that
-    below 2**64.
+
+def _flat_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Prefix triple counts of the anchors lo .. hi - 1, float key, from one
+    flat array of their (anchor, earlier point) pairs.
+
+    Each key is scaled by 2**46 and truncated, which keeps distinct keys
+    apart, and offset by (i - lo) * 2**48 + 2**47, so that one sort groups
+    the pairs by anchor.
     """
     sizes = np.arange(lo, hi)  # anchor i has i earlier points
     starts = np.cumsum(sizes) - sizes
     j = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
-    keys = keys_of(xs[j] - np.repeat(xs[lo:hi], sizes), ys[j] - np.repeat(ys[lo:hi], sizes))
-    keys += np.repeat(np.arange(hi - lo, dtype=np.uint64) * np.uint64(radix), sizes)
+    dx = xs[j] - np.repeat(xs[lo:hi], sizes)
+    keys = _float_keys(dx, ys[j] - np.repeat(ys[lo:hi], sizes), np.empty_like(dx))
+    keys *= 2.0**46
+    keys = keys.astype(np.int64)
+    keys += np.repeat((np.arange(hi - lo, dtype=np.int64) << 48) + (1 << 47), sizes)
     keys.sort()
-    # A line holding L earlier points is a run of L equal keys, which marks
-    # L - 1 consecutive positions of ``same``.
-    same = np.flatnonzero(keys[1:] == keys[:-1])
-    firsts = np.flatnonzero(np.diff(same, prepend=-2) != 1)
-    marks = np.diff(firsts, append=len(same))
-    owner = (keys[same[firsts]] // np.uint64(radix)).astype(np.intp)
+    first, triples = _runs(keys)
     out = np.zeros(hi - lo, dtype=np.int64)
-    np.add.at(out, owner, marks * (marks + 1) // 2)
+    np.add.at(out, keys[first] >> 48, triples)
+    return out
+
+
+def _row_counts(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    keys_of: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    sentinels: np.ndarray,
+    work: list[np.ndarray],
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Prefix triple counts of the anchors lo .. hi - 1, one row of keys each.
+
+    Row i - lo holds the keys of xs[:hi - 1] - xs[i]; the cells j >= i are
+    not earlier points (j == i is 0 / 0) and get sentinels[j], distinct and
+    above every key, so they make no run.  The rows are computed in the
+    three arrays of ``work``, allocated by the range's first row block.
+    """
+    n = hi - 1
+    cells = (hi - lo) * n
+    if work[0].size < cells:
+        # A block of several rows holds at most _PAIR_BLOCK cells, a block of
+        # one row at most xs.size.
+        work[:] = [np.empty(max(_PAIR_BLOCK, xs.size), dtype=xs.dtype) for _ in work]
+    dx, dy, t = (w[:cells].reshape(hi - lo, n) for w in work)
+    np.subtract(xs[:n], xs[lo:hi, None], out=dx)
+    np.subtract(ys[:n], ys[lo:hi, None], out=dy)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        keys = keys_of(dx, dy, t)
+    for r in range(hi - lo - 1):
+        keys[r, lo + r:] = sentinels[lo + r: n]
+    keys.sort(axis=1)
+    # Every row but the last ends in a sentinel, so no run crosses rows.
+    first, triples = _runs(keys.ravel())
+    out = np.zeros(hi - lo, dtype=np.int64)
+    np.add.at(out, first // n, triples)
     return out
 
 
@@ -249,20 +321,32 @@ def _range_counts(task: tuple[np.ndarray, np.ndarray, int, int, int]) -> np.ndar
     given the coordinates of its first hi points, one block at a time."""
     xs, ys, s, lo, hi = task
     if s <= _FLOAT_KEY_SPAN:
-        keys_of, radix = _float_keys, 1 << 47
+        # Shifted to [0, s], the coordinates and their differences are exact
+        # in float64.
+        xs = (xs - xs.min()).astype(np.float64)
+        ys = (ys - ys.min()).astype(np.float64)
+        keys_of, top, flat_end = _float_keys, 2, _ROW_MIN_POINTS
     else:
-        keys_of, radix = partial(_gcd_keys, s=s), 2 * (s * (s + 1) + s) + 1
-    # The accepted spans give radix <= 2**64 - 1, so a block holds at least
-    # one anchor.
-    max_anchors = (2**64 - 1) // radix
+        keys_of, top, flat_end = partial(_gcd_keys, s=s), s * (s + 1) + s + 1, 0
+    # Above every key: [-1, 1] for the float key, |key| <= s * (s + 1) + s
+    # for the gcd key.
+    sentinels = top + np.arange(hi, dtype=xs.dtype)
+    work = [np.empty(0, dtype=xs.dtype)] * 3
     counts = np.zeros(hi - lo, dtype=np.int64)
     a = lo
     while a < hi:
-        # The largest b with a + ... + (b - 1) <= _PAIR_BLOCK, that is
-        # b * (b - 1) <= 2 * _PAIR_BLOCK + a * (a - 1).
-        b = (1 + math.isqrt(1 + 4 * (2 * _PAIR_BLOCK + a * (a - 1)))) // 2
-        b = min(max(b, a + 1), a + max_anchors, hi)
-        counts[a - lo: b - lo] = _block_counts(xs, ys, keys_of, radix, a, b)
+        if a < flat_end:
+            # The largest b with a + ... + (b - 1) <= _PAIR_BLOCK pairs, that
+            # is b * (b - 1) <= 2 * _PAIR_BLOCK + a * (a - 1).
+            b = (1 + math.isqrt(1 + 4 * (2 * _PAIR_BLOCK + a * (a - 1)))) // 2
+            b = min(max(b, a + 1), flat_end, hi)
+            counts[a - lo: b - lo] = _flat_counts(xs, ys, a, b)
+        else:
+            # The most rows r, of a + r - 1 cells each, that hold at most
+            # _PAIR_BLOCK cells: r * r + (a - 1) * r <= _PAIR_BLOCK.
+            r = (math.isqrt((a - 1) ** 2 + 4 * _PAIR_BLOCK) - (a - 1)) // 2
+            b = min(a + max(r, 1), hi)
+            counts[a - lo: b - lo] = _row_counts(xs, ys, keys_of, sentinels, work, a, b)
         a = b
     return counts
 
@@ -294,12 +378,11 @@ def box_profile(points: Sequence[Point], counts: Sequence[int], t_max: int) -> l
 def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
     """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max], in one pass.
 
-    Requires a positive-quadrant set.  Only the points of the largest box,
-    which lead such a set's (inf_norm, x, y) order, go through the kernel.
+    Requires a positive-quadrant set.  The set is ordered once; only the
+    points of the largest box, which lead that order, go through the kernel,
+    as a PointSet, so they are not sorted again.
     """
     if t_max < 0:
         raise ValueError(f"box exponent must be >= 0, got {t_max}")
-    pts = _ordered_points(ps)
-    top = 1 << t_max
-    inside = [p for p in pts if max(p) <= top]
-    return box_profile(pts, prefix_triple_counts(inside), t_max)
+    ordered = ps if isinstance(ps, PointSet) else PointSet(ps)
+    return box_profile(ordered.points, prefix_triple_counts(ordered.in_box(1 << t_max)), t_max)

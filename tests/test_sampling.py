@@ -292,6 +292,20 @@ def test_pointset_in_box():
     assert ps.in_box(1).points == ((1, 1),)
 
 
+@given(
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=60, unique=True),
+    st.integers(-2, 22),
+)
+@settings(max_examples=100, deadline=None)
+def test_pointset_in_box_equals_a_filtered_rebuild(pts, n):
+    # in_box takes its members from the leading points without sorting
+    # again; that must be the set the constructor builds from a filter.
+    ps = PointSet(pts, {"kind": "sampled", "seed": 3})
+    box = ps.in_box(n)
+    assert box == PointSet([(x, y) for x, y in pts if 1 <= x <= n and 1 <= y <= n], ps.meta)
+    assert box.meta is not ps.meta
+
+
 def test_pointset_equality_includes_meta():
     a = PointSet([(1, 1)], {"kind": "sampled"})
     b = PointSet([(1, 1)], {"kind": "sampled"})

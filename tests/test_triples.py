@@ -2,24 +2,28 @@
 
 The blocked anchor/direction counter is held against the cubic
 brute-force oracle on random sets and on full grids, at several anchor
-block sizes; its per-point prefix counts are cross-checked against a
-slow triple enumerator kept here as an oracle, whose output is itself
-checked against itertools.combinations.  Sets whose span straddles the
-float key's limit, and near-colliding directions just below it, check
-the choice of direction key; test_triples_gcd_key.py runs the small-span
-oracle tests again with the gcd key.
+block sizes and in both block layouts (rows and flat); its per-point prefix
+counts are cross-checked against a slow triple enumerator kept here as an
+oracle, whose output is itself checked against itertools.combinations.
+The float key is checked directly on near-colliding directions, and the
+one-side property it rests on is checked on sets with runs through points.
+Sets whose span straddles the float key's limit, and near-colliding
+directions just below it, check the choice of direction key;
+test_triples_gcd_key.py runs the small-span oracle tests again with the gcd
+key.
 """
 
+import math
 import random
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from no3l import parallel, triples
+from no3l import parallel, sampling, triples
 from no3l.geom import canonical_direction, collinear, norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
 from no3l.triples import (
@@ -180,11 +184,15 @@ def test_vectorized_path_on_a_large_set():
 @settings(max_examples=40, deadline=None)
 def test_anchor_blocks_of_any_size_agree_with_oracles(block, pts):
     # 1 puts one anchor in each block; 7 and 64 split most anchors' pairs
-    # across blocks of several anchors
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(triples, "_PAIR_BLOCK", block)
-        assert prefix_triple_counts(pts) == _counts_by_largest(pts)
-        assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+    # across blocks of several anchors.  With the row layout from anchor 0
+    # or 20, small sets go through row blocks and their sentinel cells too.
+    want, total = _counts_by_largest(pts), count_collinear_triples_bruteforce(pts)
+    for row_min in (0, 20, triples._ROW_MIN_POINTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(triples, "_PAIR_BLOCK", block)
+            mp.setattr(triples, "_ROW_MIN_POINTS", row_min)
+            assert prefix_triple_counts(pts) == want
+            assert count_collinear_triples(pts) == total
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -255,12 +263,48 @@ def test_bad_input_is_rejected_before_any_pool(pts, monkeypatch):
         prefix_triple_counts(pts)
 
 
+def _no_sort(p):
+    """Stands in for norm_lex_key where nothing may be sorted."""
+    raise AssertionError("a PointSet's points were sorted again")
+
+
+@given(
+    pts=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=60, unique=True),
+    t_max=st.integers(0, 6),
+    rnd=st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_box_triple_counts_of_a_pointset_sort_nothing_and_match_a_shuffled_list(pts, t_max, rnd):
+    ps = PointSet(pts)
+    shuffled = list(ps.points)
+    rnd.shuffle(shuffled)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triples, "norm_lex_key", _no_sort)
+        mp.setattr(sampling, "norm_lex_key", _no_sort)
+        got = box_triple_counts(ps, t_max)
+    want = [
+        count_collinear_triples_bruteforce([p for p in pts if max(p) <= 1 << t])
+        for t in range(t_max + 1)
+    ]
+    assert got == box_triple_counts(shuffled, t_max) == want
+
+
 def test_a_pointset_and_a_shuffled_list_of_its_points_give_the_same_counts():
     ps = sample_window(SamplerConfig(seed=3, c=6.0, window_exponent=5))
     shuffled = list(ps.points)
     random.Random(5).shuffle(shuffled)
     assert prefix_triple_counts(ps) == prefix_triple_counts(shuffled)
     assert box_triple_counts(ps, 4) == box_triple_counts(shuffled, 4)
+
+
+@given(random_sets, st.sampled_from([2**53 + 1, 2**62 - 101, -(2**62)]))
+@settings(max_examples=40, deadline=None)
+def test_sets_far_from_the_origin_are_counted_exactly(pts, offset):
+    # Coordinates beyond 2**53 are not exact in float64; with a small span
+    # the float key must still see exact differences.
+    far = [(x + offset, y + offset) for x, y in pts]
+    assert prefix_triple_counts(far) == _counts_by_largest(far)
+    assert count_collinear_triples(far) == count_collinear_triples(pts)
 
 
 def test_full_span_differences_of_consecutive_anchors():
@@ -301,7 +345,7 @@ def test_unpackable_coordinates_are_rejected(far):
             prefix_triple_counts(pts)
 
 
-# The widest span s with s * (s + 1) + s < 2**63: one anchor per block.
+# The widest span s with s * (s + 1) + s < 2**63, the widest the gcd key packs.
 WIDEST_SPAN = 3037000498
 
 
@@ -367,12 +411,14 @@ def test_spans_straddling_the_float_key_limit_are_counted_exactly(pts):
 
 
 # Farey neighbours p/q, p2/q2 (|p2 * q - p * q2| == 1) with q, q2 in
-# (2**20, 2**21]: slopes 1/(q * q2) ~ 2**-42 apart, the float key's margin.
+# (2**20, 2**21]: slopes 1/(q * q2) ~ 2**-42 apart.  Near 1, p + q and
+# p2 + q2 are near 2**22, so the keys p / (p + q) are 2**-44
+# apart, the float key's margin.
 FAREY_PAIRS = [
     ((1, 2**21), (1, 2**21 - 1)),  # near 0
     ((699051, 2**21), (699050, 2**21 - 3)),  # near 1/3
     ((1048573, 2**21 - 3), (699049, 1398100)),  # near 1/2
-    ((2**21 - 1, 2**21), (2**21 - 2, 2**21 - 1)),  # near 1, the class boundary
+    ((2**21 - 1, 2**21), (2**21 - 2, 2**21 - 1)),  # near 1, keys 2**-44 apart
 ]
 
 
@@ -391,8 +437,9 @@ def test_farey_neighbour_directions_get_distinct_float_keys(pair, flip, monkeypa
     o = (2**21 + 1, 2**21 + 1)
     steps = [(q, p), (q2, p2), (2 * q2 - q, 2 * p2 - p)]
     pts = [flip(*o)] + [flip(o[0] - a, o[1] - b) for a, b in steps]
-    dx, dy = (np.array(v) for v in zip(*steps))
-    assert len(set(triples._float_keys(dx, dy).tolist())) == 3
+    # the differences from the anchor, as the kernel keys them
+    dx, dy = (np.array(v, dtype=np.float64) - v0 for v, v0 in zip(zip(*pts[1:]), pts[0]))
+    assert len(set(triples._float_keys(dx, dy, np.empty(3)).tolist())) == 3
 
     def no_gcd_key(*args, **kwargs):
         raise AssertionError("span <= 2**21 must take the float key")
@@ -401,6 +448,62 @@ def test_farey_neighbour_directions_get_distinct_float_keys(pair, flip, monkeypa
     assert count_collinear_triples_bruteforce(pts) == 1
     assert prefix_triple_counts(pts) == _counts_by_largest(pts)
     assert sum(prefix_triple_counts(pts)) == 1
+
+
+@st.composite
+def runs_through_points(draw):
+    """Small sets around the origin, negative coordinates included, with
+    runs that pass through a point and extend to both sides of it."""
+    pts = set(draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=12)))
+    for _ in range(draw(st.integers(1, 4))):
+        cx, cy = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+        a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)))
+        back, ahead = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        pts.update((cx + i * a, cy + i * b) for i in range(-back, ahead + 1))
+    return sorted(pts)
+
+
+@given(runs_through_points())
+@settings(max_examples=150, deadline=None)
+def test_earlier_points_on_a_line_through_an_anchor_lie_on_one_side(pts):
+    # The direction keys need not tell opposite directions apart: on each
+    # line through an anchor, the points before it in (inf_norm, x, y) order
+    # all lie on one side of it.
+    ordered = sorted(pts, key=norm_lex_key)
+    for i, (ox, oy) in enumerate(ordered):
+        diffs = [(px - ox, py - oy) for px, py in ordered[:i]]
+        for (ax, ay), (bx, by) in combinations(diffs, 2):
+            if ax * by == ay * bx:
+                assert ax * bx + ay * by > 0
+
+
+_near = st.integers(-3, 3)
+
+
+@given(
+    st.tuples(st.integers(-(2**21), 2**21), st.integers(-(2**21), 2**21)),
+    st.one_of(
+        st.tuples(_near, _near).map(lambda e: ("offset", e)),
+        st.integers(-8, 8).map(lambda k: ("multiple", k)),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_keys_agree_exactly_on_one_line_through_the_anchor(d, other):
+    # Two differences of span <= 2**21 get one key when and only when they
+    # are parallel, with up and down along the vertical kept apart.
+    kind, e = other
+    if kind == "offset":
+        d2 = (d[0] + e[0], d[1] + e[1])
+    else:
+        g = math.gcd(*d) or 1
+        d2 = (d[0] // g * e, d[1] // g * e)
+    assume(d != (0, 0) and d2 != (0, 0) and max(map(abs, d2)) <= 2**21)
+    dx, dy = (np.array(v, dtype=np.float64) for v in zip(d, d2))
+    keys = triples._float_keys(dx, dy, np.empty(2)).tolist()
+    parallel = d[0] * d2[1] == d[1] * d2[0]
+    split_vertical = d[0] == d2[0] == 0 and d[1] * d2[1] < 0
+    assert (keys[0] == keys[1]) == (parallel and not split_vertical)
+    assert all(-1 <= k <= 1 for k in keys)
 
 
 _small_negative_sets = st.lists(
