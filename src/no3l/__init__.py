@@ -35,12 +35,8 @@ from .experiments import (
     verify_theorem,
 )
 from .geom import (
-    LatticeLine,
-    canonical_direction,
     collinear,
     inf_norm,
-    line_points_in_rect,
-    line_through,
     norm_lex_key,
     shell_index,
     shell_size,

@@ -36,13 +36,7 @@ from .analytics import (
 )
 from .construct import delete_max_with_profile, density_profile
 from .parallel import map_ordered
-from .sampling import (
-    PointSet,
-    SamplerConfig,
-    sample_window,
-    shell_counts,
-    write_pointset,
-)
+from .sampling import SamplerConfig, sample_window, shell_counts, write_pointset
 from .triples import box_triple_counts
 
 # JSON value types accepted for each manifest field annotation.
@@ -186,10 +180,8 @@ def _run_one_trial(args: tuple[int, float, int]) -> dict:
         "seed": seed,
         "x": x,
         "y": y,
-        "q_points": q.points,
-        "q_meta": q.meta,
-        "s_points": s.points,
-        "s_meta": s.meta,
+        "q": q,
+        "s": s,
         "density": density,
     }
 
@@ -228,15 +220,15 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
         if write_files:
             q_file = f"trial{i:04d}_q.tsv"
             s_file = f"trial{i:04d}_s.tsv"
-            write_pointset(PointSet(raw["q_points"], raw["q_meta"]), out_dir / q_file)
-            write_pointset(PointSet(raw["s_points"], raw["s_meta"]), out_dir / s_file)
+            write_pointset(raw["q"], out_dir / q_file)
+            write_pointset(raw["s"], out_dir / s_file)
         trials.append(
             TrialOutcome(
                 seed=raw["seed"],
                 x=raw["x"],
                 y=raw["y"],
-                q_size=len(raw["q_points"]),
-                s_size=len(raw["s_points"]),
+                q_size=len(raw["q"]),
+                s_size=len(raw["s"]),
                 density=raw["density"],
                 events=events,
                 q_file=q_file,

@@ -1,8 +1,8 @@
 """Exact geometry of the integer lattice.
 
 Everything here is decided in exact integer arithmetic (Python ints do not
-overflow), so collinearity, line membership and shell indices are never
-subject to rounding.  Conventions used throughout the package:
+overflow), so collinearity and shell indices are never subject to
+rounding.  Conventions used throughout the package:
 
 * a point is an ``(x, y)`` tuple of ints; construction-facing sets live in
   the positive quadrant ``{1, 2, ...}^2``,
@@ -19,11 +19,7 @@ subject to rounding.  Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 Point = tuple[int, int]
-Direction = tuple[int, int]
 
 # Shell sizes are kept within 64-bit range; nothing in the package needs
 # shells beyond exponent 30.
@@ -60,94 +56,6 @@ def shell_size(T: int) -> int:
     return 3 * 4**T - 2 * 2**T
 
 
-def canonical_direction(v: tuple[int, int]) -> Direction:
-    """Reduce v by its gcd and fix the sign so b > 0, or b == 0 and a > 0."""
-    a, b = v
-    if a == 0 and b == 0:
-        raise ValueError("zero vector has no direction")
-    g = math.gcd(a, b)
-    a //= g
-    b //= g
-    if b < 0 or (b == 0 and a < 0):
-        a, b = -a, -b
-    return (a, b)
-
-
 def collinear(p: Point, q: Point, r: Point) -> bool:
     """True iff p, q, r lie on one line (repeated points count as collinear)."""
     return (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
-
-
-@dataclass(frozen=True)
-class LatticeLine:
-    """The set {(x, y) : b*x - a*y == k} for canonical direction (a, b)."""
-
-    direction: Direction
-    offset: int
-
-    def __post_init__(self) -> None:
-        if self.direction != canonical_direction(self.direction):
-            raise ValueError(f"direction {self.direction} is not canonical")
-
-    def contains(self, p: Point) -> bool:
-        a, b = self.direction
-        return b * p[0] - a * p[1] == self.offset
-
-
-def line_through(p: Point, q: Point) -> LatticeLine:
-    """The unique lattice line containing two distinct points."""
-    if p == q:
-        raise ValueError(f"need two distinct points, got {p} twice")
-    a, b = canonical_direction((q[0] - p[0], q[1] - p[1]))
-    return LatticeLine((a, b), b * p[0] - a * p[1])
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
-def _ceil_div(p: int, q: int) -> int:
-    # q > 0
-    return -((-p) // q)
-
-
-def line_points_in_rect(line: LatticeLine, n: int) -> list[Point]:
-    """All points of the line inside [1, n]^2, ordered along the direction."""
-    if n < 1:
-        raise ValueError(f"box side must be >= 1, got {n}")
-    a, b = line.direction
-    k = line.offset
-    # Base solution of b*x - a*y = k from u*b + v*a = 1.
-    g, u, v = _xgcd(b, a)
-    assert g == 1
-    x0 = u * k
-    y0 = -v * k
-    # Parametrize (x0 + s*a, y0 + s*b) and intersect both coordinate ranges.
-    lo, hi = None, None
-    for base, step in ((x0, a), (y0, b)):
-        if step > 0:
-            slo = _ceil_div(1 - base, step)
-            shi = (n - base) // step
-        elif step < 0:
-            slo = _ceil_div(base - n, -step)
-            shi = (base - 1) // (-step)
-        else:
-            if not 1 <= base <= n:
-                return []
-            continue
-        lo = slo if lo is None else max(lo, slo)
-        hi = shi if hi is None else min(hi, shi)
-    assert lo is not None and hi is not None
-    return [(x0 + s * a, y0 + s * b) for s in range(lo, hi + 1)]
-

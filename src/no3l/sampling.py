@@ -224,8 +224,6 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
     once per call.  A block makes six passes: the row-column xor, multiply,
     shift, xor, multiply, and the weak z-bound test; the few cells that
     pass it get the last xorshift and the exact test (module docstring).
-    The point (1, 1) of shell 0 goes through the scalar path, which is
-    bit-identical.
     """
     meta = {
         "kind": "sampled",
@@ -238,10 +236,6 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
 
     xs_out: list[np.ndarray] = []
     ys_out: list[np.ndarray] = []
-    if point_uniform(cfg.seed, 1, 1) < shell_probability(0, cfg.c):
-        xs_out.append(np.array([1], dtype=np.int64))
-        ys_out.append(np.array([1], dtype=np.int64))
-
     seed = np.uint64(cfg.seed)
     # The widest row below has 2**W - 1 cells, the largest rectangle
     # 2**(W-1) such rows.
@@ -251,7 +245,7 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
     z_buf = np.empty(buf_cells, dtype=np.uint64)
     tmp_buf = np.empty(buf_cells, dtype=np.uint64)
     keep_buf = np.empty(buf_cells, dtype=bool)
-    for T in range(1, w):
+    for T in range(w):
         prob = shell_probability(T, cfg.c)
         if prob == 0.0:
             continue

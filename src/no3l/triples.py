@@ -10,22 +10,15 @@ T -> triples inside [1, 2**T]^2, because a triple of positive-quadrant
 points lies in that box exactly when its largest member does.  The counts
 are exact.
 
-The points act as anchors in blocks of consecutive ones, at most
-_PAIR_BLOCK (anchor, earlier point) pairs, or row cells, a block.  Each
-pair's difference becomes a direction key, and a block's keys are sorted so
-that each run of equal keys of one anchor is one line through that anchor.
-A block has one of two layouts, chosen by its rows' length:
-
-- Rows, for the anchors with at least _ROW_MIN_POINTS earlier points, and
-  for every anchor of a set keyed by gcd.  Anchors a .. b - 1 make the 2-D
-  block of differences xs[:b - 1] - xs[a:b, None], one row per anchor, with
-  no index gather.  In row i the cells j >= i are not earlier points (j = i
-  is 0 / 0); they get distinct sentinels, above every key, so they make no
-  run.  Each row is sorted on its own; every row but the last ends in a
-  sentinel, so runs read off the flattened block never cross rows.
-- Flat, for the first anchors, whose rows would be short and mostly
-  sentinels.  The pairs are gathered into one array, and each key is packed
-  with its anchor's offset into one int64 before one sort.
+The points act as anchors in row blocks of consecutive ones, at most
+_PAIR_BLOCK row cells a block.  Anchors a .. b - 1 make the 2-D block of
+differences xs[:b - 1] - xs[a:b, None], one row per anchor, with no index
+gather.  In row i the cells j >= i are not earlier points (j = i is
+0 / 0); they get distinct sentinels, above every key, so they make no run.
+Each difference becomes a direction key and each row is sorted on its own,
+so that each run of equal keys in row i is one line through anchor i;
+every row but the last ends in a sentinel, so runs read off the flattened
+block never cross rows.
 
 Only the direction key depends on the set's coordinate span s:
 
@@ -42,9 +35,7 @@ Only the direction key depends on the set's coordinate span s:
   fraction whose denominator |dx| + |dy| is at most 2s <= 2**22, so two
   distinct keys differ by at least 2**-44, while a correctly rounded
   quotient errs by at most 2**-54, and equal fractions round to the same
-  float.  No gcd, no class bit and no sign normalization are needed.  A
-  flat block scales the keys by 2**46 and truncates them, which keeps
-  distinct keys at least 2 apart.
+  float.  No gcd, no class bit and no sign normalization are needed.
 - s > 2**21: the gcd key, the difference divided by its gcd, packed as
   a * (s + 1) + b in int64, with the sentinels s * (s + 1) + s + 1 + j.
   It needs s * (s + 1) + s < 2**63: a set whose span is wider is rejected
@@ -59,9 +50,9 @@ lies in one edge of the square of that norm.  Along an edge one coordinate
 is fixed and the other is monotone, so the (inf_norm, x, y) order is
 monotone along the segment, and o, inside it, is not larger than both.
 
-A large call is spread over the worker pool.  The caller's process sorts
-the points (a PointSet is taken as stored: it is already in that order,
-without duplicates) and rejects duplicates and spans too wide to key; only
+A large call is spread over the worker pool.  The caller's process takes
+the points in PointSet order (any other input is made a PointSet, which
+sorts it and rejects duplicates) and rejects spans too wide to key; only
 then are the anchors 2 .. m - 1 cut into consecutive ranges of about
 _TASK_PAIRS pairs each, in closed form, since the anchors before a hold
 a * (a - 1) / 2 pairs.  The ranges go through one parallel.map_ordered
@@ -79,19 +70,20 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geom import Point, norm_lex_key
+from .geom import Point
 from .parallel import map_ordered
 from .sampling import PointSet
 
 BRUTE_FORCE_CAP = 2000
 
-# Earlier-point pairs, or row cells, keyed and sorted together per block of
-# anchors.  It bounds the block's temporaries.  The kernel alone took 16.5 / 13.4 / 12.4 /
-# 12.2 ns a pair at 2**13 / 2**14 / 2**15 / 2**16 on the W = 12, c = 1.0,
-# seed 1 Q (one worker, best of 5).  The benchmark's construct-verify took a
-# median wall time of 2.00 / 1.88 / 1.91 / 1.87 s and CPU time of 2.58 /
-# 2.33 / 2.26 / 2.23 s (4 interleaved runs each), and 1.81 / 1.66 s wall at
-# 2**14 / 2**15 in another 4 each; 2**16 peaked 1.1 MB higher (2-core Xeon).
+# Row cells, earlier-point pairs and the sentinels after them, keyed and
+# sorted together per block of anchors.  It bounds the block's temporaries.
+# The kernel alone took 16.5 / 13.4 / 12.4 / 12.2 ns a pair at 2**13 /
+# 2**14 / 2**15 / 2**16 on the W = 12, c = 1.0, seed 1 Q (one worker, best
+# of 5).  The benchmark's construct-verify took a median wall time of 2.00
+# / 1.88 / 1.91 / 1.87 s and CPU time of 2.58 / 2.33 / 2.26 / 2.23 s (4
+# interleaved runs each), and 1.81 / 1.66 s wall at 2**14 / 2**15 in
+# another 4 each; 2**16 peaked 1.1 MB higher (2-core Xeon).
 _PAIR_BLOCK = 1 << 15
 
 # Earlier-point pairs per pool task: prefix_triple_counts cuts its anchors
@@ -105,17 +97,6 @@ _TASK_PAIRS = 1 << 22
 
 # Widest span the float key counts exactly (see the module docstring).
 _FLOAT_KEY_SPAN = 1 << 21
-
-# Anchors with at least this many earlier points are counted in row blocks,
-# the ones before them in flat blocks.  On the W = 12, c = 1.0, seed 1 Q,
-# rows against flat took 31 / 33 ns a pair for the anchors 64 .. 127,
-# 27 / 32 for 128 .. 191, 21 / 40 for 256 .. 383 and 12 / 29 for 512 .. 767;
-# the anchors 2 .. 127 as one square row block took 43 ns a pair against
-# 40 flat.  A lemmas-t7 Monte Carlo sample (W = 8, c = 0.5, m ~ 155) took a
-# median 0.48 ms at 128 and 0.47 ms at 256 (2-core Xeon).  A flat block
-# holds about 40 bytes a pair, so the anchors below 256 (32.6k pairs)
-# peaked at 1.3 MB and those below 128 at 0.33 MB.
-_ROW_MIN_POINTS = 128
 
 
 def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
@@ -188,29 +169,6 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return same[bounds[:-1]], marks * (marks + 1) // 2
 
 
-def _flat_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Prefix triple counts of the anchors lo .. hi - 1, float key, from one
-    flat array of their (anchor, earlier point) pairs.
-
-    Each key is scaled by 2**46 and truncated, which keeps distinct keys
-    apart, and offset by (i - lo) * 2**48 + 2**47, so that one sort groups
-    the pairs by anchor.
-    """
-    sizes = np.arange(lo, hi)  # anchor i has i earlier points
-    starts = np.cumsum(sizes) - sizes
-    j = np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
-    dx = xs[j] - np.repeat(xs[lo:hi], sizes)
-    keys = _float_keys(dx, ys[j] - np.repeat(ys[lo:hi], sizes), np.empty_like(dx))
-    keys *= 2.0**46
-    keys = keys.astype(np.int64)
-    keys += np.repeat((np.arange(hi - lo, dtype=np.int64) << 48) + (1 << 47), sizes)
-    keys.sort()
-    first, triples = _runs(keys)
-    out = np.zeros(hi - lo, dtype=np.int64)
-    np.add.at(out, keys[first] >> 48, triples)
-    return out
-
-
 def _row_counts(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -225,21 +183,18 @@ def _row_counts(
     Row i - lo holds the keys of xs[:hi - 1] - xs[i]; the cells j >= i are
     not earlier points (j == i is 0 / 0) and get sentinels[j], distinct and
     above every key, so they make no run.  The rows are computed in the
-    three arrays of ``work``, allocated by the range's first row block.
+    three arrays of ``work``, each of at least (hi - lo) * (hi - 1) cells.
     """
     n = hi - 1
     cells = (hi - lo) * n
-    if work[0].size < cells:
-        # A block of several rows holds at most _PAIR_BLOCK cells, a block of
-        # one row at most xs.size.
-        work[:] = [np.empty(max(_PAIR_BLOCK, xs.size), dtype=xs.dtype) for _ in work]
     dx, dy, t = (w[:cells].reshape(hi - lo, n) for w in work)
     np.subtract(xs[:n], xs[lo:hi, None], out=dx)
     np.subtract(ys[:n], ys[lo:hi, None], out=dy)
     with np.errstate(invalid="ignore", divide="ignore"):
         keys = keys_of(dx, dy, t)
-    for r in range(hi - lo - 1):
-        keys[r, lo + r:] = sentinels[lo + r: n]
+    # The cells lo + r .. n - 1 of row r: the upper triangle of keys[:k, lo:].
+    k = hi - lo - 1
+    np.copyto(keys[:k, lo:], sentinels[lo:n], where=np.arange(k) >= np.arange(k)[:, None])
     keys.sort(axis=1)
     # Every row but the last ends in a sentinel, so no run crosses rows.
     first, triples = _runs(keys.ravel())
@@ -278,7 +233,7 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     storage order).  Summing a prefix of the result counts the triples among
     the corresponding smallest points.
     """
-    pts = _ordered_points(ps)
+    pts = ps.points if isinstance(ps, PointSet) else PointSet(ps).points
     m = len(pts)
     if m < 3:
         return [0] * m
@@ -286,14 +241,6 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     # A range's anchors compare only with the points before its end.
     tasks = [(xs[:hi], ys[:hi], s, lo, hi) for lo, hi in _anchor_ranges(m)]
     return [0, 0] + np.concatenate(map_ordered(_range_counts, tasks)).tolist()
-
-
-def _ordered_points(ps: PointSet | Iterable[Point]) -> Sequence[Point]:
-    """The points in (inf_norm, x, y) order; a PointSet is stored in it,
-    without duplicates."""
-    if isinstance(ps, PointSet):
-        return ps.points
-    return sorted(_as_points(ps), key=norm_lex_key)
 
 
 def _anchor_ranges(m: int) -> list[tuple[int, int]]:
@@ -325,28 +272,24 @@ def _range_counts(task: tuple[np.ndarray, np.ndarray, int, int, int]) -> np.ndar
         # in float64.
         xs = (xs - xs.min()).astype(np.float64)
         ys = (ys - ys.min()).astype(np.float64)
-        keys_of, top, flat_end = _float_keys, 2, _ROW_MIN_POINTS
+        keys_of, top = _float_keys, 2
     else:
-        keys_of, top, flat_end = partial(_gcd_keys, s=s), s * (s + 1) + s + 1, 0
+        keys_of, top = partial(_gcd_keys, s=s), s * (s + 1) + s + 1
     # Above every key: [-1, 1] for the float key, |key| <= s * (s + 1) + s
     # for the gcd key.
     sentinels = top + np.arange(hi, dtype=xs.dtype)
-    work = [np.empty(0, dtype=xs.dtype)] * 3
+    # A block of several rows holds at most _PAIR_BLOCK cells, a block of one
+    # row at most hi - 1, and no block more than the whole range.
+    size = min(max(_PAIR_BLOCK, hi - 1), (hi - lo) * (hi - 1))
+    work = [np.empty(size, dtype=xs.dtype) for _ in range(3)]
     counts = np.zeros(hi - lo, dtype=np.int64)
     a = lo
     while a < hi:
-        if a < flat_end:
-            # The largest b with a + ... + (b - 1) <= _PAIR_BLOCK pairs, that
-            # is b * (b - 1) <= 2 * _PAIR_BLOCK + a * (a - 1).
-            b = (1 + math.isqrt(1 + 4 * (2 * _PAIR_BLOCK + a * (a - 1)))) // 2
-            b = min(max(b, a + 1), flat_end, hi)
-            counts[a - lo: b - lo] = _flat_counts(xs, ys, a, b)
-        else:
-            # The most rows r, of a + r - 1 cells each, that hold at most
-            # _PAIR_BLOCK cells: r * r + (a - 1) * r <= _PAIR_BLOCK.
-            r = (math.isqrt((a - 1) ** 2 + 4 * _PAIR_BLOCK) - (a - 1)) // 2
-            b = min(a + max(r, 1), hi)
-            counts[a - lo: b - lo] = _row_counts(xs, ys, keys_of, sentinels, work, a, b)
+        # The most rows r, of a + r - 1 cells each, that hold at most
+        # _PAIR_BLOCK cells: r * r + (a - 1) * r <= _PAIR_BLOCK.
+        r = (math.isqrt((a - 1) ** 2 + 4 * _PAIR_BLOCK) - (a - 1)) // 2
+        b = min(a + max(r, 1), hi)
+        counts[a - lo: b - lo] = _row_counts(xs, ys, keys_of, sentinels, work, a, b)
         a = b
     return counts
 

@@ -29,10 +29,11 @@ from no3l.analytics import (
     x_floor,
     y_ceiling,
 )
-from no3l.geom import collinear, line_through, shell_index
+from no3l.geom import collinear, shell_index
 from no3l.parallel import map_ordered
 from no3l.sampling import SamplerConfig, sample_window, shell_probability
 from no3l.triples import box_triple_counts
+from lattice_lines import line_through
 
 # number of lines with at least two points in [1, 2**T]^2
 LINE_COUNTS = {1: 6, 2: 62, 3: 938, 4: 14946}

@@ -18,13 +18,14 @@ from no3l.construct import (
     greedy_construct,
     modular_parabola,
 )
-from no3l.geom import line_points_in_rect, line_through, norm_lex_key
+from no3l.geom import norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
 from no3l.triples import (
     count_collinear_triples,
     count_collinear_triples_bruteforce,
     prefix_triple_counts,
 )
+from lattice_lines import line_points_in_rect, line_through
 
 GREEDY_SIZES = {1: 1, 2: 4, 3: 8, 4: 20, 5: 46, 6: 84, 7: 162, 8: 340, 9: 646, 10: 1336}
 

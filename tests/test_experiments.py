@@ -111,8 +111,7 @@ def test_one_trial_pass_matches_the_separate_passes(seed):
     assert raw["x"] == shell_counts(q, w)
     assert raw["y"] == box_triple_counts(q, w - 1)
     assert raw["y"][w - 1] > 0
-    assert raw["s_points"] == s.points
-    assert raw["s_meta"] == s.meta
+    assert raw["s"] == s
 
 
 def test_run_trials_events_match_thresholds(small_run):

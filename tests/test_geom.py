@@ -13,16 +13,13 @@ from hypothesis import strategies as st
 
 from no3l.geom import (
     SHELL_EXPONENT_CAP,
-    LatticeLine,
-    canonical_direction,
     collinear,
     inf_norm,
-    line_points_in_rect,
-    line_through,
     norm_lex_key,
     shell_index,
     shell_size,
 )
+from lattice_lines import LatticeLine, canonical_direction, line_points_in_rect, line_through
 
 coord = st.integers(min_value=-50, max_value=50)
 point = st.tuples(coord, coord)

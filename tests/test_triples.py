@@ -2,9 +2,10 @@
 
 The blocked anchor/direction counter is held against the cubic
 brute-force oracle on random sets and on full grids, at several anchor
-block sizes and in both block layouts (rows and flat); its per-point prefix
-counts are cross-checked against a slow triple enumerator kept here as an
-oracle, whose output is itself checked against itertools.combinations.
+block sizes, so that short rows full of sentinels are exercised too; its
+per-point prefix counts are cross-checked against a slow triple
+enumerator kept here as an oracle, whose output is itself checked against
+itertools.combinations.
 The float key is checked directly on near-colliding directions, and the
 one-side property it rests on is checked on sets with runs through points.
 Sets whose span straddles the float key's limit, and near-colliding
@@ -24,7 +25,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from no3l import parallel, sampling, triples
-from no3l.geom import canonical_direction, collinear, norm_lex_key
+from no3l.geom import collinear, norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
 from no3l.triples import (
     box_triple_counts,
@@ -32,6 +33,7 @@ from no3l.triples import (
     count_collinear_triples_bruteforce,
     prefix_triple_counts,
 )
+from lattice_lines import canonical_direction
 
 
 def enumerate_collinear_triples(pts):
@@ -183,16 +185,13 @@ def test_vectorized_path_on_a_large_set():
 @given(pts=mixed_sets)
 @settings(max_examples=40, deadline=None)
 def test_anchor_blocks_of_any_size_agree_with_oracles(block, pts):
-    # 1 puts one anchor in each block; 7 and 64 split most anchors' pairs
-    # across blocks of several anchors.  With the row layout from anchor 0
-    # or 20, small sets go through row blocks and their sentinel cells too.
+    # 1 puts one anchor in each block; 7 and 64 put several anchors' rows,
+    # and their sentinel cells, in each block.
     want, total = _counts_by_largest(pts), count_collinear_triples_bruteforce(pts)
-    for row_min in (0, 20, triples._ROW_MIN_POINTS):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(triples, "_PAIR_BLOCK", block)
-            mp.setattr(triples, "_ROW_MIN_POINTS", row_min)
-            assert prefix_triple_counts(pts) == want
-            assert count_collinear_triples(pts) == total
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triples, "_PAIR_BLOCK", block)
+        assert prefix_triple_counts(pts) == want
+        assert count_collinear_triples(pts) == total
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -279,7 +278,6 @@ def test_box_triple_counts_of_a_pointset_sort_nothing_and_match_a_shuffled_list(
     shuffled = list(ps.points)
     rnd.shuffle(shuffled)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(triples, "norm_lex_key", _no_sort)
         mp.setattr(sampling, "norm_lex_key", _no_sort)
         got = box_triple_counts(ps, t_max)
     want = [
