@@ -47,11 +47,12 @@ sum of p(x) * beta(x) = 3 * E[Y_T], which makes a sharp self-test.
 One scan per exponent serves both reports: exact_reports builds beta
 only where T <= VARIANCE_CAP, and weight_sums, variance_bounds and
 beta_box_grid are single-exponent calls of the same scan.  The scans run
-on the worker pool, every exponent's tasks in one map: a scan without
-beta is split into slices of its directions of about equal work, and
-math.fsum joins their per-direction parts, rounding the exact sum once;
-a scan with beta is one task, so beta and v1 are summed in one order.
-Neither the slicing nor the worker count changes a bit of the output.
+on the worker pool, every exponent's tasks in one map, largest box first:
+a scan without beta deals its directions round-robin to one task per
+worker, and math.fsum joins their per-direction parts, rounding the exact
+sum once; a scan with beta is one task, so beta and v1 are summed in one
+order.  Neither the dealing nor the worker count changes a bit of the
+output.
 
 Caps: full line-family scans are quartic-ish in the box side, so exact
 enumeration is allowed up to box exponent 7 and the variance machinery up
@@ -67,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import map_ordered
+from .parallel import map_ordered, resolve_workers
 from .sampling import (
     WINDOW_EXPONENT_CAP,
     SamplerConfig,
@@ -79,17 +80,6 @@ from .triples import box_triple_counts
 
 ENUMERATION_CAP = 7
 VARIANCE_CAP = 6
-
-# Cells (_direction_cells: box points plus offset bins) per task of a
-# weight-only family scan.  On a 2-core Xeon a T = 7 direction costs about
-# 19 ns a box point, 8 ns an offset bin and 27 us besides, so counting the
-# bins keeps the slices of large b, with few points but wide bins, from
-# running long.  lemma_report's exact phase (T = 3..7, c = 0.5, 2 workers;
-# three interleaved rounds, median of 5 each) took 1.39-1.71 / 1.48-1.69 /
-# 1.52-1.64 s at 2**21 / 2**22 / 2**23 cells, T = 7 then making 73 / 37 /
-# 19 tasks, against 2.5-2.9 s on 1 worker; slicing by box points alone
-# gave 1.69-1.79 s at 2**19 to 2**24.
-_SCAN_CHUNK_CELLS = 1 << 22
 
 
 def _require_cap(T: int, cap: int, what: str) -> None:
@@ -234,19 +224,6 @@ class VarianceBoundReport:
     var_bound_total: float
 
 
-def _direction_cells(n: int, dirs: np.ndarray) -> np.ndarray:
-    """Array cells the scan of each direction (a, b) with |a| <= b walks.
-
-    That is the box points of its _neighbour_rects, (n - |a|) * (n - b),
-    min(|a|, n - |a|) * (n - b) and max(n - 2|a|, 0) * min(b, n - b), plus
-    its offset bins, b * (n - |a| - 1) + |a| * (n - b - 1) + 1.
-    """
-    a, b = np.abs(dirs[:, 0]), dirs[:, 1]
-    points = (n - a) * (n - b) + np.minimum(a, n - a) * (n - b)
-    points += np.maximum(n - 2 * a, 0) * np.minimum(b, n - b)
-    return points + b * (n - a - 1) + a * (n - b - 1) + 1
-
-
 def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
     """Per-direction parts of one slice of an exponent's scanned directions.
 
@@ -299,36 +276,30 @@ def _family_scans(
 ) -> list[tuple[LineWeightReport, VarianceBoundReport | None, np.ndarray | None]]:
     """One family scan per (T, c, want_beta) request, all on the worker pool.
 
-    A weight-only scan is split into consecutive slices of its directions
-    of about _SCAN_CHUNK_CELLS cells each (_direction_cells); a beta scan
-    is one task, so beta and v1 are summed in one order whatever the worker
-    count.  Every task of every request goes through one map_ordered call,
-    largest first, and math.fsum joins the per-direction parts: it rounds
-    the exact sum once, so neither the slicing nor the worker count can
-    change a bit.  Returns, per request, its weight report and, for a beta
-    scan, its variance report and beta grid.
+    A weight-only scan deals its directions round-robin into one task per
+    worker, dirs[k::w]; a beta scan is one task, so beta and v1 are summed
+    in one order whatever the worker count.  Every task of every request
+    goes through one map_ordered call, largest box first, and math.fsum
+    joins the per-direction parts: it rounds the exact sum once, so neither
+    the dealing nor the worker count can change a bit.  Returns, per
+    request, its weight report and, for a beta scan, its variance report
+    and beta grid.
     """
-    tasks = []  # (cells, request index, task args)
-    for i, (T, c, want_beta) in enumerate(requests):
+    workers = resolve_workers()
+    tasks = []  # (request index, task args), largest box first
+    for i, (T, c, want_beta) in sorted(enumerate(requests), key=lambda r: r[1][0], reverse=True):
         if c <= 0:
             raise ValueError(f"sampling rate must be > 0, got {c}")
-        n = 1 << T
-        dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b]
-        cells = _direction_cells(n, np.array(dirs, dtype=np.int64).reshape(-1, 2))
-        cuts = [0, len(dirs)]
-        if not want_beta:
-            # direction j joins slice (cells before j) // _SCAN_CHUNK_CELLS
-            slot = (np.cumsum(cells) - cells) // _SCAN_CHUNK_CELLS
-            cuts[1:1] = (np.flatnonzero(np.diff(slot)) + 1).tolist()
-        for lo, hi in zip(cuts, cuts[1:]):
-            tasks.append((int(cells[lo:hi].sum()), i, (T, c, dirs[lo:hi], want_beta)))
-    order = sorted(range(len(tasks)), key=lambda j: tasks[j][0], reverse=True)
-    outs: list = [None] * len(tasks)
-    for j, out in zip(order, map_ordered(_scan_chunk, [tasks[j][2] for j in order])):
-        outs[j] = out
+        dirs = [(a, b) for a, b in _box_directions(1 << T) if abs(a) <= b]
+        if want_beta:
+            slices = [dirs]
+        else:
+            slices = [dirs[k::workers] for k in range(min(workers, len(dirs)))]
+        tasks += [(i, (T, c, dirs_k, want_beta)) for dirs_k in slices]
+    outs = map_ordered(_scan_chunk, [args for _, args in tasks])
     reports = []
     for i, (T, c, want_beta) in enumerate(requests):
-        mine = [out for (_, owner, _), out in zip(tasks, outs) if owner == i]
+        mine = [out for (owner, _), out in zip(tasks, outs) if owner == i]
         weights = LineWeightReport(
             T=T, c=c,
             sum_w3=math.fsum(p for out in mine for p in out[0]),

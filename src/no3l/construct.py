@@ -202,18 +202,18 @@ def density_profile(
     """Rows (n, members in [1, n]^2, count * sqrt(ln n) / n).
 
     The natural logarithm is used.  For sets carrying a window exponent W the
-    profile is only meaningful, and only allowed, for n <= 2**(W - 1): larger
-    boxes leak out of the region the construction has actually filled.
+    profile is allowed for n <= 2**W - 1, the side of the window: the
+    deletion rule is prefix-closed (module docstring), so a repaired set
+    restricted to [1, n]^2 is exact for every box inside the window.
     """
     w = ps.meta.get("window_exponent")
     rows = []
     for n in side_lengths:
         if n < 2:
             raise ValueError(f"density needs box side >= 2, got {n}")
-        if w is not None and n > 1 << (w - 1):
+        if w is not None and n.bit_length() > w:
             raise ValueError(
-                f"box side {n} exceeds 2**{w - 1}, the valid range for a"
-                f" window of exponent {w}"
+                f"box side {n} exceeds 2**{w} - 1, the side of a window of exponent {w}"
             )
         count = sum(1 for x, y in ps.points if 1 <= x <= n and 1 <= y <= n)
         rows.append((n, count, count * math.sqrt(math.log(n)) / n))

@@ -325,12 +325,16 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _meta_line(meta: dict) -> str:
+    """The one #meta line the writer emits for meta: its four keys, sorted."""
+    return "#meta " + json.dumps({k: meta.get(k) for k in _META_KEYS}, sort_keys=True)
+
+
 def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
     """Serialize: magic line, one-line JSON meta, then x<TAB>y rows in order."""
-    meta = {k: ps.meta.get(k) for k in _META_KEYS}
     with open(path, "w", encoding="ascii") as fh:
         fh.write(FORMAT_MAGIC + "\n")
-        fh.write("#meta " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(_meta_line(ps.meta) + "\n")
         for x, y in ps.points:
             fh.write(f"{x}\t{y}\n")
 
@@ -338,9 +342,10 @@ def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
 def read_pointset(path: str | os.PathLike) -> PointSet:
     """Parse the format written by write_pointset.
 
-    The meta may hold only its keys and finite numbers, and the rows must
+    The meta line must be the one the writer emits for its values (its four
+    keys, sorted, finite numbers, json.dumps spacing), and the rows must
     match its order and form, so a set read back from its own rewrite is
-    equal to it.
+    equal to it and two files of one set differ at most in a final newline.
     """
     with open(path, "r", encoding="ascii", newline="\n") as fh:
         magic = fh.readline().rstrip("\n")
@@ -366,6 +371,11 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
         unknown = sorted(set(meta) - set(_META_KEYS))
         if unknown:
             raise ValueError(f"{path}:2: unknown meta keys {unknown}")
+        if meta_line != _meta_line(meta):
+            raise ValueError(
+                f"{path}:2: meta is not as the writer emits it: all four keys, sorted,"
+                " with its spacing and number forms"
+            )
         pts: list[Point] = []
         prev_key = None
         for ln, line in enumerate(fh, start=3):

@@ -329,18 +329,6 @@ def test_variance_bounds_pins(T):
     )
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 4])
-def test_direction_cells_count_the_rect_points_and_the_bins(T):
-    n = 1 << T
-    grids = _probability_grids(T, 0.5)
-    dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b]
-    want = []
-    for a, b in dirs:
-        _, cnt, _, parts = _direction_line_sums(n, a, b, grids)
-        want.append(sum(k.size for _, k in parts) + cnt.size)
-    assert analytics._direction_cells(n, np.array(dirs)).tolist() == want
-
-
 @pytest.fixture(scope="module")
 def serial_reports_half():
     """weight_sums and variance_bounds at c = 0.5 for T = 1 .. VARIANCE_CAP, on 1 worker."""
@@ -355,13 +343,14 @@ def test_one_scan_per_exponent_equals_the_per_exponent_reports(
     monkeypatch, serial_reports_half, workers
 ):
     monkeypatch.setenv("NO3L_THREADS", workers)
-    # weight_sums(6) splits its scan; exact_reports scans T = 6 with beta, whole
+    # weight_sums(6) deals its scan out; exact_reports scans T = 6 with beta, whole
     ts = [*range(1, VARIANCE_CAP + 1), ENUMERATION_CAP + 1]
     assert exact_reports(ts, 0.5) == serial_reports_half
 
 
-def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch):
-    ts = range(1, 6)  # one task per scan at the default chunk size
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch, workers):
+    ts = range(1, 6)
     want = {t: (weight_sums(t, 0.3), variance_bounds(t, 0.3), beta_box_grid(t, 0.3)) for t in ts}
     tasks = []
 
@@ -370,21 +359,20 @@ def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch):
         return map_ordered(fn, items)
 
     monkeypatch.setattr(analytics, "map_ordered", recording)
-    monkeypatch.setattr(analytics, "_SCAN_CHUNK_CELLS", 1)
-    monkeypatch.setenv("NO3L_THREADS", "2")
+    monkeypatch.setenv("NO3L_THREADS", workers)
     requests = [(t, 0.3, want_beta) for t in ts for want_beta in (False, True)]
     got = analytics._family_scans(requests)
     for (t, _, want_beta), (weights, bounds, beta) in zip(requests, got):
-        mine = [dirs for T, _, dirs, b in tasks if (T, b) == (t, want_beta)]
-        # each task gets its own slice; only weight-only scans are split
-        assert sorted(d for dirs in mine for d in dirs) == sorted(
-            (a, b) for a, b in _box_directions(1 << t) if abs(a) <= b
-        )
+        mine = [part for T, _, part, b in tasks if (T, b) == (t, want_beta)]
+        dirs = [(a, b) for a, b in _box_directions(1 << t) if abs(a) <= b]
+        # the tasks cover the scan's directions once each
+        assert sorted(d for part in mine for d in part) == sorted(dirs)
         assert weights == want[t][0]
         if want_beta:
             assert len(mine) == 1
             assert bounds == want[t][1]
             assert np.array_equal(beta, want[t][2])
         else:
-            assert len(mine) > 1
+            # one task per worker, or per direction if there are fewer
+            assert len(mine) == min(int(workers), len(dirs))
             assert bounds is None and beta is None

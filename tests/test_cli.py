@@ -8,6 +8,7 @@ contract: 0 success, 1 failed check, 2 usage error.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -228,11 +229,16 @@ def test_bench_pass_and_fail(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "q.tsv"
+    # the child imports the package this suite imported, even when only
+    # pytest's own pythonpath setting put it on the path
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, "-m", "no3l.cli", "sample", "--seed", "1", "--c", "0.1",
          "--window", "6", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert proc.returncode == 0
     assert out.exists()
@@ -267,7 +273,8 @@ def test_verify_rejects_coordinates_too_wide_to_pack(tmp_path, capsys):
 def test_verify_rejects_rows_the_writer_never_emits(tmp_path, capsys, row):
     # each would otherwise read back as a set some other file also encodes
     path = tmp_path / "odd.tsv"
-    path.write_text(f'#no3l v1\n#meta {{"kind": null}}\n1\t1\n{row}\n', encoding="ascii")
+    meta = '{"c": null, "kind": null, "seed": null, "window_exponent": null}'
+    path.write_text(f"#no3l v1\n#meta {meta}\n1\t1\n{row}\n", encoding="ascii")
     assert main(["verify", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "odd.tsv:4:" in err
@@ -286,14 +293,20 @@ def test_verify_rejects_rows_the_writer_never_emits(tmp_path, capsys, row):
         ('{"kind": null, "extra": 1}', "extra"),
         ('{"c": 0.5, "kind": [-Infinity]}', "-Infinity"),
         ('{"seed": 1e999}', "1e999"),
+        ('{"c":0.5,"kind":null,"seed":null,"window_exponent":null}', "writer emits"),
+        ('{"c": 0.5, "kind": null, "seed": null}', "writer emits"),
+        ('{"c": 0.50, "kind": null, "seed": null, "window_exponent": null}', "writer emits"),
+        ('{"kind": null, "c": 0.5, "seed": null, "window_exponent": null}', "writer emits"),
     ],
-    ids=["nan-and-unknown-key", "unknown-key", "nested-infinity", "overflowing-literal"],
+    ids=["nan-and-unknown-key", "unknown-key", "nested-infinity", "overflowing-literal",
+         "spacing", "missing-key", "trailing-zero", "key-order"],
 )
 def test_meta_the_writer_never_emits_is_a_usage_error(
     tmp_path, capsys, monkeypatch, argv, meta, needle
 ):
-    # each read to a set that its own rewrite did not reproduce, or that the
-    # writer wrote back as NaN or Infinity, which is not JSON
+    # each read to a set that its own rewrite did not reproduce, that the
+    # writer wrote back as NaN or Infinity, which is not JSON, or that the
+    # writer writes with another meta line
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "odd.tsv"
     path.write_text(f"#no3l v1\n#meta {meta}\n1\t1\n", encoding="ascii")
@@ -375,11 +388,12 @@ def test_read_pointset_is_canonical_or_rejects(tmp_path_factory, spec):
         ps = read_pointset(tmp / "in.tsv")
     except ValueError:
         return
-    rows = data.decode("ascii").split("\n")[2:]
-    if rows and rows[-1] == "":
-        rows.pop()
+    # the meta line and the rows, which the rewrite must reproduce
+    lines = data.decode("ascii").split("\n")[1:]
+    if lines and lines[-1] == "":
+        lines.pop()
     write_pointset(ps, tmp / "out.tsv")
-    assert (tmp / "out.tsv").read_text(encoding="ascii").split("\n")[2:-1] == rows
+    assert (tmp / "out.tsv").read_text(encoding="ascii").split("\n")[1:-1] == lines
     assert read_pointset(tmp / "out.tsv") == ps
 
 

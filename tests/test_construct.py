@@ -151,8 +151,28 @@ def test_density_profile_validation():
     with pytest.raises(ValueError):
         density_profile(ps, [1])
     with pytest.raises(ValueError):
-        density_profile(ps, [16])  # box reaches past the covered window half
-    density_profile(ps, [8])
+        density_profile(ps, [16])  # box reaches past the window [1, 15]^2
+    density_profile(ps, [8, 15])
+
+
+@given(
+    seed=st.integers(1, 2**32),
+    w=st.integers(1, 9),
+    c=st.sampled_from([0.3, 1.0, 3.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_repair_is_exact_on_every_box_of_the_window(seed, w, c):
+    # the deletion rule is prefix-closed, so the repair of a window is the
+    # repair of any larger window restricted to it, out to its side 2**W - 1
+    def repaired(window):
+        cfg = SamplerConfig(seed=seed, c=c, window_exponent=window)
+        return delete_max_of_triples(sample_window(cfg))
+
+    n = (1 << w) - 1
+    small, large = repaired(w), repaired(w + 1)
+    assert small.points == large.in_box(n).points
+    sides = [n] if n >= 2 else []
+    assert density_profile(small, sides) == density_profile(large, sides)
 
 
 def test_parabola_density_pin():

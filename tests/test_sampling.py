@@ -342,16 +342,19 @@ def test_read_pointset_rejects_bad_meta(tmp_path):
         read_pointset(path)
 
 
+NULL_META = '{"c": null, "kind": null, "seed": null, "window_exponent": null}'
+
+
 def test_read_pointset_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text('#no3l v1\n#meta {"kind": null}\n1\t1\t1\n', encoding="ascii")
+    path.write_text(f"#no3l v1\n#meta {NULL_META}\n1\t1\t1\n", encoding="ascii")
     with pytest.raises(ValueError, match=r"bad\.tsv:3"):
         read_pointset(path)
 
 
 def test_read_pointset_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text('#no3l v1\n#meta {"kind": null}\n2\t2\n1\t1\n', encoding="ascii")
+    path.write_text(f"#no3l v1\n#meta {NULL_META}\n2\t2\n1\t1\n", encoding="ascii")
     with pytest.raises(ValueError, match="order"):
         read_pointset(path)
 
