@@ -192,6 +192,19 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet({len(self.points)} points, meta={self.meta!r})"
 
+    @classmethod
+    def _ordered(cls, points: tuple[Point, ...], meta: dict) -> "PointSet":
+        """A PointSet of points already as the constructor would store them.
+
+        The caller guarantees distinct pairs of Python ints in (inf_norm,
+        x, y) order inside meta's window, and a meta with every key;
+        nothing is sorted or checked.
+        """
+        ps = object.__new__(cls)
+        ps.points = points
+        ps.meta = meta
+        return ps
+
     def in_box(self, n: int) -> "PointSet":
         """Members inside [1, n]^2, same provenance.
 
@@ -199,10 +212,9 @@ class PointSet:
         their order, so they are not sorted or checked again.
         """
         lead = self.points[: bisect_right(self.points, n, key=inf_norm)]
-        box = object.__new__(PointSet)
-        box.points = tuple(p for p in lead if p[0] >= 1 and p[1] >= 1)
-        box.meta = dict(self.meta)
-        return box
+        return PointSet._ordered(
+            tuple(p for p in lead if p[0] >= 1 and p[1] >= 1), dict(self.meta)
+        )
 
 
 def _keep_bound(prob: float) -> int:
@@ -224,6 +236,8 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
     once per call.  A block makes six passes: the row-column xor, multiply,
     shift, xor, multiply, and the weak z-bound test; the few cells that
     pass it get the last xorshift and the exact test (module docstring).
+    Each cell is hashed once and lies in the window, so the kept points,
+    lexsorted into (inf_norm, x, y) order, go into the PointSet as they are.
     """
     meta = {
         "kind": "sampled",
@@ -232,7 +246,7 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
         "window_exponent": cfg.window_exponent,
     }
     if cfg.c == 0:
-        return PointSet((), meta)
+        return PointSet._ordered((), meta)
 
     xs_out: list[np.ndarray] = []
     ys_out: list[np.ndarray] = []
@@ -291,12 +305,11 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
                 ys_out.append(keep_col + y_lo)
 
     if not xs_out:
-        return PointSet((), meta)
+        return PointSet._ordered((), meta)
     x = np.concatenate(xs_out)
     y = np.concatenate(ys_out)
     order = np.lexsort((y, x, np.maximum(x, y)))
-    pts = [(int(a), int(b)) for a, b in zip(x[order], y[order])]
-    return PointSet(pts, meta)
+    return PointSet._ordered(tuple(zip(x[order].tolist(), y[order].tolist())), meta)
 
 
 def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
@@ -339,21 +352,28 @@ def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
             fh.write(f"{x}\t{y}\n")
 
 
+def _require_newline(path: str | os.PathLike, ln: int, line: str) -> None:
+    if not line.endswith("\n"):
+        raise ValueError(f"{path}:{ln}: the last line has no final newline")
+
+
 def read_pointset(path: str | os.PathLike) -> PointSet:
     """Parse the format written by write_pointset.
 
     The meta line must be the one the writer emits for its values (its four
-    keys, sorted, finite numbers, json.dumps spacing), and the rows must
-    match its order and form, so a set read back from its own rewrite is
-    equal to it and two files of one set differ at most in a final newline.
+    keys, sorted, finite numbers, json.dumps spacing), the rows must match
+    its order and form, and every line must end in a newline, so a file
+    that reads is byte for byte the writer's file of its set.
     """
     with open(path, "r", encoding="ascii", newline="\n") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != FORMAT_MAGIC:
             raise ValueError(f"{path}: bad magic line {magic!r}")
-        meta_line = fh.readline().rstrip("\n")
+        meta_line = fh.readline()
         if not meta_line.startswith("#meta "):
             raise ValueError(f"{path}: missing #meta line")
+        _require_newline(path, 2, meta_line)
+        meta_line = meta_line[:-1]
         try:
             meta = json.loads(
                 meta_line[len("#meta "):],
@@ -379,7 +399,8 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
         pts: list[Point] = []
         prev_key = None
         for ln, line in enumerate(fh, start=3):
-            fields = line.rstrip("\n").split("\t")
+            _require_newline(path, ln, line)
+            fields = line[:-1].split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{ln}: expected two tab-separated fields")
             try:

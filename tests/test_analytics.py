@@ -310,6 +310,36 @@ def test_beta_grid_is_symmetric_and_matches_brute():
         assert grid[x[0] - 1, x[1] - 1] == pytest.approx(_beta_brute(x, 4, 0.5), rel=1e-11)
 
 
+@pytest.mark.parametrize("c", [0.05, 0.5, 3.0, 30.0])
+def test_two_point_directions_match_the_bincount_path(c):
+    # A scanned direction has no three-point line iff 2b >= n.  The scan
+    # reads those directions' W from two slices of P; each direction's line
+    # count, w3 and w4 must equal what the bincount path's bins give, with
+    # no e3 part and no beta contribution, which the bincount path has only
+    # to rounding.
+    for T in range(1, 6):
+        n = 1 << T
+        grids = _probability_grids(T, c)
+        P, P2, _ = grids
+        for a, b in _box_directions(n):
+            if abs(a) > b:
+                continue
+            two_point = 2 * b >= n
+            _, cnt, (w1, w2, _), parts = _direction_line_sums(n, a, b, grids)
+            assert (cnt.max() <= 2) == two_point
+            mult = 2 if abs(a) < b else 1
+            w3, w4, ey, lines, v1, beta = analytics._scan_chunk((T, c, [(a, b)], True))
+            assert lines == mult * np.count_nonzero(cnt)
+            assert w3 == [pytest.approx(mult * np.sum(w1**3), rel=1e-14)]
+            assert w4 == [pytest.approx(mult * np.sum(w1**4), rel=1e-14)]
+            if two_point:
+                assert ey == [] and v1 == 0.0 and not beta.any()
+                for (x_lo, x_hi, y_lo, y_hi), k in parts:
+                    box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
+                    rounding = (w1[k] - P[box]) ** 2 - (w2[k] - P2[box])
+                    np.testing.assert_allclose(rounding, 0.0, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("T", sorted(WEIGHT_SUMS_HALF))
 def test_weight_sums_pins(T):
     w3, w4, ey, lines = WEIGHT_SUMS_HALF[T]

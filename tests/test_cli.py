@@ -318,6 +318,28 @@ def test_meta_the_writer_never_emits_is_a_usage_error(
     assert not (tmp_path / "s.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["construct", "--method", "delete-max", "--out", "s.tsv"]],
+    ids=["verify", "construct"],
+)
+@pytest.mark.parametrize("rows, line", [(["1\t1", "2\t2"], 4), ([], 2)], ids=["row", "meta"])
+def test_a_last_line_without_a_newline_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, rows, line
+):
+    # the writer ends every line in a newline, so this file would be a
+    # second encoding of the set the file with the newline encodes
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cut.tsv"
+    meta = '{"c": null, "kind": null, "seed": null, "window_exponent": null}'
+    path.write_text("\n".join(["#no3l v1", f"#meta {meta}", *rows]), encoding="ascii")
+    assert main([*argv, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cut.tsv:{line}: the last line has no final newline" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "s.tsv").exists()
+
+
 MUTATION_BYTES = b"+-0_ \t\n\r19a#{}\"\x00\xff"
 
 # Meta lines the writer emits and ones it never does: unknown keys, NaN,
@@ -388,12 +410,9 @@ def test_read_pointset_is_canonical_or_rejects(tmp_path_factory, spec):
         ps = read_pointset(tmp / "in.tsv")
     except ValueError:
         return
-    # the meta line and the rows, which the rewrite must reproduce
-    lines = data.decode("ascii").split("\n")[1:]
-    if lines and lines[-1] == "":
-        lines.pop()
+    # a file that reads is the writer's file of its set, byte for byte
     write_pointset(ps, tmp / "out.tsv")
-    assert (tmp / "out.tsv").read_text(encoding="ascii").split("\n")[1:-1] == lines
+    assert (tmp / "out.tsv").read_bytes() == data
     assert read_pointset(tmp / "out.tsv") == ps
 
 

@@ -261,6 +261,19 @@ def test_sample_window_monotone_in_rate(seed, w):
     assert set(lo.points) <= set(hi.points)
 
 
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([1, 2, 5, 8]),
+    st.sampled_from([0.0, 0.05, 1.0, 30.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_sample_window_equals_the_checked_constructor(seed, w, c):
+    # the sampler hands PointSet its points already ordered and unchecked
+    ps = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
+    assert ps == PointSet(list(ps.points), ps.meta)
+    assert all(type(v) is int for p in ps.points for v in p)
+
+
 def test_shell_counts_partition_the_sample():
     ps = sample_window(SamplerConfig(seed=11, c=0.3, window_exponent=7))
     counts = shell_counts(ps, 7)
