@@ -57,7 +57,8 @@ def _survivors(sample: PointSet, counts: Sequence[int]) -> PointSet:
         "c": sample.meta.get("c"),
         "window_exponent": sample.meta.get("window_exponent"),
     }
-    return PointSet(survivors, meta)
+    # A subset of the sample's members: ordered, distinct and in its window.
+    return PointSet._ordered(tuple(survivors), meta)
 
 
 def _is_prime(n: int) -> bool:

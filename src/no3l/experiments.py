@@ -3,7 +3,7 @@
 One trial takes seed, rate and window, realizes the random set Q, removes
 the largest member of every collinear triple to get S, and checks the two
 facts the construction promises before anything is written down: S has no
-collinear triple inside the half-window box, and each shell of S retains at
+collinear triple anywhere in the window, and each shell of S retains at
 least the sampled count minus the triples of the next enclosing box.  A
 violation aborts the whole run loudly, naming seed and shell; it would mean
 the implementation, not the randomness, is wrong.
@@ -161,15 +161,15 @@ def _run_one_trial(args: tuple[int, float, int]) -> dict:
     seed, c, w = args
     q = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
     x = shell_counts(q, w)
-    s, y = delete_max_with_profile(q, w - 1)
-    survivors = box_triple_counts(s, w - 1)
-    if survivors[w - 1] != 0:
+    s, y = delete_max_with_profile(q, w)
+    survivors = box_triple_counts(s, w)[w]
+    if survivors != 0:
         raise RuntimeError(
-            f"seed {seed}: survivor set has {survivors[w - 1]} collinear"
-            f" triples inside the box of exponent {w - 1}"
+            f"seed {seed}: survivor set has {survivors} collinear"
+            f" triples inside the box of exponent {w}"
         )
     s_counts = shell_counts(s, w)
-    for t in range(w - 1):
+    for t in range(w):
         if s_counts[t] < x[t] - y[t + 1]:
             raise RuntimeError(
                 f"seed {seed}, shell {t}: retained {s_counts[t]} points,"
@@ -179,7 +179,7 @@ def _run_one_trial(args: tuple[int, float, int]) -> dict:
     return {
         "seed": seed,
         "x": x,
-        "y": y,
+        "y": y[:w],
         "q": q,
         "s": s,
         "density": density,
@@ -190,8 +190,10 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
     """Run every trial of the manifest; verify, persist, and aggregate.
 
     Y_T here is indexed like X_T (per shell exponent T = 0 .. W-1), with
-    Y_T the triples inside [1, 2**T]^2; the retention guarantee compares
-    shell T against Y_(T+1), taking Y_W of the unsampled region as 0.
+    Y_T the triples inside [1, 2**T]^2.  Each trial checks that S has no
+    triple in the whole window and that shell T retains at least
+    X_T - Y_(T+1) points for every T <= W - 1; Y_W, every triple of Q, is
+    used by that check only and not reported.
     """
     w = manifest.window_exponent
     raws = map_ordered(

@@ -1,12 +1,14 @@
 """Worker-count resolution and an order-preserving parallel map.
 
-Trials and Monte Carlo seeds are embarrassingly parallel.  The worker count
-is NO3L_THREADS when the environment variable is set, else the cpu count;
-with one worker everything runs serially in-process.  Results
-are returned in input order either way, so downstream output is identical
-whatever the worker count.  Inside a pool worker the count is 1, so work
-that a worker maps (a trial's kernel calls, say) never starts a pool of its
-own.
+Trials, Monte Carlo seeds and exact-scan tasks are embarrassingly
+parallel.  The worker count is NO3L_THREADS when the environment variable
+is set, else the cpu count; with one worker everything runs serially
+in-process.  Results are returned in input order either way, so downstream
+output is identical whatever the worker count.
+
+Pools exist at one level only: no mapped function (a trial, a Monte Carlo
+seed, a scan task) maps again, so the triple-kernel calls and everything
+else a worker does run serially inside that worker.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ def resolve_workers() -> int:
     return workers
 
 
-def _one_worker() -> None:
-    """Pool initializer: a worker's own maps run serially."""
-    os.environ["NO3L_THREADS"] = "1"
-
-
 def map_ordered(fn: Callable[[A], R], items: Sequence[A]) -> list[R]:
     """Apply fn to every item, preserving order; parallel when workers > 1.
 
@@ -46,5 +43,5 @@ def map_ordered(fn: Callable[[A], R], items: Sequence[A]) -> list[R]:
     if workers <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_worker) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

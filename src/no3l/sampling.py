@@ -56,7 +56,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -158,22 +158,8 @@ class PointSet:
         for i in range(1, len(pts)):
             if pts[i - 1] == pts[i]:
                 raise ValueError(f"duplicate point {pts[i]}")
-        full_meta = {k: None for k in _META_KEYS}
-        full_meta.update(meta or {})
-        w = full_meta.get("window_exponent")
-        if w is not None:
-            if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-                raise ValueError(
-                    f"window_exponent must be a nonnegative integer, got {w!r}"
-                )
-            # bit_length tests v <= 2**w - 1 without building 2**w for a huge w
-            for p in pts:
-                if min(p) < 1 or max(p).bit_length() > w:
-                    raise ValueError(
-                        f"point {p} outside declared window [1, 2**{w} - 1]^2"
-                    )
         self.points: tuple[Point, ...] = tuple(pts)
-        self.meta: dict = full_meta
+        self.meta: dict = _windowed_meta(self.points, meta)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -215,6 +201,22 @@ class PointSet:
         return PointSet._ordered(
             tuple(p for p in lead if p[0] >= 1 and p[1] >= 1), dict(self.meta)
         )
+
+
+def _windowed_meta(points: Sequence[Point], meta: dict | None) -> dict:
+    """meta with every key (absent values None), once every point is checked
+    to lie inside its window_exponent's window, if it declares one."""
+    full_meta = {k: None for k in _META_KEYS}
+    full_meta.update(meta or {})
+    w = full_meta["window_exponent"]
+    if w is not None:
+        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+            raise ValueError(f"window_exponent must be a nonnegative integer, got {w!r}")
+        # bit_length tests v <= 2**w - 1 without building 2**w for a huge w
+        for p in points:
+            if min(p) < 1 or max(p).bit_length() > w:
+                raise ValueError(f"point {p} outside declared window [1, 2**{w} - 1]^2")
+    return full_meta
 
 
 def _keep_bound(prob: float) -> int:
@@ -417,4 +419,5 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
                 raise ValueError(f"{path}:{ln}: points not strictly ordered at {p}")
             prev_key = key
             pts.append(p)
-    return PointSet(pts, meta)
+    # Distinct and in order, as checked row by row above.
+    return PointSet._ordered(tuple(pts), _windowed_meta(pts, meta))

@@ -49,16 +49,6 @@ the norm would equal norm(o) on the whole segment from p to r, which then
 lies in one edge of the square of that norm.  Along an edge one coordinate
 is fixed and the other is monotone, so the (inf_norm, x, y) order is
 monotone along the segment, and o, inside it, is not larger than both.
-
-A large call is spread over the worker pool.  The caller's process takes
-the points in PointSet order (any other input is made a PointSet, which
-sorts it and rejects duplicates) and rejects spans too wide to key; only
-then are the anchors 2 .. m - 1 cut into consecutive ranges of about
-_TASK_PAIRS pairs each, in closed form, since the anchors before a hold
-a * (a - 1) / 2 pairs.  The ranges go through one parallel.map_ordered
-call; each task runs the block loop over its anchors, and the counts are
-joined in anchor order, so they are the same at any worker count.  A set
-with fewer pairs is one range, counted in-process with no pool.
 """
 
 from __future__ import annotations
@@ -71,7 +61,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .geom import Point
-from .parallel import map_ordered
 from .sampling import PointSet
 
 BRUTE_FORCE_CAP = 2000
@@ -85,15 +74,6 @@ BRUTE_FORCE_CAP = 2000
 # interleaved runs each), and 1.81 / 1.66 s wall at 2**14 / 2**15 in
 # another 4 each; 2**16 peaked 1.1 MB higher (2-core Xeon).
 _PAIR_BLOCK = 1 << 15
-
-# Earlier-point pairs per pool task: prefix_triple_counts cuts its anchors
-# into ranges of about this many pairs, so a set with fewer pairs (a W = 13
-# trial's Q, a parabola p = 2003, a greedy W = 10 set) is counted
-# in-process.  With 2 workers, the benchmark's construct-verify took a
-# median wall time of 2.00 / 1.91 / 1.94 s and CPU time of 2.32 / 2.26 /
-# 1.85 s at 2**21 / 2**22 / 2**23 (4 interleaved runs each, 2-core Xeon):
-# 2**23 leaves its W = 12 Qs whole, which saves CPU time but not wall time.
-_TASK_PAIRS = 1 << 22
 
 # Widest span the float key counts exactly (see the module docstring).
 _FLOAT_KEY_SPAN = 1 << 21
@@ -237,36 +217,14 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     m = len(pts)
     if m < 3:
         return [0] * m
-    xs, ys, s = _packed_coords(pts)
-    # A range's anchors compare only with the points before its end.
-    tasks = [(xs[:hi], ys[:hi], s, lo, hi) for lo, hi in _anchor_ranges(m)]
-    return [0, 0] + np.concatenate(map_ordered(_range_counts, tasks)).tolist()
+    return _anchor_counts(*_packed_coords(pts)).tolist()
 
 
-def _anchor_ranges(m: int) -> list[tuple[int, int]]:
-    """Consecutive ranges of the anchors 2 .. m - 1, of about _TASK_PAIRS
-    pairs each.
-
-    Anchor i has i earlier points, so the anchors before a hold
-    a * (a - 1) / 2 pairs.  The set's P pairs make n = ceil(P / _TASK_PAIRS)
-    ranges; the k-th cut is the largest a whose anchors before it hold at
-    most k * P / n pairs.
-    """
-    pairs = m * (m - 1) // 2
-    n = -(-pairs // _TASK_PAIRS)
-    cuts = [2]
-    for k in range(1, n):
-        cut = (1 + math.isqrt(1 + 8 * (k * pairs // n))) // 2
-        if cut > cuts[-1]:
-            cuts.append(cut)
-    cuts.append(m)
-    return list(zip(cuts, cuts[1:]))
-
-
-def _range_counts(task: tuple[np.ndarray, np.ndarray, int, int, int]) -> np.ndarray:
-    """Prefix triple counts of the anchors lo .. hi - 1 of a set of span s,
-    given the coordinates of its first hi points, one block at a time."""
-    xs, ys, s, lo, hi = task
+def _anchor_counts(xs: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
+    """Prefix triple counts of every point of a set of span s, m >= 3 points
+    in PointSet order: the anchors 2 .. m - 1 one block at a time, and 0 for
+    the first two points, which have fewer than two earlier points."""
+    m = len(xs)
     if s <= _FLOAT_KEY_SPAN:
         # Shifted to [0, s], the coordinates and their differences are exact
         # in float64.
@@ -277,19 +235,19 @@ def _range_counts(task: tuple[np.ndarray, np.ndarray, int, int, int]) -> np.ndar
         keys_of, top = partial(_gcd_keys, s=s), s * (s + 1) + s + 1
     # Above every key: [-1, 1] for the float key, |key| <= s * (s + 1) + s
     # for the gcd key.
-    sentinels = top + np.arange(hi, dtype=xs.dtype)
+    sentinels = top + np.arange(m, dtype=xs.dtype)
     # A block of several rows holds at most _PAIR_BLOCK cells, a block of one
-    # row at most hi - 1, and no block more than the whole range.
-    size = min(max(_PAIR_BLOCK, hi - 1), (hi - lo) * (hi - 1))
+    # row at most m - 1, and no block more than all the anchors' rows.
+    size = min(max(_PAIR_BLOCK, m - 1), (m - 2) * (m - 1))
     work = [np.empty(size, dtype=xs.dtype) for _ in range(3)]
-    counts = np.zeros(hi - lo, dtype=np.int64)
-    a = lo
-    while a < hi:
+    counts = np.zeros(m, dtype=np.int64)
+    a = 2
+    while a < m:
         # The most rows r, of a + r - 1 cells each, that hold at most
         # _PAIR_BLOCK cells: r * r + (a - 1) * r <= _PAIR_BLOCK.
         r = (math.isqrt((a - 1) ** 2 + 4 * _PAIR_BLOCK) - (a - 1)) // 2
-        b = min(a + max(r, 1), hi)
-        counts[a - lo: b - lo] = _row_counts(xs, ys, keys_of, sentinels, work, a, b)
+        b = min(a + max(r, 1), m)
+        counts[a:b] = _row_counts(xs, ys, keys_of, sentinels, work, a, b)
         a = b
     return counts
 

@@ -16,10 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from no3l import experiments, parallel, triples
+from no3l import experiments, parallel
 from no3l.cli import main
 from no3l.sampling import PointSet, read_pointset, write_pointset
-from test_triples import _NoPool
+
+
+class _NoPool:
+    """Stands in for ProcessPoolExecutor where no pool may start."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool started")
 
 
 def _grid3(path):
@@ -151,9 +157,8 @@ def test_delete_max_and_verify_bytes_do_not_depend_on_the_worker_count(
 ):
     q = tmp_path / "q.tsv"
     assert main(["sample", "--seed", "1", "--c", "1.0", "--window", "12", "--out", str(q)]) == 0
-    # a W = 12, c = 1.0 sample is cut into two anchor ranges, so at two
-    # workers its kernel calls run on a pool
-    assert len(triples._anchor_ranges(len(read_pointset(q)))) == 2
+    # construct and verify count in-process: no pool starts at two workers
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
     runs = []
     for workers in ("1", "2"):
         monkeypatch.setenv("NO3L_THREADS", workers)
@@ -176,7 +181,6 @@ def test_delete_max_and_verify_bytes_do_not_depend_on_the_worker_count(
     ids=["duplicate", "too-wide"],
 )
 def test_bad_files_exit_2_before_any_pool(tmp_path, capsys, monkeypatch, rows, needle):
-    monkeypatch.setattr(triples, "_TASK_PAIRS", 1)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
     monkeypatch.setenv("NO3L_THREADS", "2")
     path = tmp_path / "bad.tsv"
@@ -253,6 +257,23 @@ def test_verify_rejects_non_integer_window_meta(tmp_path, capsys):
     )
     assert main(["verify", "--in", str(path)]) == 2
     assert "window_exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "window, row, needle",
+    [("3", "8\t1", "point (8, 1) outside declared window [1, 2**3 - 1]^2"),
+     ("3", "0\t5", "point (0, 5) outside declared window [1, 2**3 - 1]^2"),
+     ("true", "2\t2", "window_exponent must be a nonnegative integer, got True")],
+    ids=["row-past-the-window", "row-on-the-axis", "window-true"],
+)
+def test_verify_rejects_a_file_outside_its_window(tmp_path, capsys, window, row, needle):
+    path = tmp_path / "bad.tsv"
+    meta = f'{{"c": null, "kind": null, "seed": null, "window_exponent": {window}}}'
+    path.write_text(f"#no3l v1\n#meta {meta}\n1\t1\n{row}\n", encoding="ascii")
+    assert main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_rejects_coordinates_too_wide_to_pack(tmp_path, capsys):

@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import pytest
 
-from no3l import parallel
+from no3l import experiments, parallel
 from no3l.construct import delete_max_of_triples
 from no3l.experiments import (
     _JSON_FIELD_TYPES,
@@ -26,7 +26,7 @@ from no3l.experiments import (
     verify_theorem,
 )
 from no3l.parallel import map_ordered, resolve_workers
-from no3l.sampling import SamplerConfig, read_pointset, sample_window, shell_counts
+from no3l.sampling import PointSet, SamplerConfig, read_pointset, sample_window, shell_counts
 from no3l.triples import box_triple_counts, count_collinear_triples
 
 
@@ -92,14 +92,15 @@ def test_run_trials_per_trial_contents(small_run):
         s = read_pointset(Path(man.out_dir) / tr.s_file)
         assert len(q) == tr.q_size and len(s) == tr.s_size
         assert tr.x == shell_counts(q, man.window_exponent)
-        assert tr.y == box_triple_counts(q, man.window_exponent - 1)
+        y = box_triple_counts(q, man.window_exponent)
+        assert tr.y == y[:-1]
         assert s.points == delete_max_of_triples(q).points
-        assert count_collinear_triples(s.in_box(1 << (man.window_exponent - 1))) == 0
+        assert count_collinear_triples(s) == 0
         # per-shell retention: the deletion rule charges each removed
         # point to a triple whose largest member it is
         s_counts = shell_counts(s, man.window_exponent)
-        for t in range(man.window_exponent - 1):
-            assert s_counts[t] >= tr.x[t] - tr.y[t + 1]
+        for t in range(man.window_exponent):
+            assert s_counts[t] >= tr.x[t] - y[t + 1]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -112,6 +113,34 @@ def test_one_trial_pass_matches_the_separate_passes(seed):
     assert raw["y"] == box_triple_counts(q, w - 1)
     assert raw["y"][w - 1] > 0
     assert raw["s"] == s
+
+
+def _patched_repair(monkeypatch, edit):
+    """Make every trial's repair hand back edit(S, W) in place of S."""
+    real = experiments.delete_max_with_profile
+
+    def repair(q, w):
+        s, y = real(q, w)
+        return PointSet(edit(s.points, w), s.meta), y
+
+    monkeypatch.setattr(experiments, "delete_max_with_profile", repair)
+    monkeypatch.setenv("NO3L_THREADS", "1")
+
+
+def test_a_triple_in_the_outer_shell_aborts_the_run(tmp_path, monkeypatch):
+    # three points on the window's last column lie outside the box of
+    # exponent W - 1, in shell W - 1
+    _patched_repair(monkeypatch, lambda pts, w: {*pts, *(((1 << w) - 1, y) for y in (1, 2, 3))})
+    with pytest.raises(RuntimeError, match=r"seed 40: survivor set has \d+ collinear"):
+        run_trials(_manifest(tmp_path, trial_count=1), write_files=False)
+
+
+def test_a_short_outer_shell_aborts_the_run(tmp_path, monkeypatch):
+    # seed 40 at c = 0.3, W = 7 samples 26 points in shell 6 and 16 triples,
+    # so at least 10 must survive there
+    _patched_repair(monkeypatch, lambda pts, w: [p for p in pts if max(p) < 1 << (w - 1)])
+    with pytest.raises(RuntimeError, match=r"seed 40, shell 6: retained 0 points"):
+        run_trials(_manifest(tmp_path, trial_count=1), write_files=False)
 
 
 def test_run_trials_events_match_thresholds(small_run):
@@ -227,7 +256,7 @@ class _RecordingPool:
 
     sizes: list = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -254,18 +283,6 @@ def test_map_ordered_pool_never_exceeds_items(monkeypatch, threads, items, pool_
 
 def _square(v):
     return v * v
-
-
-def _workers_seen(_):
-    return resolve_workers()
-
-
-def test_pool_workers_map_serially(monkeypatch):
-    # a worker that maps (a trial at W >= 16 splitting its kernel call, say)
-    # must not fork a pool of its own
-    monkeypatch.setenv("NO3L_THREADS", "2")
-    assert map_ordered(_workers_seen, [0, 1]) == [1, 1]
-    assert resolve_workers() == 2
 
 
 def test_verify_theorem_semantics(small_run):

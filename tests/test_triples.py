@@ -24,7 +24,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from no3l import parallel, sampling, triples
+from no3l import sampling, triples
 from no3l.geom import collinear, norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
 from no3l.triples import (
@@ -199,67 +199,6 @@ def test_anchor_blocks_of_any_size_on_a_wide_set(block, monkeypatch):
     monkeypatch.setattr(triples, "_PAIR_BLOCK", block)
     pts = _wide_set(block)
     assert prefix_triple_counts(pts) == _counts_by_largest(pts)
-
-
-class _NoPool:
-    """Stands in for ProcessPoolExecutor where no pool may start."""
-
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a pool started before the input was checked")
-
-
-@pytest.mark.parametrize("task_pairs", [1, 5, 64, 1 << 22])
-def test_anchor_ranges_cover_the_anchors_in_even_cuts(task_pairs, monkeypatch):
-    monkeypatch.setattr(triples, "_TASK_PAIRS", task_pairs)
-    for m in (3, 4, 10, 60) if task_pairs < 1000 else (3, 2003, 3979, 6000):
-        ranges = triples._anchor_ranges(m)
-        assert ranges[0][0] == 2 and ranges[-1][1] == m
-        assert all(lo < hi == nxt for (lo, hi), (nxt, _) in zip(ranges, ranges[1:]))
-        pairs = m * (m - 1) // 2
-        assert len(ranges) <= -(-pairs // task_pairs)
-        # each cut lands within one anchor's pairs of its even share
-        most = max((hi * (hi - 1) - lo * (lo - 1)) // 2 for lo, hi in ranges)
-        assert most < -(-pairs // len(ranges)) + m
-
-
-def test_a_w12_sample_is_cut_into_two_ranges_and_parabola_p2003_into_one():
-    assert len(triples._anchor_ranges(3979)) == 2
-    assert len(triples._anchor_ranges(2003)) == 1
-
-
-split_sets = st.one_of(
-    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=3, max_size=60,
-             unique=True),
-    mixed_sets.filter(lambda pts: len(pts) >= 3),
-)
-
-
-@given(pts=split_sets, task_pairs=st.integers(1, 40))
-@settings(max_examples=40, deadline=None)
-def test_anchor_ranges_on_one_or_two_workers_agree_with_oracles(pts, task_pairs):
-    # a few pairs per task cut even a small set into many ranges, and with
-    # two workers they run on a pool
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(triples, "_TASK_PAIRS", task_pairs)
-        got = []
-        for threads in ("1", "2"):
-            mp.setenv("NO3L_THREADS", threads)
-            got.append(prefix_triple_counts(pts))
-    assert got[0] == got[1] == _counts_by_largest(pts)
-    assert sum(got[0]) == count_collinear_triples_bruteforce(pts)
-
-
-@pytest.mark.parametrize(
-    "pts",
-    [[(1, 1), (2, 2), (3, 3), (1, 1)], [(i, i * i) for i in range(1, 60)] + [(1, 2**62)]],
-    ids=["duplicate", "too-wide"],
-)
-def test_bad_input_is_rejected_before_any_pool(pts, monkeypatch):
-    monkeypatch.setattr(triples, "_TASK_PAIRS", 1)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
-    monkeypatch.setenv("NO3L_THREADS", "2")
-    with pytest.raises(ValueError):
-        prefix_triple_counts(pts)
 
 
 def _no_sort(p):
