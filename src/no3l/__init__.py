@@ -44,7 +44,6 @@ from .geom import (
 from .sampling import (
     PointSet,
     SamplerConfig,
-    point_uniform,
     read_pointset,
     sample_window,
     shell_counts,

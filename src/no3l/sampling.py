@@ -15,10 +15,11 @@ inputs::
 
 with mix64(z) the usual shift-xor-multiply avalanche
 (z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-z *= 0x94D049BB133111EB; z ^= z >> 31).  The scalar path below and the
-vectorized numpy path agree bit for bit; a test pins both.
+z *= 0x94D049BB133111EB; z ^= z >> 31).  The sampler never hashes one
+point at a time; ``tests/scalar_hash.py`` does, and the tests check that
+both agree bit for bit.
 
-The vectorized path never forms u.  It keeps a cell iff::
+The sampler never forms u.  It keeps a cell iff::
 
     h < ceil(p * 2**53) << 11
 
@@ -28,10 +29,16 @@ the integer h >> 11 is below p * 2**53, iff it is below the ceiling, iff
 h is below the ceiling times 2**11.  That bound reaches 2**64 at p = 1, so
 the code tests the equivalent h <= (ceil(p * 2**53) << 11) - 1, whose
 right side always fits in uint64 (at p = 1 it is 2**64 - 1: every cell is
-kept).
+kept).  At p == 0.0 it would be -1, but such a shell keeps nothing, and
+neither does any shell past it (p does not grow with T), so the window
+is cut at the first one.  Only a subnormal c reaches p == 0.0.
 
-Two more exact shortcuts take per-cell passes out of the second mix
-without changing any kept cell:
+The window [1, n]^2 is hashed as blocks of full-width rows.  Shell T is
+{(x, y) : max(shell x, shell y) == T}, with shell v = bit_length(v) - 1,
+and p does not grow with T, so cell (x, y) has the bound
+min(b(x), b(y)), b(v) the bound of v's shell: one bound per row and one
+per column, never one per cell.  Three more exact shortcuts take per-cell
+passes out of the second mix without changing any kept cell:
 
 - The first xorshift is applied per row and per column, not per cell.  A
   cell's word is v = r[x] ^ s[y], with r the first mix's row words and
@@ -43,6 +50,14 @@ without changing any kept cell:
   i.e. z <= b | (2**33 - 1).  Every cell is tested against that weaker
   bound; only the few that pass get h = z ^ (z >> 31) and the exact test
   h <= b.
+- A block whose rows share one bound b(x) tests z against the scalar
+  b(x) | (2**33 - 1), which min(b(x), b(y)) never exceeds; the exact test
+  then uses the cell's own bound.  Only the blocks whose rows span shells
+  (at most one per shell) spend a pass writing each cell's
+  min(b(x), b(y)) | (2**33 - 1).
+
+The z, tmp and keep block buffers stay alive between calls and only grow,
+so a process that samples many small windows maps their pages once.
 
 Inclusion probabilities: shell T >= 1 keeps a point with probability
 min(1, c / (2**T * sqrt(T))); shell 0 (the single point (1, 1)) with
@@ -64,7 +79,6 @@ from .geom import Point, inf_norm, norm_lex_key, shell_index
 
 WINDOW_EXPONENT_CAP = 20
 
-_MASK64 = (1 << 64) - 1
 _X_SALT = 0x9E3779B97F4A7C15
 _Y_SALT = 0xC2B2AE3D27D4EB4F
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
@@ -73,31 +87,25 @@ _LOW33 = (1 << 33) - 1
 
 # Most grid cells hashed per vectorized block.  At 2**16 cells the block's
 # two uint64 buffers (1 MiB) stay in a 2 MiB L2 cache.  On a 2-core Xeon,
-# sample_window at seed 1 (median of 5) took, for 2**14 / 2**15 / 2**16 /
-# 2**17 cells: W = 13, c = 0.1: 0.233 / 0.209 / 0.204 / 0.246 s; W = 14:
-# 0.913 / 0.840 / 0.755 / 0.851 s; W = 12, c = 1.0: 0.087 / 0.082 / 0.072
-# / 0.071 s.
+# the median sample_window call over seeds 1, 2, ... (median of 3 fresh
+# processes) took, for 2**14 / 2**15 / 2**16 / 2**17 cells: W = 8, c = 0.5
+# (1000 calls, whole window in 4 / 2 / 1 / 1 blocks): 0.45 / 0.40 / 0.45 /
+# 0.48 ms, inside the noise; W = 12, c = 1.0 (10 calls): 74 / 62 / 53 / 62
+# ms; W = 13, c = 0.1 (5 calls): 223 / 190 / 183 / 212 ms.
 _BLOCK_CELLS = 1 << 16
+
+# sample_window's scratch (see _scratch); one module-level set, so it is
+# not safe to sample from two threads of one process at once.
+_z_buf = np.empty(0, dtype=np.uint64)
+_tmp_buf = np.empty(0, dtype=np.uint64)
+_keep_buf = np.empty(0, dtype=bool)
 
 FORMAT_MAGIC = "#no3l v1"
 _META_KEYS = ("kind", "seed", "c", "window_exponent")
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX_MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_MUL2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def point_uniform(seed: int, x: int, y: int) -> float:
-    """The uniform in [0, 1) attached to (x, y) under this seed."""
-    h = _mix64(seed ^ ((x * _X_SALT) & _MASK64))
-    h = _mix64(h ^ ((y * _Y_SALT) & _MASK64))
-    return (h >> 11) * 2.0**-53
-
-
 def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
-    """_mix64 of every word of z, written back into z; tmp (same shape) is scratch."""
+    """mix64 of every word of z, written back into z; tmp (same shape) is scratch."""
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= np.uint64(_MIX_MUL1)
@@ -228,18 +236,33 @@ def _keep_bound(prob: float) -> int:
     return (math.ceil(prob * 2.0**53) << 11) - 1
 
 
+def _scratch(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``cells`` words of the z, tmp and keep scratch buffers.
+
+    The buffers live at module level and only ever grow, so a process that
+    samples many small windows touches its pages once, not once a call.
+    """
+    global _z_buf, _tmp_buf, _keep_buf
+    if _z_buf.size < cells:
+        _z_buf = np.empty(cells, dtype=np.uint64)
+        _tmp_buf = np.empty(cells, dtype=np.uint64)
+        _keep_buf = np.empty(cells, dtype=bool)
+    return _z_buf[:cells], _tmp_buf[:cells], _keep_buf[:cells]
+
+
 def sample_window(cfg: SamplerConfig) -> PointSet:
     """One seeded realization over the window of cfg.
 
-    Each shell is two rectangles of rows.  The first mix runs once per row
-    of a rectangle, and the second mix's first xorshift once per row and
-    once per column; the cells are then hashed in blocks of whole rows, at
-    most _BLOCK_CELLS cells (or one row, if wider), in buffers allocated
-    once per call.  A block makes six passes: the row-column xor, multiply,
-    shift, xor, multiply, and the weak z-bound test; the few cells that
-    pass it get the last xorshift and the exact test (module docstring).
-    Each cell is hashed once and lies in the window, so the kept points,
-    lexsorted into (inf_norm, x, y) order, go into the PointSet as they are.
+    The window stops before the first shell whose probability is 0.0; the
+    rest, [1, n]^2, is hashed as blocks of full-width rows, at most
+    _BLOCK_CELLS cells (or one row, if wider), in the reused scratch
+    buffers.  A block makes six passes when its rows share one bound: the
+    row-column xor, multiply, shift, xor, multiply, and the test against
+    b(x) | (2**33 - 1).  A block whose rows span shells first writes each
+    cell's min(b(x), b(y)) | (2**33 - 1) into tmp.  The few cells that pass
+    get the last xorshift and the exact test (module docstring).  Each cell
+    is hashed once and lies in the window, so the kept points, sorted into
+    (inf_norm, x, y) order, go into the PointSet as they are.
     """
     meta = {
         "kind": "sampled",
@@ -247,84 +270,93 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
         "c": cfg.c,
         "window_exponent": cfg.window_exponent,
     }
-    if cfg.c == 0:
+    shell_bounds = []
+    for T in range(cfg.window_exponent):
+        prob = shell_probability(T, cfg.c)
+        if prob == 0.0:
+            break
+        shell_bounds.append(_keep_bound(prob))
+    if not shell_bounds:
         return PointSet._ordered((), meta)
+
+    n = (1 << len(shell_bounds)) - 1
+    # bound[v - 1] = b(v): shell T holds the 2**T values [2**T, 2**(T+1) - 1]
+    bound = np.repeat(
+        np.array(shell_bounds, dtype=np.uint64), [1 << T for T in range(len(shell_bounds))]
+    )
+    rows_per_block = min(max(1, _BLOCK_CELLS // n), n)
+    z_buf, tmp_buf, keep_buf = _scratch(rows_per_block * n)
+    row_words = np.arange(1, n + 1, dtype=np.uint64)
+    row_words *= np.uint64(_X_SALT)
+    row_words ^= np.uint64(cfg.seed)
+    _mix64_inplace(row_words, tmp_buf[:n])
+    row_words ^= row_words >> np.uint64(30)
+    col_words = np.arange(1, n + 1, dtype=np.uint64)
+    col_words *= np.uint64(_Y_SALT)
+    col_words ^= col_words >> np.uint64(30)
 
     xs_out: list[np.ndarray] = []
     ys_out: list[np.ndarray] = []
-    seed = np.uint64(cfg.seed)
-    # The widest row below has 2**W - 1 cells, the largest rectangle
-    # 2**(W-1) such rows.
-    w = cfg.window_exponent
-    width_max = (1 << w) - 1
-    buf_cells = min(max(_BLOCK_CELLS, width_max), (1 << (w - 1)) * width_max)
-    z_buf = np.empty(buf_cells, dtype=np.uint64)
-    tmp_buf = np.empty(buf_cells, dtype=np.uint64)
-    keep_buf = np.empty(buf_cells, dtype=bool)
-    for T in range(w):
-        prob = shell_probability(T, cfg.c)
-        if prob == 0.0:
-            continue
-        bound = _keep_bound(prob)
+    for r0 in range(0, n, rows_per_block):
+        r1 = min(r0 + rows_per_block, n)
+        cells = (r1 - r0) * n
+        z = z_buf[:cells]
+        np.bitwise_xor(row_words[r0:r1, None], col_words[None, :], out=z.reshape(-1, n))
+        z *= np.uint64(_MIX_MUL1)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp_buf[:cells])
+        z *= np.uint64(_MIX_MUL2)
         # h <= bound implies z <= bound | (2**33 - 1): h >> 33 == z >> 33
-        # (module docstring).
-        z_bound = np.uint64(bound | _LOW33)
-        bound = np.uint64(bound)
-        lo, hi = 1 << T, (1 << (T + 1)) - 1
-        # Shell T as two rectangles of rows: x < lo with y in [lo, hi], and
-        # x in [lo, hi] with y in [1, hi].
-        for x_lo, x_hi, y_lo, y_hi in ((1, lo - 1, lo, hi), (lo, hi, 1, hi)):
-            if x_lo > x_hi:
-                continue
-            cols = y_hi - y_lo + 1
-            rows_per_block = max(1, _BLOCK_CELLS // cols)
-            row_words = np.arange(x_lo, x_hi + 1, dtype=np.uint64)
-            row_words *= np.uint64(_X_SALT)
-            row_words ^= seed
-            _mix64_inplace(row_words, np.empty_like(row_words))
-            row_words ^= row_words >> np.uint64(30)
-            col_words = np.arange(y_lo, y_hi + 1, dtype=np.uint64)
-            col_words *= np.uint64(_Y_SALT)
-            col_words ^= col_words >> np.uint64(30)
-            for r0 in range(0, x_hi - x_lo + 1, rows_per_block):
-                block_rows = row_words[r0 : r0 + rows_per_block]
-                cells = block_rows.size * cols
-                z = z_buf[:cells]
-                np.bitwise_xor(
-                    block_rows[:, None], col_words[None, :], out=z.reshape(-1, cols)
-                )
-                z *= np.uint64(_MIX_MUL1)
-                z ^= np.right_shift(z, np.uint64(27), out=tmp_buf[:cells])
-                z *= np.uint64(_MIX_MUL2)
-                keep = np.less_equal(z, z_bound, out=keep_buf[:cells])
-                if not keep.any():
-                    continue
-                idx = np.flatnonzero(keep)
-                h = z[idx]
-                h ^= h >> np.uint64(31)
-                keep_row, keep_col = np.divmod(idx[h <= bound], cols)
-                xs_out.append(keep_row + (x_lo + r0))
-                ys_out.append(keep_col + y_lo)
+        # (module docstring).  Rows x = r0 + 1 .. r1 lie in shells
+        # bit_length(x) - 1, whose bounds do not grow, so equal bounds at
+        # both ends mean one bound for every row.
+        first_bound = shell_bounds[(r0 + 1).bit_length() - 1]
+        if first_bound == shell_bounds[r1.bit_length() - 1]:
+            # min(b(x), b(y)) <= b(x), one value for the whole block
+            z_bound = np.uint64(first_bound | _LOW33)
+        else:
+            z_bound = tmp_buf[:cells]
+            np.minimum(bound[r0:r1, None], bound[None, :], out=z_bound.reshape(-1, n))
+            z_bound |= np.uint64(_LOW33)
+        keep = np.less_equal(z, z_bound, out=keep_buf[:cells])
+        if not keep.any():
+            continue
+        idx = np.flatnonzero(keep)
+        h = z[idx]
+        h ^= h >> np.uint64(31)
+        # keep_row and keep_col are x - 1 and y - 1; b does not grow with
+        # v, so min(b(x), b(y)) = b(max(x, y))
+        keep_row, keep_col = np.divmod(idx, n)
+        keep_row += r0
+        exact = h <= bound[np.maximum(keep_row, keep_col)]
+        xs_out.append(keep_row[exact])
+        ys_out.append(keep_col[exact])
 
     if not xs_out:
         return PointSet._ordered((), meta)
-    x = np.concatenate(xs_out)
-    y = np.concatenate(ys_out)
-    order = np.lexsort((y, x, np.maximum(x, y)))
+    x = np.concatenate(xs_out) + 1
+    y = np.concatenate(ys_out) + 1
+    # The blocks emit cells in (x, y) order; a stable sort by inf_norm
+    # makes that (inf_norm, x, y).
+    order = np.argsort(np.maximum(x, y), kind="stable")
     return PointSet._ordered(tuple(zip(x[order].tolist(), y[order].tolist())), meta)
 
 
 def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
-    """Count members per shell T = 0 .. window_exponent - 1."""
+    """Count members per shell T = 0 .. window_exponent - 1.
+
+    Members are in (inf_norm, x, y) order, so shell T is the run of norms
+    in [2**T, 2**(T+1) - 1], found by bisection; only the first member can
+    be the origin and only the last can lie past the window.
+    """
     if window_exponent < 1:
         raise ValueError(f"window exponent must be >= 1, got {window_exponent}")
-    counts = [0] * window_exponent
-    for p in ps.points:
-        T = shell_index(p)
-        if T >= window_exponent:
-            raise ValueError(f"point {p} outside window of exponent {window_exponent}")
-        counts[T] += 1
-    return counts
+    pts = ps.points
+    if pts:
+        shell_index(pts[0])
+        if shell_index(pts[-1]) >= window_exponent:
+            raise ValueError(f"point {pts[-1]} outside window of exponent {window_exponent}")
+    ends = [bisect_right(pts, (1 << T) - 1, key=inf_norm) for T in range(window_exponent + 1)]
+    return [hi - lo for lo, hi in zip(ends, ends[1:])]
 
 
 class _NonFinite(ValueError):

@@ -3,12 +3,15 @@
 The counter-based kernel is pinned by frozen values (any change to the
 mixing constants is a format break: persisted samples would no longer
 reproduce).  The vectorized window sampler is checked cell-by-cell
-against a scalar reference scan, and the PointSet text format
-round-trips under hypothesis.
+against a scan with the scalar hash of ``scalar_hash.py``, and the
+PointSet text format round-trips under hypothesis.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -23,13 +26,13 @@ from no3l.sampling import (
     PointSet,
     SamplerConfig,
     _keep_bound,
-    point_uniform,
     read_pointset,
     sample_window,
     shell_counts,
     shell_probability,
     write_pointset,
 )
+from scalar_hash import MASK64, mix64, point_uniform
 
 # kernel regression values; these freeze the mixing constants
 KERNEL_PINS = [
@@ -101,25 +104,24 @@ def test_sample_window_matches_scalar_scan(seed, c, w):
 
 @pytest.mark.parametrize(
     "block,seed,c,w",
-    [(7, 42, 0.5, 6), (7, 5, 3.0, 5), (64, 7, 0.15, 7), (64, 9, 40.0, 6)],
+    [(7, 42, 0.5, 6), (7, 5, 3.0, 5), (64, 7, 0.15, 7), (64, 9, 40.0, 6), (64, 11, 1.0, 5)],
 )
 def test_sample_window_matches_scalar_scan_across_blocks(monkeypatch, block, seed, c, w):
-    # Tiny blocks split each rectangle into many blocks, some holding a
-    # single row wider than the block and the last one partial; c = 3.0 and
-    # 40.0 saturate the low shells (probability 1).
+    # Tiny blocks split the window into many blocks.  A block of 7 cells
+    # holds a single row wider than itself; 64 cells at w = 5 hold two rows
+    # each, some from two shells (rows 1-2, 3-4, 7-8, 15-16) and some from
+    # one, the last block partial.  c = 3.0 and 40.0 saturate the low
+    # shells (probability 1).
     monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
     cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
     assert sorted(sample_window(cfg).points) == sorted(_reference_scan(cfg))
-
-
-_MASK64 = (1 << 64) - 1
 
 
 def _xorshift30(v: int) -> int:
     return v ^ (v >> 30)
 
 
-@given(st.integers(0, _MASK64), st.integers(0, _MASK64))
+@given(st.integers(0, MASK64), st.integers(0, MASK64))
 def test_first_xorshift_distributes_over_xor(a, b):
     # the block loop applies it to row and column words, not to their xor
     assert _xorshift30(a ^ b) == _xorshift30(a) ^ _xorshift30(b)
@@ -127,10 +129,10 @@ def test_first_xorshift_distributes_over_xor(a, b):
 
 def _last_words(seed: int, x: int, y: int) -> tuple[int, int]:
     """(z, h): the second mix's word before and after its last xorshift."""
-    v = sampling._mix64(seed ^ ((x * sampling._X_SALT) & _MASK64))
-    v ^= (y * sampling._Y_SALT) & _MASK64
-    z = (_xorshift30(v) * sampling._MIX_MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * sampling._MIX_MUL2) & _MASK64
+    v = mix64(seed ^ ((x * sampling._X_SALT) & MASK64))
+    v ^= (y * sampling._Y_SALT) & MASK64
+    z = (_xorshift30(v) * sampling._MIX_MUL1) & MASK64
+    z = ((z ^ (z >> 27)) * sampling._MIX_MUL2) & MASK64
     return z, z ^ (z >> 31)
 
 
@@ -172,7 +174,7 @@ def test_filter_edge_cells_match_the_scalar_scan(bound_at):
 
 
 @given(
-    seed=st.integers(0, _MASK64),
+    seed=st.integers(0, MASK64),
     w=st.integers(1, 6),
     fraction=st.floats(min_value=0.0, max_value=1.0),
     log_scale=st.booleans(),
@@ -180,13 +182,83 @@ def test_filter_edge_cells_match_the_scalar_scan(bound_at):
 )
 @settings(max_examples=60, deadline=None)
 def test_sample_window_matches_scalar_scan_hypothesis(seed, w, fraction, log_scale, block):
-    # c from 1e-6 (or 0) up to the rate that saturates every shell of the window
+    # c from 1e-6 (or 0) up to the rate that saturates every shell of the
+    # window.  At w <= 6 a block of 2**16 cells is the whole window, rows
+    # of every shell at once; 1, and 7 from w = 3, give one-row blocks, one
+    # bound each; 64 gives both kinds (at w = 4 rows 1-4 span shells, 9-12
+    # do not).
     saturation = max(1.0, (1 << (w - 1)) * math.sqrt(w - 1))
     c = 1e-6 * (saturation / 1e-6) ** fraction if log_scale else fraction * saturation
     cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
     with mock.patch.object(sampling, "_BLOCK_CELLS", block):
         got = sample_window(cfg)
     assert sorted(got.points) == sorted(_reference_scan(cfg))
+
+
+@given(
+    st.integers(0, WINDOW_EXPONENT_CAP),
+    st.integers(0, WINDOW_EXPONENT_CAP),
+    st.one_of(st.floats(min_value=0.0, max_value=1e7), st.sampled_from([5e-324, 6e-322])),
+)
+def test_cell_bound_is_the_smaller_shell_bound(sx, sy, c):
+    # the sampler bounds cell (x, y) by min(b(x), b(y)), b the bound of a
+    # coordinate's shell: the cell's shell is the higher one and p does not
+    # grow with T
+    def b(t):
+        return _keep_bound(shell_probability(t, c))
+
+    assert b(max(sx, sy)) == min(b(sx), b(sy))
+
+
+@pytest.mark.parametrize("c,first_zero", [(5e-324, 1), (6e-322, 7), (1e-310, None)])
+def test_subnormal_rates_match_the_scalar_scan(c, first_zero):
+    # p underflows to 0.0 on every shell from first_zero on (1e-310 stays
+    # subnormal through shell 20), where the keep bound would be -1: the
+    # sampler cuts the window there
+    w = 8
+    zero_shells = [t for t in range(w) if shell_probability(t, c) == 0.0]
+    assert zero_shells == ([] if first_zero is None else list(range(first_zero, w)))
+    cfg = SamplerConfig(seed=3, c=c, window_exponent=w)
+    got = sample_window(cfg).points
+    assert sorted(got) == sorted(_reference_scan(cfg))
+    assert all(shell_probability(shell_index(p), c) > 0.0 for p in got)
+
+
+REUSE_CONFIGS = [(1, 1.0, 12), (2, 0.5, 8)]
+
+
+@pytest.fixture(scope="module")
+def fresh_samples():
+    """Each of REUSE_CONFIGS's points, sampled in a process of its own."""
+    src = os.path.dirname(os.path.dirname(sampling.__file__))
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    code = (
+        "import sys\n"
+        "from no3l.sampling import SamplerConfig, sample_window\n"
+        "seed, c, w = sys.argv[1:]\n"
+        "print(sample_window(SamplerConfig(int(seed), float(c), int(w))).points)\n"
+    )
+    out = {}
+    for args in REUSE_CONFIGS:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+            check=True,
+        )
+        out[args] = proc.stdout.strip()
+    return out
+
+
+@pytest.mark.parametrize("block", [7, 64, 1 << 16])
+def test_reused_scratch_leaks_no_stale_cells(monkeypatch, fresh_samples, block):
+    # The block buffers outlive each call and only grow: a small window
+    # after a large one, and a large one after it, must read only what
+    # their own blocks wrote.
+    monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
+    for args in (REUSE_CONFIGS[0], REUSE_CONFIGS[1], REUSE_CONFIGS[0]):
+        assert str(sample_window(SamplerConfig(*args)).points) == fresh_samples[args]
 
 
 # sha256 of write_pointset(sample_window(cfg)) at benchmark scale, where the
@@ -282,6 +354,27 @@ def test_shell_counts_partition_the_sample():
     # recount by definition
     for t in range(7):
         assert counts[t] == sum(1 for p in ps if shell_index(p) == t)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=60, unique=True),
+    st.integers(1, 7),
+)
+@settings(max_examples=100, deadline=None)
+def test_shell_counts_equal_the_per_point_count(pts, w):
+    # shell_counts bisects the norm-ordered members; the origin, which has
+    # no shell, and a member past the window are still errors
+    ps = PointSet(pts)
+    if (0, 0) in pts:
+        with pytest.raises(ValueError, match="origin"):
+            shell_counts(ps, w)
+        return
+    shells = [shell_index(p) for p in ps]
+    if any(t >= w for t in shells):
+        with pytest.raises(ValueError, match="outside window"):
+            shell_counts(ps, w)
+        return
+    assert shell_counts(ps, w) == [shells.count(t) for t in range(w)]
 
 
 def test_pointset_sorts_and_rejects_duplicates():
