@@ -13,6 +13,7 @@ from .analytics import (
     TrialStatistics,
     VarianceBoundReport,
     beta_box_grid,
+    exact_mean,
     exact_reports,
     monte_carlo_moments,
     variance_bounds,

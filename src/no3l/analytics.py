@@ -1,20 +1,50 @@
 """Exact first- and second-moment analysis of triple counts in dyadic boxes.
 
-For the random set that keeps each point x of the box [1, 2**T]^2
-independently with probability p(x), the expected number of collinear
-triples is
+The random set keeps each point x of the box [1, n]^2, n = 2**T,
+independently with probability P(x) = p_s, s the shell of x.  Its expected
+number of collinear triples, E[Y_T], is counted rather than scanned.  A
+collinear triple with middle point q and ends p, r has exactly two forms
+q = p + i*w, r = p + g*w with 1 <= i < g, gcd(i, g) = 1 and w a nonzero
+integer vector, one from each end: w is the largest common divisor of
+q - p and r - p (Moebius inversion over that divisor; with every P = 1 this
+is the classical count of collinear grid triples, OEIS A000938).  Shells
+0 .. s fill the square [1, m_s]^2, with m_s = 2**(s+1) - 1 for s < T and
+m_T = n, and p_s does not grow with s, so
 
-    E[Y_T] = sum over lines L of e3(p restricted to L),
+    P(x) = sum over s of delta_s * [x in [1, m_s]^2],
+    delta_s = p_s - p_(s+1) >= 0,  p_(T+1) = 0.
 
-with e3 the third elementary symmetric function.  Writing W(L) for the sum
-of p over the line and W_j(L) for the sum of p**j, Newton's identities give
+For shells (s1, s2, s3), write mj = m_sj.  The p with p, p + i*w and
+p + g*w in the three squares number L(w_x) * L(w_y), where L(v) counts the
+t in [1, m1] with t + i*v in [1, m2] and t + g*v in [1, m3]:
+L(0) = L0 = min(m1, m2, m3), L(k) = max(0, min(m1, m2 - i*k, m3 - g*k))
+for k > 0, and L(-k) is the same with m1 and m3 swapped and i replaced by
+g - i.  Summing over w != 0 gives X**2 - L0**2 with X the sum of L(v) over
+all v, so
 
-    e3 = (W**3 - 3*W*W_2 + 2*W_3) / 6,
+    E[Y_T] = 1/2 * sum over coprime 1 <= i < g <= n - 1 and shells
+             (s1, s2, s3) of delta_s1 * delta_s2 * delta_s3 * (X**2 - L0**2).
 
-so everything reduces to per-line power sums.  Those are computed without
-materializing any line: for a canonical direction (a, b) the offset
-k = b*x - a*y indexes the parallel family, and weighted bincounts over k
-accumulate W, W_2, W_3 per line in one vectorized pass per direction.
+X**2 - L0**2 is an integer.  The count sums it per shell triple in int64
+over every (i, g), exactly, and one math.fsum weights those sums by the
+deltas, so no bit depends on how the g are dealt out.  A t in [1, m1] has
+at most ceil(n/g) values v with t + g*v in [1, m3], so X <= n*ceil(n/g),
+and each int64 sum stays below n**2 times the sum over g of
+phi(g) * ceil(n/g)**2.  That bound is 0.86 * 2**63 at T = 15 and
+14.6 * 2**63 at T = 16, which sets MEAN_CAP.  The count costs about
+n**2 * (T + 1)**3 cell operations, against the scan's n**4.
+
+The scans give what needs per-line data.  Writing W(L) for the sum of P
+over a line L and W_2(L) for the sum of P**2, sum_w3 and sum_w4 are the
+sums of W**3 and W**4 over the lines with two or more box points, and
+beta (below) needs W and W_2.  Those are computed without materializing
+any line: for a canonical direction (a, b) the offset k = b*x - a*y
+indexes the parallel family, and a weighted bincount over k accumulates
+W per line in one vectorized pass per direction, plus one for W_2 in a
+scan that builds beta.  The line count needs no bins: each line with two
+or more box points has one first point p, with p + (a, b) in the box and
+p - (a, b) not, so direction (a, b) has
+(n - |a|)*(n - b) - max(0, n - 2|a|)*max(0, n - 2b) such lines.
 
 Lines with a single box point would be enumerated wastefully, so each
 direction is scanned over disjoint rectangles: F, the points with an
@@ -31,44 +61,43 @@ scanned direction (a, b), |a| <= b, are p, p + (a, b) and p + 2(a, b),
 whose y values span 2b <= n - 1.  So when 2b >= n every line holds at most
 two box points, and those with two are the pairs (p, p + (a, b)) with p in
 F: W over them is P[F] + P[F + (a, b)], the sum of two slices of the grid.
-Such a direction adds nothing to E[Y_T], and nothing to beta either, as a
-pair leaves no third point to pair with.  When 2b < n the line through
-(1, 1), or through (n, 1) if a < 0, holds three points, so the cut-off
-is exact.  At T = 6 to 8 the two-point directions are three quarters of
-those scanned and half of their cells.
+Such a direction adds nothing to beta, as a pair leaves no third point to
+pair with.  When 2b < n the line through (1, 1), or through (n, 1) if
+a < 0, holds three points, so the cut-off is exact.  At T = 6 to 8 the
+two-point directions are three quarters of those scanned and half of
+their cells.
 
 The probability grid is symmetric under the mirror (x, y) -> (y, x),
 which maps direction (a, b) to (b, a) for a >= 0 and to (-b, -a) for
 a < 0, and maps each line onto a line of the mirror direction with the
-same weights.  So the exact sums and beta visit one direction of each
-mirror pair, the one with |a| < b, and count it twice; the diagonals
-(1, 1) and (-1, 1) are their own mirrors and count once.  For beta, a
-mirror direction adds the transpose of its partner's contribution.
+same weights.  So the scans visit one direction of each mirror pair, the
+one with |a| < b, and count it twice; the diagonals (1, 1) and (-1, 1)
+are their own mirrors and count once.  For beta, a mirror direction adds
+the transpose of its partner's contribution.
 
-The same pass serves the variance split for Y_T.  With
+The variance split for Y_T uses, besides E[Y_T],
 
     beta(x) = sum over pairs {y, z} such that x, y, z are collinear
-              of p(y) * p(z),
+              of p(y) * p(z).
 
-the three variance contributions are bounded by sum_w3 and sum_w4 (the sums
-of W**3 and W**4 over lines with >= 2 points), E[Y_T] itself, and
-sum of p(x) * beta(x)**2.  beta also satisfies the exact identity
-sum of p(x) * beta(x) = 3 * E[Y_T], which makes a sharp self-test.
+The three variance contributions are bounded by sum of p(x) * beta(x)**2,
+sum_w4, and E[Y_T] itself.  beta also satisfies the exact identity
+sum of p(x) * beta(x) = 3 * E[Y_T], which ties the scan to the count.
 
-One scan per exponent serves both reports: exact_reports builds beta
-only where T <= VARIANCE_CAP, and weight_sums, variance_bounds and
-beta_box_grid are single-exponent calls of the same scan.  The scans run
-on the worker pool, every exponent's tasks in one map, largest box first:
-a scan without beta deals its directions round-robin to one task per
-worker, and math.fsum joins their per-direction parts, rounding the exact
-sum once; a scan with beta is one task, so beta and v1 are summed in one
-order.  Neither the dealing nor the worker count changes a bit of the
-output.
+exact_reports runs one count and one scan per exponent, building beta
+only where T <= VARIANCE_CAP; weight_sums, variance_bounds and
+beta_box_grid are single-exponent calls of it.  Every task goes through
+one map on the worker pool, largest box first.  A count deals its g, and
+a scan without beta its directions, round-robin to one task per worker; a
+scan with beta is one task, so beta and v1 are summed in one order.  The
+counts add as integers and math.fsum joins the scans' per-direction
+parts, rounding the exact sum once, so neither the dealing nor the worker
+count changes a bit of the output.
 
-Caps: full line-family scans are quartic-ish in the box side, so exact
-enumeration is allowed up to box exponent 7 and the variance machinery up
-to 6.  Desk-scale Monte Carlo estimates for the same quantities have no cap
-beyond the sampling window's.
+Caps: the scans are quartic in the box side, so they are allowed up to
+box exponent 7 (ENUMERATION_CAP), and beta and the variance bounds up to
+6.  exact_mean alone runs to MEAN_CAP.  Desk-scale Monte Carlo estimates
+for the same quantities have no cap beyond the sampling window's.
 """
 
 from __future__ import annotations
@@ -91,6 +120,9 @@ from .triples import box_triple_counts
 
 ENUMERATION_CAP = 7
 VARIANCE_CAP = 6
+MEAN_CAP = 15
+# cells of one (i, k, shell triple) temporary in _mean_counts
+_MEAN_BLOCK = 1 << 16
 
 
 def _require_cap(T: int, cap: int, what: str) -> None:
@@ -127,14 +159,81 @@ def _box_directions(n: int) -> list[tuple[int, int]]:
     return sorted(dirs, key=lambda d: (d[1], d[0]))
 
 
-def _probability_grids(T: int, c: float) -> tuple[np.ndarray, ...]:
-    """P, P**2, P**3 over the box, with P[x-1, y-1] the inclusion probability."""
+def _probability_grids(T: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """P and P**2 over the box, with P[x-1, y-1] the inclusion probability."""
     n = 1 << T
     shells = np.array([v.bit_length() - 1 for v in range(1, n + 1)], dtype=np.int64)
     table = np.array([shell_probability(t, c) for t in range(T + 1)])
     grid_t = np.maximum.outer(shells, shells)
     P = table[grid_t]
-    return P, P * P, P * P * P
+    return P, P * P
+
+
+def _deal(items: Sequence, workers: int) -> list:
+    """items dealt round-robin into one nonempty slice per worker, items[k::w]."""
+    return [items[k::workers] for k in range(min(workers, len(items)))]
+
+
+def _mean_counts(args: tuple[int, Sequence[int]]) -> np.ndarray:
+    """Sum of X**2 - L0**2 over the coprime (i, g), g in gs, per shell triple.
+
+    Entry (s1 * (T + 1) + s2) * (T + 1) + s3 belongs to shells (s1, s2, s3);
+    X and L0 are as in the module docstring.  Every L(v) and X fits int32
+    (X <= n*ceil(n/2) < 2**31 for T <= MEAN_CAP), and the sums are exact in
+    int64.  Temporaries hold at most _MEAN_BLOCK (i, k, shell triple)
+    cells: the coprime i are taken in chunks, and the k in chunks too when
+    one i has more than that.
+    """
+    T, gs = args
+    n = 1 << T
+    m = np.array([(2 << s) - 1 for s in range(T)] + [n], dtype=np.int32)
+    m1, m2, m3 = (side.ravel() for side in np.meshgrid(m, m, m, indexing="ij"))
+    l0 = np.minimum(np.minimum(m1, m2), m3)
+    l0_sq = l0.astype(np.int64) ** 2
+    total = np.zeros(m1.size, dtype=np.int64)
+    rows = max(1, _MEAN_BLOCK // m1.size)
+    for g in gs:
+        iv = np.arange(1, g, dtype=np.int32)
+        iv = iv[np.gcd(iv, g) == 1]
+        ks = np.arange(1, (n - 1) // g + 1, dtype=np.int32)
+        kc = min(len(ks), rows)
+        ic = max(1, rows // kc)
+        for i0 in range(0, len(iv), ic):
+            ii = iv[i0 : i0 + ic, None, None]
+            x = np.repeat(l0[None, :], len(ii), axis=0)
+            for k0 in range(0, len(ks), kc):
+                kk = ks[k0 : k0 + kc, None]
+                # k > 0, then v = -k: the end constraints are free of i
+                fwd = np.minimum(m1, m3 - g * kk)
+                bwd = np.minimum(m3, m1 - g * kk)
+                for ends, step in ((fwd, ii), (bwd, g - ii)):
+                    side = np.minimum(ends, m2 - step * kk)
+                    x += np.maximum(side, 0, out=side).sum(axis=1, dtype=np.int32)
+            x = x.astype(np.int64)
+            total += (x * x).sum(axis=0) - len(ii) * l0_sq
+    return total
+
+
+def _mean_from_counts(T: int, c: float, parts: Sequence[np.ndarray]) -> float:
+    """E[Y_T] from _mean_counts' per-shell-triple integer sums over slices of the g."""
+    counts = sum(parts, np.zeros((T + 1) ** 3, dtype=np.int64))
+    p = [shell_probability(s, c) for s in range(T + 1)] + [0.0]
+    delta = np.array([p[s] - p[s + 1] for s in range(T + 1)])
+    weights = np.multiply.outer(np.multiply.outer(delta, delta), delta).ravel()
+    return 0.5 * math.fsum((weights * counts).tolist())
+
+
+def exact_mean(T: int, c: float) -> float:
+    """E[Y_T], the expected number of collinear triples in [1, 2**T]^2.
+
+    Counted by coprime (i, g) pairs and shell triples (module docstring),
+    with the g dealt across the worker pool; the result does not depend on
+    the worker count.  Allowed for 0 <= T <= MEAN_CAP.
+    """
+    _require_cap(T, MEAN_CAP, "the exact mean")
+    shell_probability(0, c)  # reject a bad rate before counting
+    slices = _deal(range(2, 1 << T), resolve_workers())
+    return _mean_from_counts(T, c, map_ordered(_mean_counts, [(T, gs) for gs in slices]))
 
 
 def _interval_minus(lo: int, hi: int, cut_lo: int, cut_hi: int) -> tuple[int, int]:
@@ -169,19 +268,19 @@ def _neighbour_rects(n: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
 
 def _direction_line_sums(
     n: int, a: int, b: int, grids: Sequence[np.ndarray]
-) -> tuple[int, np.ndarray, list[np.ndarray], list]:
-    """Per-line point counts and sums of each grid for one direction.
+) -> tuple[int, list[np.ndarray], list]:
+    """Per-line sums of each grid for one direction.
 
-    Returns (kmin, cnt, sums, parts), indexed by offset: bin j describes
-    the line with offset kmin + j, and sums[i] holds the line sums of
-    grids[i].  The bins span only the offsets of F, the points with an
-    in-box neighbour at +(a, b), because every line with >= 2 box points
-    has all but its last point there.  A box point on no such line may
-    have an offset outside the bins, so lookups go through parts: one
-    (rect, bin index array) per nonempty rectangle of _neighbour_rects,
-    which between them hold each point of each line with >= 2 box points
-    exactly once.  Every bin is either such a line (cnt >= 2) or empty,
-    with cnt and all sums exactly zero.
+    Returns (kmin, sums, parts), indexed by offset: bin j describes the
+    line with offset kmin + j, and sums[i] holds the line sums of grids[i].
+    The bins span only the offsets of F, the points with an in-box
+    neighbour at +(a, b), because every line with >= 2 box points has all
+    but its last point there.  A box point on no such line may have an
+    offset outside the bins, so lookups go through parts: one (rect, bin
+    index array) per nonempty rectangle of _neighbour_rects, which between
+    them hold each point of each line with >= 2 box points exactly once.
+    Every bin is either such a line or empty, with all sums exactly zero;
+    a grid of ones gives the point count of each line.
     """
     rects = _neighbour_rects(n, a, b)
     fx_lo, fx_hi, fy_lo, fy_hi = rects[0]
@@ -196,7 +295,6 @@ def _direction_line_sums(
         ys = np.arange(y_lo, y_hi + 1, dtype=np.int64)
         parts.append(((x_lo, x_hi, y_lo, y_hi), np.add.outer(b * xs - kmin, -a * ys)))
     idx = np.concatenate([k.ravel() for _, k in parts])
-    cnt = np.bincount(idx, minlength=span)
     sums = [
         np.bincount(
             idx,
@@ -208,12 +306,21 @@ def _direction_line_sums(
         )
         for grid in grids
     ]
-    return kmin, cnt, sums, parts
+    return kmin, sums, parts
+
+
+def _line_count(n: int, a: int, b: int) -> int:
+    """Lines of direction (a, b) with >= 2 points in [1, n]^2.
+
+    Each has one first point: a neighbour at +(a, b) in the box, none at
+    -(a, b).
+    """
+    return (n - abs(a)) * (n - abs(b)) - max(0, n - 2 * abs(a)) * max(0, n - 2 * abs(b))
 
 
 @dataclass(frozen=True)
 class LineWeightReport:
-    """Aggregates over all lines with >= 2 points in [1, 2**T]^2."""
+    """Aggregates over all lines with >= 2 points in [1, 2**T]^2, and E[Y_T]."""
 
     T: int
     c: float
@@ -241,7 +348,7 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
     Only one direction of each x<->y mirror pair is scanned (|a| < b, which
     takes (0, 1) for the axes), and its parts count twice; the two diagonal
     directions, |a| == b, are their own mirrors and count once.  Returns the
-    w3, w4 and e3 parts of each direction and the slice's line count; a beta
+    w3 and w4 parts of each direction and the slice's line count; a beta
     scan, which always gets every direction, also returns v1 and beta.  The
     grids are symmetric, so a mirror's beta contribution is the transpose of
     its partner's: paired directions accumulate in one grid, the diagonal
@@ -249,31 +356,26 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
     """
     T, c, dirs, want_beta = args
     n = 1 << T
-    grids = _probability_grids(T, c)
-    P, P2, _ = grids
+    P, P2 = _probability_grids(T, c)
+    grids = (P, P2) if want_beta else (P,)
     w3_parts: list[float] = []
     w4_parts: list[float] = []
-    ey_parts: list[float] = []
     line_count = 0
     paired = np.zeros((n, n)) if want_beta else None
     diagonal = np.zeros((n, n)) if want_beta else None
     for a, b in dirs:
         mult = 2 if abs(a) < b else 1
+        line_count += mult * _line_count(n, a, b)
         if 2 * b >= n:
             # two-point direction: its lines are the pairs (p, p + (a, b)), p in F
             x_lo, x_hi, y_lo, y_hi = _neighbour_rects(n, a, b)[0]
             w1 = (P[x_lo - 1 : x_hi, y_lo - 1 : y_hi]
                   + P[x_lo + a - 1 : x_hi + a, y_lo + b - 1 : y_hi + b])
-            line_count += mult * w1.size
         else:
-            _, cnt, (w1, w2, w3), parts = _direction_line_sums(n, a, b, grids)
-            # empty bins hold zero sums, so only e3 needs a mask
-            line_count += mult * int(np.count_nonzero(cnt))
-            rich = np.flatnonzero(cnt >= 3)
-            r1 = w1[rich]
-            e3 = r1**3 - 3.0 * r1 * w2[rich] + 2.0 * w3[rich]
-            ey_parts.append(mult * float(np.sum(e3)) / 6.0)
+            _, sums, parts = _direction_line_sums(n, a, b, grids)
+            w1 = sums[0]
             if want_beta:
+                w2 = sums[1]
                 acc = paired if mult == 2 else diagonal
                 # every point of parts lies on a line with >= 2 box points
                 for (x_lo, x_hi, y_lo, y_hi), k in parts:
@@ -283,50 +385,61 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
         w3_parts.append(mult * float(np.sum(sq * w1)))
         w4_parts.append(mult * float(np.sum(sq * sq)))
     if not want_beta:
-        return w3_parts, w4_parts, ey_parts, line_count, None, None
+        return w3_parts, w4_parts, line_count, None, None
     beta = paired + paired.T + diagonal
-    return w3_parts, w4_parts, ey_parts, line_count, float((P * beta**2).sum()), beta
+    return w3_parts, w4_parts, line_count, float((P * beta**2).sum()), beta
+
+
+def _call(task: tuple) -> object:
+    """Run one task of the exact phase, a (_mean_counts or _scan_chunk, args) pair."""
+    fn, args = task
+    return fn(args)
 
 
 def _family_scans(
     requests: Sequence[tuple[int, float, bool]],
 ) -> list[tuple[LineWeightReport, VarianceBoundReport | None, np.ndarray | None]]:
-    """One family scan per (T, c, want_beta) request, all on the worker pool.
+    """One family scan per (T, c, want_beta) request and one count per T, on one map.
 
-    A weight-only scan deals its directions round-robin into one task per
-    worker, dirs[k::w]; a beta scan is one task, so beta and v1 are summed
-    in one order whatever the worker count.  Every task of every request
-    goes through one map_ordered call, largest box first, and math.fsum
-    joins the per-direction parts: it rounds the exact sum once, so neither
-    the dealing nor the worker count can change a bit.  Returns, per
-    request, its weight report and, for a beta scan, its variance report
-    and beta grid.
+    The count of each exponent (it does not depend on c) deals its g
+    round-robin into one task per worker, and so does a weight-only scan
+    with its directions, dirs[k::w]; a beta scan is one task, so beta and
+    v1 are summed in one order whatever the worker count.  Every task of
+    every request goes through one map_ordered call, largest box first.
+    The counts add as integers and math.fsum joins the scans'
+    per-direction parts: it rounds the exact sum once, so neither the
+    dealing nor the worker count can change a bit.  Returns, per request,
+    its weight report and, for a beta scan, its variance report and beta
+    grid.
     """
     workers = resolve_workers()
-    tasks = []  # (request index, task args), largest box first
-    for i, (T, c, want_beta) in sorted(enumerate(requests), key=lambda r: r[1][0], reverse=True):
-        if c <= 0:
-            raise ValueError(f"sampling rate must be > 0, got {c}")
-        dirs = [(a, b) for a, b in _box_directions(1 << T) if abs(a) <= b]
-        if want_beta:
-            slices = [dirs]
-        else:
-            slices = [dirs[k::workers] for k in range(min(workers, len(dirs)))]
-        tasks += [(i, (T, c, dirs_k, want_beta)) for dirs_k in slices]
-    outs = map_ordered(_scan_chunk, [args for _, args in tasks])
+    tasks = []  # (owner, (fn, args)), largest box first: ("count", T) or ("scan", request index)
+    for T in sorted({T for T, _, _ in requests}, reverse=True):
+        slices = _deal(range(2, 1 << T), workers)
+        tasks += [(("count", T), (_mean_counts, (T, gs))) for gs in slices]
+        for i, (t, c, want_beta) in enumerate(requests):
+            if t != T:
+                continue
+            if c <= 0:
+                raise ValueError(f"sampling rate must be > 0, got {c}")
+            dirs = [(a, b) for a, b in _box_directions(1 << T) if abs(a) <= b]
+            slices = [dirs] if want_beta else _deal(dirs, workers)
+            tasks += [(("scan", i), (_scan_chunk, (T, c, dirs_k, want_beta))) for dirs_k in slices]
+    outs = map_ordered(_call, [task for _, task in tasks])
     reports = []
     for i, (T, c, want_beta) in enumerate(requests):
-        mine = [out for (owner, _), out in zip(tasks, outs) if owner == i]
+        counts = [out for (owner, _), out in zip(tasks, outs) if owner == ("count", T)]
+        mine = [out for (owner, _), out in zip(tasks, outs) if owner == ("scan", i)]
         weights = LineWeightReport(
             T=T, c=c,
             sum_w3=math.fsum(p for out in mine for p in out[0]),
             sum_w4=math.fsum(p for out in mine for p in out[1]),
-            exact_ey=math.fsum(p for out in mine for p in out[2]),
-            line_count=sum(out[3] for out in mine),
+            exact_ey=_mean_from_counts(T, c, counts),
+            line_count=sum(out[2] for out in mine),
         )
         bounds = beta = None
         if want_beta:
-            v1, beta = mine[0][4:]
+            v1, beta = mine[0][3:]
             bounds = VarianceBoundReport(
                 T=T, c=c, v1_bound=v1, v2_bound=weights.sum_w4, v3_bound=weights.exact_ey,
                 var_bound_total=v1 + weights.sum_w4 + weights.exact_ey,
@@ -336,7 +449,11 @@ def _family_scans(
 
 
 def weight_sums(T: int, c: float) -> LineWeightReport:
-    """Exact sums of W**3, W**4 and e3 over the box's line families."""
+    """Exact sums of W**3 and W**4 over the box's line families, its line count and E[Y_T].
+
+    The sums and the line count come from the scan, E[Y_T] from the count
+    that exact_mean makes; both run in one map.
+    """
     _require_cap(T, ENUMERATION_CAP, "line family enumeration")
     return _family_scans([(T, c, False)])[0][0]
 
@@ -361,7 +478,7 @@ def variance_bounds(T: int, c: float) -> VarianceBoundReport:
 def exact_reports(
     t_values: Sequence[int], c: float
 ) -> tuple[list[LineWeightReport], list[VarianceBoundReport]]:
-    """Weight and variance reports for many exponents, one family scan each.
+    """Weight and variance reports for many exponents, one count and one family scan each.
 
     The first list holds weight_sums for each T up to ENUMERATION_CAP, the
     second variance_bounds for each T up to VARIANCE_CAP; exponents past a

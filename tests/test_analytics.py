@@ -1,7 +1,8 @@
 """Exact line-family analytics against independent small-scale oracles.
 
 The scan under test walks coprime direction families with bincount
-tricks; the oracle here rebuilds every line from point pairs with a
+tricks, and the count of E[Y_T] sums over coprime (i, g) pairs and shell
+triples; the oracle here rebuilds every line from point pairs with a
 dictionary and evaluates elementary symmetric sums with
 itertools.combinations.  Slow and obviously correct.
 """
@@ -15,12 +16,17 @@ import pytest
 from no3l import analytics
 from no3l.analytics import (
     ENUMERATION_CAP,
+    MEAN_CAP,
     VARIANCE_CAP,
     LineWeightReport,
     _box_directions,
+    _deal,
     _direction_line_sums,
+    _line_count,
+    _mean_counts,
     _probability_grids,
     beta_box_grid,
+    exact_mean,
     exact_reports,
     monte_carlo_moments,
     normalized_moments,
@@ -32,7 +38,7 @@ from no3l.analytics import (
 from no3l.geom import collinear, shell_index
 from no3l.parallel import map_ordered
 from no3l.sampling import SamplerConfig, sample_window, shell_probability
-from no3l.triples import box_triple_counts
+from no3l.triples import box_triple_counts, count_collinear_triples
 from lattice_lines import line_through
 
 # number of lines with at least two points in [1, 2**T]^2
@@ -104,6 +110,79 @@ def test_line_count_field_matches_enumeration():
         assert weight_sums(T, 0.2).line_count == want
 
 
+def _bin_counts(n, a, b, grids=()):
+    """Points per offset bin of direction (a, b), from a grid of ones, and the other grids' sums."""
+    kmin, sums, parts = _direction_line_sums(n, a, b, (np.ones((n, n)), *grids))
+    return kmin, sums[0], sums[1:], parts
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, 3.0, 30.0])
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_exact_mean_against_pair_oracle(T, c):
+    assert exact_mean(T, c) == pytest.approx(_oracle_scan(T, c)[2], rel=1e-11)
+
+
+def test_exact_mean_pins():
+    for T, (_, _, ey, _) in WEIGHT_SUMS_HALF.items():
+        assert exact_mean(T, 0.5) == pytest.approx(ey, rel=1e-12)
+    for T, want in EY_NORM_HALF.items():
+        assert exact_mean(T, 0.5) * math.sqrt(T) / (0.5**3 * 2**T) == pytest.approx(want, rel=1e-12)
+
+
+def test_exact_mean_counts_every_grid_triple():
+    # at a saturating rate every point is kept: the grid's collinear triples
+    for T in (2, 3, 4):
+        n = 1 << T
+        assert exact_mean(T, 1e6) == count_collinear_triples(
+            [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+        )
+
+
+def test_exact_mean_past_the_scan_cap():
+    # k1 = E[Y_T] * sqrt(T) / (c**3 * 2**T), as the T = 8 and 9 scans gave it
+    for T, k1 in [(8, 12.9355), (9, 13.1044)]:
+        assert round(exact_mean(T, 0.1) * math.sqrt(T) / (0.1**3 * 2**T), 4) == k1
+
+
+@pytest.mark.parametrize("T", [5, 6])
+def test_mean_counts_do_not_depend_on_the_dealing(monkeypatch, T):
+    gs = range(2, 1 << T)
+    want = _mean_counts((T, gs))
+    for workers in (1, 2, 3):
+        parts = [_mean_counts((T, part)) for part in _deal(gs, workers)]
+        assert len(parts) == workers
+        assert np.array_equal(sum(parts), want)
+    # one (i, k) row per block: every i and every k in its own chunk
+    monkeypatch.setattr(analytics, "_MEAN_BLOCK", 1)
+    assert np.array_equal(_mean_counts((T, gs)), want)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("NO3L_THREADS", workers)
+        assert exact_mean(T, 0.3) == weight_sums(T, 0.3).exact_ey
+
+
+def test_mean_cap_is_where_the_int64_sums_stop_being_provably_exact():
+    # X <= n * ceil(n/g), so each per-triple sum is below n**2 times the
+    # sum over g of phi(g) * ceil(n/g)**2 (module docstring)
+    def bound(T):
+        n = 1 << T
+        phi = list(range(n))
+        for p in range(2, n):
+            if phi[p] == p:
+                for k in range(p, n, p):
+                    phi[k] -= phi[k] // p
+        return n * n * sum(phi[g] * ((n + g - 1) // g) ** 2 for g in range(2, n))
+
+    assert bound(MEAN_CAP) < 2**63 <= bound(MEAN_CAP + 1)
+    n = 1 << MEAN_CAP
+    assert n * (n // 2) < 2**31  # X fits the int32 temporaries
+    with pytest.raises(ValueError):
+        exact_mean(MEAN_CAP + 1, 0.5)
+    with pytest.raises(ValueError):
+        exact_mean(-1, 0.5)
+    with pytest.raises(ValueError):
+        exact_mean(3, -0.5)
+
+
 def _beta_brute(x, T, c):
     """beta at x from every pair of other box points collinear with it."""
     n = 1 << T
@@ -129,7 +208,8 @@ def test_beta_grid_matches_brute():
 
 @pytest.mark.parametrize("T", [1, 2, 3, 4, 5])
 def test_beta_identity_ties_back_to_expectation(T):
-    # summing p(x) * beta(x) triple-counts the expectation
+    # summing p(x) * beta(x) triple-counts the expectation; beta comes from
+    # the scan and exact_ey from the count, two independent computations
     c = 0.5
     n = 1 << T
     grid = beta_box_grid(T, c)
@@ -245,6 +325,10 @@ def test_weight_report_shape():
     assert isinstance(rep, LineWeightReport)
     assert rep.T == 2
     assert rep.c == 0.3
+    # every direction's lines with two or more points, from a grid of ones
+    assert rep.line_count == sum(
+        np.count_nonzero(_bin_counts(4, a, b)[1]) for a, b in _box_directions(4)
+    )
 
 
 def _mirror(a, b):
@@ -252,7 +336,7 @@ def _mirror(a, b):
 
 
 def _sorted_line_rows(n, a, b, grids):
-    _, cnt, sums, _ = _direction_line_sums(n, a, b, grids)
+    _, cnt, sums, _ = _bin_counts(n, a, b, grids)
     keep = cnt > 0
     rows = np.column_stack([cnt[keep]] + [w[keep] for w in sums])
     # round the sort key so last-bit differences cannot reorder near ties
@@ -280,7 +364,7 @@ def test_bins_hold_exactly_the_lines_with_two_points():
     grids = _probability_grids(T, 0.5)
     pts = {(x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
     for a, b in _box_directions(n):
-        kmin, cnt, sums, parts = _direction_line_sums(n, a, b, grids)
+        kmin, cnt, sums, parts = _bin_counts(n, a, b, grids)
         members = {}
         for x, y in pts:
             members.setdefault(b * x - a * y, []).append((x, y))
@@ -315,29 +399,35 @@ def test_two_point_directions_match_the_bincount_path(c):
     # A scanned direction has no three-point line iff 2b >= n.  The scan
     # reads those directions' W from two slices of P; each direction's line
     # count, w3 and w4 must equal what the bincount path's bins give, with
-    # no e3 part and no beta contribution, which the bincount path has only
-    # to rounding.
+    # no beta contribution, which the bincount path has only to rounding.
     for T in range(1, 6):
         n = 1 << T
         grids = _probability_grids(T, c)
-        P, P2, _ = grids
+        P, P2 = grids
         for a, b in _box_directions(n):
             if abs(a) > b:
                 continue
             two_point = 2 * b >= n
-            _, cnt, (w1, w2, _), parts = _direction_line_sums(n, a, b, grids)
+            _, cnt, (w1, w2), parts = _bin_counts(n, a, b, grids)
             assert (cnt.max() <= 2) == two_point
             mult = 2 if abs(a) < b else 1
-            w3, w4, ey, lines, v1, beta = analytics._scan_chunk((T, c, [(a, b)], True))
+            w3, w4, lines, v1, beta = analytics._scan_chunk((T, c, [(a, b)], True))
             assert lines == mult * np.count_nonzero(cnt)
             assert w3 == [pytest.approx(mult * np.sum(w1**3), rel=1e-14)]
             assert w4 == [pytest.approx(mult * np.sum(w1**4), rel=1e-14)]
             if two_point:
-                assert ey == [] and v1 == 0.0 and not beta.any()
+                assert v1 == 0.0 and not beta.any()
                 for (x_lo, x_hi, y_lo, y_hi), k in parts:
                     box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
                     rounding = (w1[k] - P[box]) ** 2 - (w2[k] - P2[box])
                     np.testing.assert_allclose(rounding, 0.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("T", range(1, 6))
+def test_closed_form_line_count_equals_the_nonzero_bins(T):
+    n = 1 << T
+    for a, b in _box_directions(n):
+        assert _line_count(n, a, b) == np.count_nonzero(_bin_counts(n, a, b)[1])
 
 
 @pytest.mark.parametrize("T", sorted(WEIGHT_SUMS_HALF))
@@ -392,8 +482,18 @@ def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch, wor
     monkeypatch.setenv("NO3L_THREADS", workers)
     requests = [(t, 0.3, want_beta) for t in ts for want_beta in (False, True)]
     got = analytics._family_scans(requests)
+    scans = [args for fn, args in tasks if fn is analytics._scan_chunk]
+    counts = [args for fn, args in tasks if fn is analytics._mean_counts]
+    assert len(scans) + len(counts) == len(tasks)
+    # the tasks run largest box first
+    assert [args[0] for _, args in tasks] == sorted((args[0] for _, args in tasks), reverse=True)
+    for t in ts:
+        # one count per exponent, its g dealt one slice per worker
+        mine = [gs for T, gs in counts if T == t]
+        assert sorted(g for gs in mine for g in gs) == list(range(2, 1 << t))
+        assert len(mine) == min(int(workers), (1 << t) - 2)
     for (t, _, want_beta), (weights, bounds, beta) in zip(requests, got):
-        mine = [part for T, _, part, b in tasks if (T, b) == (t, want_beta)]
+        mine = [part for T, _, part, b in scans if (T, b) == (t, want_beta)]
         dirs = [(a, b) for a, b in _box_directions(1 << t) if abs(a) <= b]
         # the tasks cover the scan's directions once each
         assert sorted(d for part in mine for d in part) == sorted(dirs)
