@@ -36,11 +36,9 @@ from .experiments import (
     verify_theorem,
 )
 from .geom import (
-    collinear,
     inf_norm,
     norm_lex_key,
     shell_index,
-    shell_size,
 )
 from .sampling import (
     PointSet,
@@ -53,7 +51,6 @@ from .sampling import (
 )
 from .triples import (
     count_collinear_triples,
-    count_collinear_triples_bruteforce,
     prefix_triple_counts,
 )
 

@@ -56,16 +56,30 @@ offsets of F, which every line with two or more points reaches; a box
 point outside the rectangles may fall outside the bins, so the beta pass
 below visits only the rectangles' points.
 
-Most directions need no bincount.  Three box points on a line of a
-scanned direction (a, b), |a| <= b, are p, p + (a, b) and p + 2(a, b),
+Most directions are counted, not scanned.  Three box points on a line of
+a scanned direction (a, b), |a| <= b, are p, p + (a, b) and p + 2(a, b),
 whose y values span 2b <= n - 1.  So when 2b >= n every line holds at most
 two box points, and those with two are the pairs (p, p + (a, b)) with p in
-F: W over them is P[F] + P[F + (a, b)], the sum of two slices of the grid.
-Such a direction adds nothing to beta, as a pair leaves no third point to
-pair with.  When 2b < n the line through (1, 1), or through (n, 1) if
-a < 0, holds three points, so the cut-off is exact.  At T = 6 to 8 the
-two-point directions are three quarters of those scanned and half of
-their cells.
+F.  When 2b < n the line through (1, 1), or through (n, 1) if a < 0, holds
+three points, so the cut-off is exact.  A two-point direction adds
+nothing to beta, as a pair leaves no third point to pair with, and W over
+a pair is p_s + p_s', s the shell of p and s' that of p + (a, b): one of
+(T + 1)**2 values.  So the scans take only the directions with 2b < n,
+and the pairs are counted by shell pair.  In the nested squares above,
+the pairs with p in [1, m_j]^2 and p + (a, b) in [1, m_j']^2 number
+Lx * Ly, the lengths of the ranges [max(1, 1 - a), min(m_j, m_j' - a)] of
+x and [1, min(m_j, m_j' - b)] of y.  Summed over the two-point directions,
+each with its mirror multiplicity (below), they give N(j, j'), and
+
+    C(s, s') = N(s, s') - N(s-1, s') - N(s, s'-1) + N(s-1, s'-1)
+
+counts the pairs with p in shell s and p + (a, b) in shell s'.  The sum
+over a is one matrix product of the (b, a) grid of multiplicities with
+Lx, so no temporary grows with the number of directions.  C is integer
+and does not depend on c, so each exponent has one: sum_w3 and sum_w4
+weight it by (p_s + p_s')**3 and **4, and the two-point directions have
+N(T, T) lines.  At T = 7 they are 7,460 of the 9,917 directions with
+|a| <= b.
 
 The probability grid is symmetric under the mirror (x, y) -> (y, x),
 which maps direction (a, b) to (b, a) for a >= 0 and to (-b, -a) for
@@ -84,13 +98,15 @@ The three variance contributions are bounded by sum of p(x) * beta(x)**2,
 sum_w4, and E[Y_T] itself.  beta also satisfies the exact identity
 sum of p(x) * beta(x) = 3 * E[Y_T], which ties the scan to the count.
 
-exact_reports runs one count and one scan per exponent, building beta
-only where T <= VARIANCE_CAP; weight_sums, variance_bounds and
-beta_box_grid are single-exponent calls of it.  Every task goes through
-one map on the worker pool, largest box first.  A count deals its g, and
-a scan without beta its directions, round-robin to one task per worker; a
-scan with beta is one task, so beta and v1 are summed in one order.  The
-counts add as integers and math.fsum joins the scans' per-direction
+exact_reports runs one count of E[Y_T], one count of shell pairs and one
+scan per exponent, building beta only where T <= VARIANCE_CAP;
+weight_sums, variance_bounds and beta_box_grid are single-exponent calls
+of it.  Every count of E[Y_T] and every scan task goes through one map on
+the worker pool, largest box first; the shell pairs are counted in the
+calling process.  A count deals its g, and a scan without beta its
+directions, round-robin to one task per worker; a scan with beta is one
+task, so beta and v1 are summed in one order.  The counts add as integers
+and math.fsum joins the shell-pair parts and the scans' per-direction
 parts, rounding the exact sum once, so neither the dealing nor the worker
 count changes a bit of the output.
 
@@ -150,13 +166,15 @@ def require_cubable_rate(c: float) -> None:
 
 
 def _box_directions(n: int) -> list[tuple[int, int]]:
-    """Canonical directions realized by point pairs of [1, n]^2, by (b, a)."""
-    dirs = [(1, 0), (0, 1)] if n >= 2 else []
-    for b in range(1, n):
-        for a in range(-(n - 1), n):
-            if a != 0 and math.gcd(a, b) == 1:
-                dirs.append((a, b))
-    return sorted(dirs, key=lambda d: (d[1], d[0]))
+    """Canonical directions realized by point pairs of [1, n]^2, by (b, a).
+
+    gcd(a, 0) = |a| and gcd(0, b) = b, so the coprime (b, a) grid holds the
+    axes only as (±1, 0) and (0, 1); a > 0 keeps (1, 0).
+    """
+    b = np.arange(n)[:, None]
+    a = np.arange(-(n - 1), n)
+    bi, ai = np.nonzero((np.gcd(a, b) == 1) & ((b > 0) | (a > 0)))
+    return list(zip((ai - (n - 1)).tolist(), bi.tolist()))
 
 
 def _probability_grids(T: int, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,6 +336,38 @@ def _line_count(n: int, a: int, b: int) -> int:
     return (n - abs(a)) * (n - abs(b)) - max(0, n - 2 * abs(a)) * max(0, n - 2 * abs(b))
 
 
+def _pair_counts(T: int) -> np.ndarray:
+    """C[s, s'], the two-point lines (p, p + (a, b)) with p in shell s and p + (a, b) in s'.
+
+    Summed over the scanned directions with 2b >= n, each counted with its
+    mirror multiplicity (module docstring).  N[j, j'], the pairs with p in
+    the square [1, m_j]^2 and p + (a, b) in [1, m_j']^2, is the sum over
+    (b, a) of mult * Lx * Ly, Lx and Ly the lengths of the x and y ranges
+    that allow it; C is N differenced in both shells.  The sum over a is a
+    matrix product, so no temporary grows with the number of directions.
+    """
+    n = 1 << T
+    m = np.array([(2 << s) - 1 for s in range(T)] + [n], dtype=np.int64)
+    a = np.arange(-(n - 1), n)
+    b = np.arange((n + 1) // 2, n)[:, None]
+    mult = np.where(np.abs(a) < b, 2, 1) * ((np.abs(a) <= b) & (np.gcd(a, b) == 1))
+    # over (a or b, j, j'): p in [1, m_j] and p + (a or b) in [1, m_j'], per axis
+    lo, hi = m[:, None], m[None, :]
+    a, b = a[:, None, None], b[:, :, None]
+    lx = np.maximum(np.minimum(lo, hi - a) - np.maximum(1, 1 - a) + 1, 0)
+    ly = np.maximum(np.minimum(lo, hi - b), 0)
+    N = (np.tensordot(mult, lx, axes=1) * ly).sum(axis=0)
+    return np.diff(np.diff(N, axis=0, prepend=0), axis=1, prepend=0)
+
+
+def _pair_parts(T: int, c: float, counts: np.ndarray) -> tuple[list[float], list[float]]:
+    """The w3 and w4 parts of the two-point lines: C[s, s'] * (p_s + p_s')**3 and **4."""
+    p = np.array([shell_probability(s, c) for s in range(T + 1)])
+    w = np.add.outer(p, p)
+    sq = w * w
+    return (counts * (sq * w)).ravel().tolist(), (counts * (sq * sq)).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class LineWeightReport:
     """Aggregates over all lines with >= 2 points in [1, 2**T]^2, and E[Y_T]."""
@@ -343,16 +393,18 @@ class VarianceBoundReport:
 
 
 def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
-    """Per-direction parts of one slice of an exponent's scanned directions.
+    """Per-direction parts of one slice of an exponent's bincount directions.
 
-    Only one direction of each x<->y mirror pair is scanned (|a| < b, which
-    takes (0, 1) for the axes), and its parts count twice; the two diagonal
-    directions, |a| == b, are their own mirrors and count once.  Returns the
-    w3 and w4 parts of each direction and the slice's line count; a beta
-    scan, which always gets every direction, also returns v1 and beta.  The
-    grids are symmetric, so a mirror's beta contribution is the transpose of
-    its partner's: paired directions accumulate in one grid, the diagonal
-    ones in another, and beta is paired + paired.T + diagonal.
+    The slice holds scanned directions with 2b < n; the two-point ones,
+    2b >= n, are counted by _pair_counts instead.  Only one direction of
+    each x<->y mirror pair is scanned (|a| < b, which takes (0, 1) for the
+    axes), and its parts count twice; the two diagonal directions,
+    |a| == b, are their own mirrors and count once.  Returns the w3 and w4
+    parts of each direction and the slice's line count; a beta scan, which
+    always gets every such direction, also returns v1 and beta.  The grids
+    are symmetric, so a mirror's beta contribution is the transpose of its
+    partner's: paired directions accumulate in one grid, the diagonal ones
+    in another, and beta is paired + paired.T + diagonal.
     """
     T, c, dirs, want_beta = args
     n = 1 << T
@@ -366,21 +418,15 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
     for a, b in dirs:
         mult = 2 if abs(a) < b else 1
         line_count += mult * _line_count(n, a, b)
-        if 2 * b >= n:
-            # two-point direction: its lines are the pairs (p, p + (a, b)), p in F
-            x_lo, x_hi, y_lo, y_hi = _neighbour_rects(n, a, b)[0]
-            w1 = (P[x_lo - 1 : x_hi, y_lo - 1 : y_hi]
-                  + P[x_lo + a - 1 : x_hi + a, y_lo + b - 1 : y_hi + b])
-        else:
-            _, sums, parts = _direction_line_sums(n, a, b, grids)
-            w1 = sums[0]
-            if want_beta:
-                w2 = sums[1]
-                acc = paired if mult == 2 else diagonal
-                # every point of parts lies on a line with >= 2 box points
-                for (x_lo, x_hi, y_lo, y_hi), k in parts:
-                    box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
-                    acc[box] += 0.5 * ((w1[k] - P[box]) ** 2 - (w2[k] - P2[box]))
+        _, sums, parts = _direction_line_sums(n, a, b, grids)
+        w1 = sums[0]
+        if want_beta:
+            w2 = sums[1]
+            acc = paired if mult == 2 else diagonal
+            # every point of parts lies on a line with >= 2 box points
+            for (x_lo, x_hi, y_lo, y_hi), k in parts:
+                box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
+                acc[box] += 0.5 * ((w1[k] - P[box]) ** 2 - (w2[k] - P2[box]))
         sq = w1 * w1
         w3_parts.append(mult * float(np.sum(sq * w1)))
         w4_parts.append(mult * float(np.sum(sq * sq)))
@@ -399,30 +445,35 @@ def _call(task: tuple) -> object:
 def _family_scans(
     requests: Sequence[tuple[int, float, bool]],
 ) -> list[tuple[LineWeightReport, VarianceBoundReport | None, np.ndarray | None]]:
-    """One family scan per (T, c, want_beta) request and one count per T, on one map.
+    """One family scan per (T, c, want_beta) request and two counts per T, on one map.
 
-    The count of each exponent (it does not depend on c) deals its g
-    round-robin into one task per worker, and so does a weight-only scan
-    with its directions, dirs[k::w]; a beta scan is one task, so beta and
-    v1 are summed in one order whatever the worker count.  Every task of
-    every request goes through one map_ordered call, largest box first.
-    The counts add as integers and math.fsum joins the scans'
-    per-direction parts: it rounds the exact sum once, so neither the
-    dealing nor the worker count can change a bit.  Returns, per request,
-    its weight report and, for a beta scan, its variance report and beta
-    grid.
+    The counts of each exponent do not depend on c.  Its count of E[Y_T]
+    deals its g round-robin into one task per worker; its _pair_counts,
+    which the two-point directions (2b >= n) need, is made here.  A
+    weight-only scan deals the directions with 2b < n the same way,
+    dirs[k::w]; a beta scan takes them in one task, so beta and v1 are
+    summed in one order whatever the worker count.  Every task of every
+    request goes through one map_ordered call, largest box first.  The
+    counts add as integers and math.fsum joins the shell-pair parts and
+    the scans' per-direction parts: it rounds the exact sum once, so
+    neither the dealing nor the worker count can change a bit.  Returns,
+    per request, its weight report and, for a beta scan, its variance
+    report and beta grid.
     """
     workers = resolve_workers()
     tasks = []  # (owner, (fn, args)), largest box first: ("count", T) or ("scan", request index)
+    pair_counts = {}
     for T in sorted({T for T, _, _ in requests}, reverse=True):
-        slices = _deal(range(2, 1 << T), workers)
+        n = 1 << T
+        slices = _deal(range(2, n), workers)
         tasks += [(("count", T), (_mean_counts, (T, gs))) for gs in slices]
+        pair_counts[T] = _pair_counts(T)
         for i, (t, c, want_beta) in enumerate(requests):
             if t != T:
                 continue
             if c <= 0:
                 raise ValueError(f"sampling rate must be > 0, got {c}")
-            dirs = [(a, b) for a, b in _box_directions(1 << T) if abs(a) <= b]
+            dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b and 2 * b < n]
             slices = [dirs] if want_beta else _deal(dirs, workers)
             tasks += [(("scan", i), (_scan_chunk, (T, c, dirs_k, want_beta))) for dirs_k in slices]
     outs = map_ordered(_call, [task for _, task in tasks])
@@ -430,12 +481,13 @@ def _family_scans(
     for i, (T, c, want_beta) in enumerate(requests):
         counts = [out for (owner, _), out in zip(tasks, outs) if owner == ("count", T)]
         mine = [out for (owner, _), out in zip(tasks, outs) if owner == ("scan", i)]
+        pair_w3, pair_w4 = _pair_parts(T, c, pair_counts[T])
         weights = LineWeightReport(
             T=T, c=c,
-            sum_w3=math.fsum(p for out in mine for p in out[0]),
-            sum_w4=math.fsum(p for out in mine for p in out[1]),
+            sum_w3=math.fsum([*pair_w3, *(p for out in mine for p in out[0])]),
+            sum_w4=math.fsum([*pair_w4, *(p for out in mine for p in out[1])]),
             exact_ey=_mean_from_counts(T, c, counts),
-            line_count=sum(out[2] for out in mine),
+            line_count=int(pair_counts[T].sum()) + sum(out[2] for out in mine),
         )
         bounds = beta = None
         if want_beta:

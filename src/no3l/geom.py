@@ -1,8 +1,7 @@
 """Exact geometry of the integer lattice.
 
 Everything here is decided in exact integer arithmetic (Python ints do not
-overflow), so collinearity and shell indices are never subject to
-rounding.  Conventions used throughout the package:
+overflow), so shell indices are never subject to rounding.  Conventions used throughout the package:
 
 * a point is an ``(x, y)`` tuple of ints; construction-facing sets live in
   the positive quadrant ``{1, 2, ...}^2``,
@@ -20,10 +19,6 @@ rounding.  Conventions used throughout the package:
 from __future__ import annotations
 
 Point = tuple[int, int]
-
-# Shell sizes are kept within 64-bit range; nothing in the package needs
-# shells beyond exponent 30.
-SHELL_EXPONENT_CAP = 30
 
 
 def inf_norm(p: Point) -> int:
@@ -45,17 +40,3 @@ def shell_index(p: Point) -> int:
     if m == 0:
         raise ValueError("the origin lies in no shell")
     return m.bit_length() - 1
-
-
-def shell_size(T: int) -> int:
-    """Number of positive-quadrant points in shell T: 3*4**T - 2*2**T."""
-    if T < 0:
-        raise ValueError(f"shell exponent must be >= 0, got {T}")
-    if T > SHELL_EXPONENT_CAP:
-        raise OverflowError(f"shell exponent {T} exceeds cap {SHELL_EXPONENT_CAP}")
-    return 3 * 4**T - 2 * 2**T
-
-
-def collinear(p: Point, q: Point, r: Point) -> bool:
-    """True iff p, q, r lie on one line (repeated points count as collinear)."""
-    return (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])

@@ -55,15 +55,12 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .geom import Point
 from .sampling import PointSet
-
-BRUTE_FORCE_CAP = 2000
 
 # Row cells, earlier-point pairs and the sentinels after them, keyed and
 # sorted together per block of anchors.  It bounds the block's temporaries.
@@ -77,13 +74,6 @@ _PAIR_BLOCK = 1 << 15
 
 # Widest span the float key counts exactly (see the module docstring).
 _FLOAT_KEY_SPAN = 1 << 21
-
-
-def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
-    pts = list(obj.points) if isinstance(obj, PointSet) else [tuple(p) for p in obj]
-    if len(set(pts)) != len(pts):
-        raise ValueError("point set contains duplicates")
-    return pts
 
 
 def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -190,20 +180,6 @@ def count_collinear_triples(ps: PointSet | Iterable[Point]) -> int:
     per-point prefix counts.
     """
     return sum(prefix_triple_counts(ps))
-
-
-def count_collinear_triples_bruteforce(ps: PointSet | Iterable[Point]) -> int:
-    """Reference counter: test all C(m, 3) triples.  Guarded at 2000 points."""
-    pts = _as_points(ps)
-    if len(pts) > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"brute force capped at {BRUTE_FORCE_CAP} points, got {len(pts)}"
-        )
-    total = 0
-    for (px, py), (qx, qy), (rx, ry) in combinations(pts, 3):
-        if (qx - px) * (ry - py) == (qy - py) * (rx - px):
-            total += 1
-    return total
 
 
 def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:

@@ -4,7 +4,8 @@ An unoriented direction is the coprime vector (a, b) normalized so that
 b > 0, or b == 0 and a > 0; the line with direction (a, b) and offset k is
 {(x, y) : b*x - a*y == k}, walked by stepping by (a, b).  The tests use
 these to enumerate triples by direction, to key point pairs by their line,
-and to walk the lines the greedy baseline blocks.
+to walk the lines the greedy baseline blocks, to test three points for
+collinearity, and to list the directions of a box one gcd at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +45,21 @@ class LatticeLine:
     def contains(self, p: Point) -> bool:
         a, b = self.direction
         return b * p[0] - a * p[1] == self.offset
+
+
+def collinear(p: Point, q: Point, r: Point) -> bool:
+    """True iff p, q, r lie on one line (repeated points count as collinear)."""
+    return (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+
+
+def box_directions(n: int) -> list[Direction]:
+    """Canonical directions realized by point pairs of [1, n]^2, by (b, a)."""
+    dirs = [(1, 0), (0, 1)] if n >= 2 else []
+    for b in range(1, n):
+        for a in range(-(n - 1), n):
+            if a != 0 and math.gcd(a, b) == 1:
+                dirs.append((a, b))
+    return sorted(dirs, key=lambda d: (d[1], d[0]))
 
 
 def line_through(p: Point, q: Point) -> LatticeLine:

@@ -25,9 +25,9 @@ import pytest
 from no3l.analytics import monte_carlo_moments, variance_bounds, weight_sums
 from no3l.construct import _is_prime, greedy_construct, modular_parabola
 from no3l.experiments import TrialManifest, run_trials
-from no3l.geom import shell_size
 from no3l.sampling import read_pointset, shell_counts, shell_probability, write_pointset
-from no3l.triples import count_collinear_triples, count_collinear_triples_bruteforce
+from no3l.triples import count_collinear_triples
+from brute_force import count_collinear_triples_bruteforce, shell_size
 
 BIG = dict(base_seed=1, trial_count=20, c=0.1, window_exponent=13)
 

@@ -1,10 +1,11 @@
 """Exact line-family analytics against independent small-scale oracles.
 
 The scan under test walks coprime direction families with bincount
-tricks, and the count of E[Y_T] sums over coprime (i, g) pairs and shell
-triples; the oracle here rebuilds every line from point pairs with a
-dictionary and evaluates elementary symmetric sums with
-itertools.combinations.  Slow and obviously correct.
+tricks, the count of E[Y_T] sums over coprime (i, g) pairs and shell
+triples, and the two-point directions are counted by shell pair; the
+oracle here rebuilds every line from point pairs with a dictionary and
+evaluates elementary symmetric sums with itertools.combinations.  Slow
+and obviously correct.
 """
 
 import math
@@ -24,6 +25,8 @@ from no3l.analytics import (
     _direction_line_sums,
     _line_count,
     _mean_counts,
+    _pair_counts,
+    _pair_parts,
     _probability_grids,
     beta_box_grid,
     exact_mean,
@@ -35,11 +38,11 @@ from no3l.analytics import (
     x_floor,
     y_ceiling,
 )
-from no3l.geom import collinear, shell_index
+from no3l.geom import shell_index
 from no3l.parallel import map_ordered
 from no3l.sampling import SamplerConfig, sample_window, shell_probability
 from no3l.triples import box_triple_counts, count_collinear_triples
-from lattice_lines import line_through
+from lattice_lines import box_directions, collinear, line_through
 
 # number of lines with at least two points in [1, 2**T]^2
 LINE_COUNTS = {1: 6, 2: 62, 3: 938, 4: 14946}
@@ -394,40 +397,65 @@ def test_beta_grid_is_symmetric_and_matches_brute():
         assert grid[x[0] - 1, x[1] - 1] == pytest.approx(_beta_brute(x, 4, 0.5), rel=1e-11)
 
 
+def _two_point_directions(n):
+    """The scanned directions (|a| <= b) with 2b >= n, and their mirror multiplicities."""
+    return [
+        (a, b, 2 if abs(a) < b else 1)
+        for a, b in box_directions(n)
+        if abs(a) <= b and 2 * b >= n
+    ]
+
+
 @pytest.mark.parametrize("c", [0.05, 0.5, 3.0, 30.0])
-def test_two_point_directions_match_the_bincount_path(c):
-    # A scanned direction has no three-point line iff 2b >= n.  The scan
-    # reads those directions' W from two slices of P; each direction's line
-    # count, w3 and w4 must equal what the bincount path's bins give, with
-    # no beta contribution, which the bincount path has only to rounding.
-    for T in range(1, 6):
+def test_pair_counts_weight_like_the_bincount_path(c):
+    # The two-point directions' w3 and w4, counted by shell pair, must equal
+    # what the bincount path's bins give summed over them, and their line
+    # count the closed form's.
+    for T in range(1, 7):
         n = 1 << T
         grids = _probability_grids(T, c)
-        P, P2 = grids
-        for a, b in _box_directions(n):
-            if abs(a) > b:
-                continue
-            two_point = 2 * b >= n
-            _, cnt, (w1, w2), parts = _bin_counts(n, a, b, grids)
-            assert (cnt.max() <= 2) == two_point
-            mult = 2 if abs(a) < b else 1
-            w3, w4, lines, v1, beta = analytics._scan_chunk((T, c, [(a, b)], True))
-            assert lines == mult * np.count_nonzero(cnt)
-            assert w3 == [pytest.approx(mult * np.sum(w1**3), rel=1e-14)]
-            assert w4 == [pytest.approx(mult * np.sum(w1**4), rel=1e-14)]
-            if two_point:
-                assert v1 == 0.0 and not beta.any()
-                for (x_lo, x_hi, y_lo, y_hi), k in parts:
-                    box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
-                    rounding = (w1[k] - P[box]) ** 2 - (w2[k] - P2[box])
-                    np.testing.assert_allclose(rounding, 0.0, rtol=0, atol=1e-15)
+        w3, w4, lines = [], [], 0
+        for a, b, mult in _two_point_directions(n):
+            w1 = _direction_line_sums(n, a, b, grids[:1])[1][0]
+            w3.append(mult * float(np.sum(w1**3)))
+            w4.append(mult * float(np.sum(w1**4)))
+            lines += mult * _line_count(n, a, b)
+        counts = _pair_counts(T)
+        got_w3, got_w4 = _pair_parts(T, c, counts)
+        assert math.fsum(got_w3) == pytest.approx(math.fsum(w3), rel=1e-14)
+        assert math.fsum(got_w4) == pytest.approx(math.fsum(w4), rel=1e-14)
+        assert counts.sum() == lines
+
+
+@pytest.mark.parametrize("T", range(0, 5))
+def test_pair_counts_match_pair_enumeration(T):
+    n = 1 << T
+    want = np.zeros((T + 1, T + 1), dtype=np.int64)
+    for a, b, mult in _two_point_directions(n):
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                if 1 <= x + a <= n and y + b <= n:
+                    want[shell_index((x, y)), shell_index((x + a, y + b))] += mult
+    got = _pair_counts(T)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_box_directions_equal_the_gcd_loop():
+    # every side to 2**6, then both sides of 2**7 and 2**8 (all n <= 2**8 take 5 s)
+    for n in [*range(1, 65), 100, 127, 128, 129, 255, 256]:
+        assert _box_directions(n) == box_directions(n)
 
 
 @pytest.mark.parametrize("T", range(1, 6))
 def test_closed_form_line_count_equals_the_nonzero_bins(T):
     n = 1 << T
     for a, b in _box_directions(n):
-        assert _line_count(n, a, b) == np.count_nonzero(_bin_counts(n, a, b)[1])
+        cnt = _bin_counts(n, a, b)[1]
+        assert _line_count(n, a, b) == np.count_nonzero(cnt)
+        if abs(a) <= b:
+            # a scanned direction has no three-point line iff 2b >= n
+            assert (cnt.max() <= 2) == (2 * b >= n)
 
 
 @pytest.mark.parametrize("T", sorted(WEIGHT_SUMS_HALF))
@@ -494,8 +522,9 @@ def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch, wor
         assert len(mine) == min(int(workers), (1 << t) - 2)
     for (t, _, want_beta), (weights, bounds, beta) in zip(requests, got):
         mine = [part for T, _, part, b in scans if (T, b) == (t, want_beta)]
-        dirs = [(a, b) for a, b in _box_directions(1 << t) if abs(a) <= b]
-        # the tasks cover the scan's directions once each
+        n = 1 << t
+        dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b and 2 * b < n]
+        # the tasks cover the directions with 2b < n once each; at T = 1 there are none
         assert sorted(d for part in mine for d in part) == sorted(dirs)
         assert weights == want[t][0]
         if want_beta:

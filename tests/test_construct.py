@@ -20,11 +20,8 @@ from no3l.construct import (
 )
 from no3l.geom import norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
-from no3l.triples import (
-    count_collinear_triples,
-    count_collinear_triples_bruteforce,
-    prefix_triple_counts,
-)
+from no3l.triples import count_collinear_triples, prefix_triple_counts
+from brute_force import count_collinear_triples_bruteforce
 from lattice_lines import line_points_in_rect, line_through
 
 GREEDY_SIZES = {1: 1, 2: 4, 3: 8, 4: 20, 5: 46, 6: 84, 7: 162, 8: 340, 9: 646, 10: 1336}

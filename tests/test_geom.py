@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from no3l.geom import (
-    SHELL_EXPONENT_CAP,
+from no3l.geom import inf_norm, norm_lex_key, shell_index
+from brute_force import SHELL_EXPONENT_CAP, shell_size
+from lattice_lines import (
+    LatticeLine,
+    canonical_direction,
     collinear,
-    inf_norm,
-    norm_lex_key,
-    shell_index,
-    shell_size,
+    line_points_in_rect,
+    line_through,
 )
-from lattice_lines import LatticeLine, canonical_direction, line_points_in_rect, line_through
 
 coord = st.integers(min_value=-50, max_value=50)
 point = st.tuples(coord, coord)

@@ -25,15 +25,11 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from no3l import sampling, triples
-from no3l.geom import collinear, norm_lex_key
+from no3l.geom import norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
-from no3l.triples import (
-    box_triple_counts,
-    count_collinear_triples,
-    count_collinear_triples_bruteforce,
-    prefix_triple_counts,
-)
-from lattice_lines import canonical_direction
+from no3l.triples import box_triple_counts, count_collinear_triples, prefix_triple_counts
+from brute_force import count_collinear_triples_bruteforce
+from lattice_lines import canonical_direction, collinear
 
 
 def enumerate_collinear_triples(pts):
