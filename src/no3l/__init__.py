@@ -12,12 +12,9 @@ from .analytics import (
     LineWeightReport,
     TrialStatistics,
     VarianceBoundReport,
-    beta_box_grid,
     exact_mean,
     exact_reports,
     monte_carlo_moments,
-    variance_bounds,
-    weight_sums,
 )
 from .construct import (
     delete_max_of_triples,

@@ -98,22 +98,18 @@ The three variance contributions are bounded by sum of p(x) * beta(x)**2,
 sum_w4, and E[Y_T] itself.  beta also satisfies the exact identity
 sum of p(x) * beta(x) = 3 * E[Y_T], which ties the scan to the count.
 
-exact_reports runs one count of E[Y_T], one count of shell pairs and one
-scan per exponent, building beta only where T <= VARIANCE_CAP;
-weight_sums, variance_bounds and beta_box_grid are single-exponent calls
-of it.  Every count of E[Y_T] and every scan task goes through one map on
-the worker pool, largest box first; the shell pairs are counted in the
-calling process.  A count deals its g, and a scan without beta its
-directions, round-robin to one task per worker; a scan with beta is one
-task, so beta and v1 are summed in one order.  The counts add as integers
-and math.fsum joins the shell-pair parts and the scans' per-direction
-parts, rounding the exact sum once, so neither the dealing nor the worker
-count changes a bit of the output.
+The exact phase has two entries.  exact_mean(T, c) counts E[Y_T] alone.
+exact_reports(t_values, c) gives, per exponent, one count of E[Y_T], one
+count of shell pairs and one scan, which builds beta and the variance
+bounds where T <= VARIANCE_CAP.  Its docstring says how the work is dealt
+to the worker pool; neither the dealing nor the worker count changes a
+bit of the output.
 
-Caps: the scans are quartic in the box side, so they are allowed up to
-box exponent 7 (ENUMERATION_CAP), and beta and the variance bounds up to
-6.  exact_mean alone runs to MEAN_CAP.  Desk-scale Monte Carlo estimates
-for the same quantities have no cap beyond the sampling window's.
+Caps: the scans are quartic in the box side, so exact_reports leaves out
+exponents past 7 (ENUMERATION_CAP), and its variance reports those past 6
+(VARIANCE_CAP).  exact_mean runs to MEAN_CAP and raises past it.
+Desk-scale Monte Carlo estimates for the same quantities have no cap
+beyond the sampling window's.
 """
 
 from __future__ import annotations
@@ -232,6 +228,17 @@ def _mean_counts(args: tuple[int, Sequence[int]]) -> np.ndarray:
     return total
 
 
+def _count_tasks(T: int, workers: int) -> list[tuple]:
+    """_mean_counts tasks for exponent T, its g dealt one slice per worker."""
+    return [(_mean_counts, (T, gs)) for gs in _deal(range(2, 1 << T), workers)]
+
+
+def _call(task: tuple) -> object:
+    """Run one task of the exact phase, a (_mean_counts or _scan_chunk, args) pair."""
+    fn, args = task
+    return fn(args)
+
+
 def _mean_from_counts(T: int, c: float, parts: Sequence[np.ndarray]) -> float:
     """E[Y_T] from _mean_counts' per-shell-triple integer sums over slices of the g."""
     counts = sum(parts, np.zeros((T + 1) ** 3, dtype=np.int64))
@@ -250,8 +257,7 @@ def exact_mean(T: int, c: float) -> float:
     """
     _require_cap(T, MEAN_CAP, "the exact mean")
     shell_probability(0, c)  # reject a bad rate before counting
-    slices = _deal(range(2, 1 << T), resolve_workers())
-    return _mean_from_counts(T, c, map_ordered(_mean_counts, [(T, gs) for gs in slices]))
+    return _mean_from_counts(T, c, map_ordered(_call, _count_tasks(T, resolve_workers())))
 
 
 def _interval_minus(lo: int, hi: int, cut_lo: int, cut_hi: int) -> tuple[int, int]:
@@ -392,7 +398,7 @@ class VarianceBoundReport:
     var_bound_total: float
 
 
-def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
+def _scan_chunk(args: tuple[int, float, list[tuple[int, int]]]) -> tuple:
     """Per-direction parts of one slice of an exponent's bincount directions.
 
     The slice holds scanned directions with 2b < n; the two-point ones,
@@ -400,14 +406,16 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
     each x<->y mirror pair is scanned (|a| < b, which takes (0, 1) for the
     axes), and its parts count twice; the two diagonal directions,
     |a| == b, are their own mirrors and count once.  Returns the w3 and w4
-    parts of each direction and the slice's line count; a beta scan, which
-    always gets every such direction, also returns v1 and beta.  The grids
-    are symmetric, so a mirror's beta contribution is the transpose of its
+    parts of each direction and the slice's line count.  Where
+    T <= VARIANCE_CAP the slice holds every such direction and the scan
+    also returns v1 and beta, else None for both.  The grids are
+    symmetric, so a mirror's beta contribution is the transpose of its
     partner's: paired directions accumulate in one grid, the diagonal ones
     in another, and beta is paired + paired.T + diagonal.
     """
-    T, c, dirs, want_beta = args
+    T, c, dirs = args
     n = 1 << T
+    want_beta = T <= VARIANCE_CAP
     P, P2 = _probability_grids(T, c)
     grids = (P, P2) if want_beta else (P,)
     w3_parts: list[float] = []
@@ -436,111 +444,72 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]], bool]) -> tuple:
     return w3_parts, w4_parts, line_count, float((P * beta**2).sum()), beta
 
 
-def _call(task: tuple) -> object:
-    """Run one task of the exact phase, a (_mean_counts or _scan_chunk, args) pair."""
-    fn, args = task
-    return fn(args)
-
-
-def _family_scans(
-    requests: Sequence[tuple[int, float, bool]],
-) -> list[tuple[LineWeightReport, VarianceBoundReport | None, np.ndarray | None]]:
-    """One family scan per (T, c, want_beta) request and two counts per T, on one map.
-
-    The counts of each exponent do not depend on c.  Its count of E[Y_T]
-    deals its g round-robin into one task per worker; its _pair_counts,
-    which the two-point directions (2b >= n) need, is made here.  A
-    weight-only scan deals the directions with 2b < n the same way,
-    dirs[k::w]; a beta scan takes them in one task, so beta and v1 are
-    summed in one order whatever the worker count.  Every task of every
-    request goes through one map_ordered call, largest box first.  The
-    counts add as integers and math.fsum joins the shell-pair parts and
-    the scans' per-direction parts: it rounds the exact sum once, so
-    neither the dealing nor the worker count can change a bit.  Returns,
-    per request, its weight report and, for a beta scan, its variance
-    report and beta grid.
-    """
-    workers = resolve_workers()
-    tasks = []  # (owner, (fn, args)), largest box first: ("count", T) or ("scan", request index)
-    pair_counts = {}
-    for T in sorted({T for T, _, _ in requests}, reverse=True):
-        n = 1 << T
-        slices = _deal(range(2, n), workers)
-        tasks += [(("count", T), (_mean_counts, (T, gs))) for gs in slices]
-        pair_counts[T] = _pair_counts(T)
-        for i, (t, c, want_beta) in enumerate(requests):
-            if t != T:
-                continue
-            if c <= 0:
-                raise ValueError(f"sampling rate must be > 0, got {c}")
-            dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b and 2 * b < n]
-            slices = [dirs] if want_beta else _deal(dirs, workers)
-            tasks += [(("scan", i), (_scan_chunk, (T, c, dirs_k, want_beta))) for dirs_k in slices]
-    outs = map_ordered(_call, [task for _, task in tasks])
-    reports = []
-    for i, (T, c, want_beta) in enumerate(requests):
-        counts = [out for (owner, _), out in zip(tasks, outs) if owner == ("count", T)]
-        mine = [out for (owner, _), out in zip(tasks, outs) if owner == ("scan", i)]
-        pair_w3, pair_w4 = _pair_parts(T, c, pair_counts[T])
-        weights = LineWeightReport(
-            T=T, c=c,
-            sum_w3=math.fsum([*pair_w3, *(p for out in mine for p in out[0])]),
-            sum_w4=math.fsum([*pair_w4, *(p for out in mine for p in out[1])]),
-            exact_ey=_mean_from_counts(T, c, counts),
-            line_count=int(pair_counts[T].sum()) + sum(out[2] for out in mine),
-        )
-        bounds = beta = None
-        if want_beta:
-            v1, beta = mine[0][3:]
-            bounds = VarianceBoundReport(
-                T=T, c=c, v1_bound=v1, v2_bound=weights.sum_w4, v3_bound=weights.exact_ey,
-                var_bound_total=v1 + weights.sum_w4 + weights.exact_ey,
-            )
-        reports.append((weights, bounds, beta))
-    return reports
-
-
-def weight_sums(T: int, c: float) -> LineWeightReport:
-    """Exact sums of W**3 and W**4 over the box's line families, its line count and E[Y_T].
-
-    The sums and the line count come from the scan, E[Y_T] from the count
-    that exact_mean makes; both run in one map.
-    """
-    _require_cap(T, ENUMERATION_CAP, "line family enumeration")
-    return _family_scans([(T, c, False)])[0][0]
-
-
-def beta_box_grid(T: int, c: float) -> np.ndarray:
-    """beta over the whole box; entry [x-1, y-1] is beta at the point (x, y)."""
-    _require_cap(T, VARIANCE_CAP, "beta")
-    return _family_scans([(T, c, True)])[0][2]
-
-
-def variance_bounds(T: int, c: float) -> VarianceBoundReport:
-    """The three-part upper bound for Var[Y_T].
-
-    v1 bounds the covariance of triple pairs sharing one point by
-    sum of p(x) * beta(x)**2; v2 bounds pairs sharing two points by sum_w4;
-    v3 is the diagonal E[Y_T].
-    """
-    _require_cap(T, VARIANCE_CAP, "variance bounds")
-    return _family_scans([(T, c, True)])[0][1]
-
-
 def exact_reports(
     t_values: Sequence[int], c: float
 ) -> tuple[list[LineWeightReport], list[VarianceBoundReport]]:
-    """Weight and variance reports for many exponents, one count and one family scan each.
+    """Weight and variance reports for many exponents, on one map.
 
-    The first list holds weight_sums for each T up to ENUMERATION_CAP, the
-    second variance_bounds for each T up to VARIANCE_CAP; exponents past a
-    cap are left out of that cap's list.
+    The first list holds, for each T in t_values up to ENUMERATION_CAP,
+    the exact sums of W**3 and W**4 over the box's line families, its line
+    count and E[Y_T]; the second, for each T up to VARIANCE_CAP, the
+    three-part upper bound for Var[Y_T].  Exponents past a cap are left
+    out of that cap's list.  v1 bounds the covariance of triple pairs
+    sharing one point by sum of p(x) * beta(x)**2, v2 bounds pairs sharing
+    two points by sum_w4, and v3 is the diagonal E[Y_T].
+
+    Each exponent is planned once, largest box first.  Its count of E[Y_T]
+    deals its g round-robin into one task per worker.  Its scan is one
+    task where T <= VARIANCE_CAP, so beta and v1 are summed in one order
+    whatever the worker count; past that it deals the directions with
+    2b < n the same way, dirs[k::w].  Its _pair_counts, which the
+    two-point directions need, is made in the calling process.  Every
+    task goes through one map_ordered call, and each exponent joins its
+    own run of the results.  The counts add as integers and math.fsum
+    joins the shell-pair parts and the scans' per-direction parts: it
+    rounds the exact sum once, so neither the dealing nor the worker
+    count can change a bit.
     """
     ts = [t for t in t_values if t <= ENUMERATION_CAP]
     for t in ts:
         _require_cap(t, ENUMERATION_CAP, "line family enumeration")
-    scans = _family_scans([(t, c, t <= VARIANCE_CAP) for t in ts])
-    return [w for w, _, _ in scans], [v for _, v, _ in scans if v is not None]
+    if ts:
+        if c <= 0:
+            raise ValueError(f"sampling rate must be > 0, got {c}")
+        shell_probability(0, c)  # reject a non-finite rate before scanning
+    workers = resolve_workers()
+    tasks: list[tuple] = []
+    runs = {}  # T -> (start, end of its counts, end of its scans) in tasks
+    for T in sorted(set(ts), reverse=True):
+        n = 1 << T
+        start = len(tasks)
+        tasks += _count_tasks(T, workers)
+        mid = len(tasks)
+        dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b and 2 * b < n]
+        slices = [dirs] if T <= VARIANCE_CAP else _deal(dirs, workers)
+        tasks += [(_scan_chunk, (T, c, part)) for part in slices]
+        runs[T] = (start, mid, len(tasks))
+    outs = map_ordered(_call, tasks)
+    done = {}
+    for T, (start, mid, end) in runs.items():
+        scans = outs[mid:end]
+        pairs = _pair_counts(T)
+        pair_w3, pair_w4 = _pair_parts(T, c, pairs)
+        weights = LineWeightReport(
+            T=T, c=c,
+            sum_w3=math.fsum([*pair_w3, *(p for out in scans for p in out[0])]),
+            sum_w4=math.fsum([*pair_w4, *(p for out in scans for p in out[1])]),
+            exact_ey=_mean_from_counts(T, c, outs[start:mid]),
+            line_count=int(pairs.sum()) + sum(out[2] for out in scans),
+        )
+        bounds = None
+        if T <= VARIANCE_CAP:
+            v1 = scans[0][3]
+            bounds = VarianceBoundReport(
+                T=T, c=c, v1_bound=v1, v2_bound=weights.sum_w4, v3_bound=weights.exact_ey,
+                var_bound_total=v1 + weights.sum_w4 + weights.exact_ey,
+            )
+        done[T] = weights, bounds
+    return [done[t][0] for t in ts], [done[t][1] for t in ts if t <= VARIANCE_CAP]
 
 
 def normalized_moments(

@@ -216,6 +216,6 @@ def density_profile(
             raise ValueError(
                 f"box side {n} exceeds 2**{w} - 1, the side of a window of exponent {w}"
             )
-        count = sum(1 for x, y in ps.points if 1 <= x <= n and 1 <= y <= n)
+        count = len(ps.in_box(n))
         rows.append((n, count, count * math.sqrt(math.log(n)) / n))
     return rows

@@ -117,11 +117,11 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def shell_probability(T: int, c: float) -> float:
-    """Inclusion probability on shell T at sampling rate c >= 0."""
+    """Inclusion probability on shell T at a finite sampling rate c >= 0."""
     if T < 0:
         raise ValueError(f"shell exponent must be >= 0, got {T}")
-    if c < 0:
-        raise ValueError(f"sampling rate must be >= 0, got {c}")
+    if c < 0 or not math.isfinite(c):
+        raise ValueError(f"sampling rate must be finite and >= 0, got {c}")
     if T == 0:
         return min(1.0, c)
     return min(1.0, c / ((1 << T) * math.sqrt(T)))

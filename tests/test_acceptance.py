@@ -22,11 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from no3l.analytics import monte_carlo_moments, variance_bounds, weight_sums
+from no3l.analytics import exact_reports, monte_carlo_moments
 from no3l.construct import _is_prime, greedy_construct, modular_parabola
 from no3l.experiments import TrialManifest, run_trials
 from no3l.sampling import read_pointset, shell_counts, shell_probability, write_pointset
 from no3l.triples import count_collinear_triples
+from beta_grid import beta_box_grid
 from brute_force import count_collinear_triples_bruteforce, shell_size
 
 BIG = dict(base_seed=1, trial_count=20, c=0.1, window_exponent=13)
@@ -108,7 +109,7 @@ def test_criterion_04_exact_expectation_oracle():
     for c in (0.3, 0.5):
         mc = monte_carlo_moments([5, 6], c, seeds)
         for i, t in enumerate((5, 6)):
-            ws = weight_sums(t, c)
+            (ws,), _ = exact_reports([t], c)
             se = math.sqrt(mc.y_var[i] / mc.sample_size)
             z = (mc.y_mean[i] - ws.exact_ey) / se
             worst_z = max(worst_z, abs(z))
@@ -160,7 +161,7 @@ def test_criterion_06_variance_bound_chain():
         var = float(y[:, i].var(ddof=1))
         m4 = float(np.mean((y[:, i] - y[:, i].mean()) ** 4))
         se_var = math.sqrt((m4 - (n - 3) / (n - 1) * var**2) / n)
-        total = variance_bounds(t, c).var_bound_total
+        total = exact_reports([t], c)[1][0].var_bound_total
         bound_ok = bound_ok and var <= total + 4.0 * se_var
         margins.append(f"T={t} var={var:.1f}<=bound={total:.1f}+4se")
         if t >= 4:
@@ -176,8 +177,6 @@ def test_criterion_06_variance_bound_chain():
 
 
 def test_criterion_07_beta_identity():
-    from no3l.analytics import beta_box_grid
-
     c = 0.5
     worst_rel = 0.0
     for t in range(1, 6):
@@ -189,7 +188,7 @@ def test_criterion_07_beta_identity():
             lambda m: shell_probability(int(m).bit_length() - 1, c)
         )(shells)
         lhs = float((probs * grid).sum())
-        rhs = 3.0 * weight_sums(t, c).exact_ey
+        rhs = 3.0 * exact_reports([t], c)[0][0].exact_ey
         if rhs:
             worst_rel = max(worst_rel, abs(lhs - rhs) / rhs)
     ok = worst_rel <= 1e-9

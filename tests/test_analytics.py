@@ -28,13 +28,10 @@ from no3l.analytics import (
     _pair_counts,
     _pair_parts,
     _probability_grids,
-    beta_box_grid,
     exact_mean,
     exact_reports,
     monte_carlo_moments,
     normalized_moments,
-    variance_bounds,
-    weight_sums,
     x_floor,
     y_ceiling,
 )
@@ -42,6 +39,7 @@ from no3l.geom import shell_index
 from no3l.parallel import map_ordered
 from no3l.sampling import SamplerConfig, sample_window, shell_probability
 from no3l.triples import box_triple_counts, count_collinear_triples
+from beta_grid import beta_box_grid
 from lattice_lines import box_directions, collinear, line_through
 
 # number of lines with at least two points in [1, 2**T]^2
@@ -60,9 +58,10 @@ EY_NORM_HALF = {
 }
 
 
-# weight_sums(T, 0.5) as (sum_w3, sum_w4, exact_ey, line_count) and
-# variance_bounds(T, 0.5) as (v1, v2, v3, total), recorded from the full
-# direction walk with full-span bins that the mirror-paired scan replaced
+# exact_reports([T], 0.5)'s weight report as (sum_w3, sum_w4, exact_ey,
+# line_count) and its variance report as (v1, v2, v3, total), recorded
+# from the full direction walk with full-span bins that the mirror-paired
+# scan replaced
 WEIGHT_SUMS_HALF = {
     5: (383.1236734257433, 216.9879748313323, 16.487145886903374, 239050),
     6: (1153.301713501195, 539.1441782290568, 36.44341247582463, 3825234),
@@ -101,7 +100,7 @@ def _oracle_scan(T, c):
 @pytest.mark.parametrize("T,c", [(1, 0.5), (2, 0.5), (2, 0.1), (3, 0.3)])
 def test_weight_sums_against_pair_oracle(T, c):
     want_w3, want_w4, want_ey, want_lines = _oracle_scan(T, c)
-    got = weight_sums(T, c)
+    (got,), _ = exact_reports([T], c)
     assert got.line_count == want_lines
     assert got.sum_w3 == pytest.approx(want_w3, rel=1e-11)
     assert got.sum_w4 == pytest.approx(want_w4, rel=1e-11)
@@ -110,7 +109,7 @@ def test_weight_sums_against_pair_oracle(T, c):
 
 def test_line_count_field_matches_enumeration():
     for T, want in LINE_COUNTS.items():
-        assert weight_sums(T, 0.2).line_count == want
+        assert exact_reports([T], 0.2)[0][0].line_count == want
 
 
 def _bin_counts(n, a, b, grids=()):
@@ -160,7 +159,7 @@ def test_mean_counts_do_not_depend_on_the_dealing(monkeypatch, T):
     assert np.array_equal(_mean_counts((T, gs)), want)
     for workers in ("1", "2"):
         monkeypatch.setenv("NO3L_THREADS", workers)
-        assert exact_mean(T, 0.3) == weight_sums(T, 0.3).exact_ey
+        assert exact_mean(T, 0.3) == exact_reports([T], 0.3)[0][0].exact_ey
 
 
 def test_mean_cap_is_where_the_int64_sums_stop_being_provably_exact():
@@ -220,17 +219,20 @@ def test_beta_identity_ties_back_to_expectation(T):
     shells = np.maximum(np.maximum.outer(xs, xs), 1)
     probs = np.vectorize(lambda m: shell_probability(int(m).bit_length() - 1, c))(shells)
     lhs = float((probs * grid).sum())
-    assert lhs == pytest.approx(3.0 * weight_sums(T, c).exact_ey, rel=1e-9)
+    assert lhs == pytest.approx(3.0 * exact_reports([T], c)[0][0].exact_ey, rel=1e-9)
 
 
 def test_expectation_below_cubed_weight_sum():
     for T in range(1, 7):
-        ws = weight_sums(T, 0.5)
+        (ws,), _ = exact_reports([T], 0.5)
         assert ws.exact_ey <= ws.sum_w3
 
 
 def test_ey_normalization_pins_and_deceleration():
-    got = {T: weight_sums(T, 0.5).exact_ey * math.sqrt(T) / (0.5**3 * 2**T) for T in EY_NORM_HALF}
+    got = {
+        T: exact_reports([T], 0.5)[0][0].exact_ey * math.sqrt(T) / (0.5**3 * 2**T)
+        for T in EY_NORM_HALF
+    }
     for T, want in EY_NORM_HALF.items():
         assert got[T] == pytest.approx(want, rel=1e-12)
     inc = [got[T + 1] - got[T] for T in range(4, 7)]
@@ -242,7 +244,7 @@ def test_cubed_weight_sum_keeps_growing():
     # normalized value grows with T; only exact_ey settles down.  pinned
     # so any change in behavior is noticed.
     norm = {
-        T: weight_sums(T, 0.5).sum_w3 * math.sqrt(T) / (0.5**3 * 2**T)
+        T: exact_reports([T], 0.5)[0][0].sum_w3 * math.sqrt(T) / (0.5**3 * 2**T)
         for T in (4, 5, 6)
     }
     assert norm[5] / norm[4] > 1.5
@@ -251,8 +253,7 @@ def test_cubed_weight_sum_keeps_growing():
 
 def test_variance_bounds_composition():
     T, c = 4, 0.5
-    vb = variance_bounds(T, c)
-    ws = weight_sums(T, c)
+    (ws,), (vb,) = exact_reports([T], c)
     assert vb.v2_bound == ws.sum_w4
     assert vb.v3_bound == ws.exact_ey
     assert vb.v1_bound >= 0.0
@@ -269,12 +270,28 @@ def test_variance_bounds_composition():
 
 
 def test_caps_are_enforced():
+    # past a cap an exponent is left out of that cap's list
+    assert exact_reports([ENUMERATION_CAP + 1], 0.5) == ([], [])
+    weights, bounds = exact_reports([VARIANCE_CAP + 1], 0.5)
+    assert [w.T for w in weights] == [VARIANCE_CAP + 1] and bounds == []
     with pytest.raises(ValueError):
-        weight_sums(ENUMERATION_CAP + 1, 0.5)
+        exact_reports([-1], 0.5)
+    for c in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            exact_reports([3], c)
+    # the rate is checked only when there are exponents to scan
+    assert exact_reports([ENUMERATION_CAP + 1], 0.0) == ([], [])
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_non_finite_rates_are_rejected(c):
+    # min(1.0, nan) is 1.0, which would count the full grid's triples
+    with pytest.raises(ValueError, match="finite"):
+        shell_probability(3, c)
     with pytest.raises(ValueError):
-        variance_bounds(VARIANCE_CAP + 1, 0.5)
+        exact_mean(3, c)
     with pytest.raises(ValueError):
-        beta_box_grid(VARIANCE_CAP + 1, 0.5)
+        exact_reports([3], c)
 
 
 def test_monte_carlo_moments_deterministic_and_consistent():
@@ -324,7 +341,7 @@ def test_event_thresholds_hand_values():
 
 
 def test_weight_report_shape():
-    rep = weight_sums(2, 0.3)
+    (rep,), _ = exact_reports([2], 0.3)
     assert isinstance(rep, LineWeightReport)
     assert rep.T == 2
     assert rep.c == 0.3
@@ -461,7 +478,7 @@ def test_closed_form_line_count_equals_the_nonzero_bins(T):
 @pytest.mark.parametrize("T", sorted(WEIGHT_SUMS_HALF))
 def test_weight_sums_pins(T):
     w3, w4, ey, lines = WEIGHT_SUMS_HALF[T]
-    got = weight_sums(T, 0.5)
+    (got,), _ = exact_reports([T], 0.5)
     assert got.line_count == lines
     assert got.sum_w3 == pytest.approx(w3, rel=1e-12)
     assert got.sum_w4 == pytest.approx(w4, rel=1e-12)
@@ -470,7 +487,7 @@ def test_weight_sums_pins(T):
 
 @pytest.mark.parametrize("T", sorted(VARIANCE_BOUNDS_HALF))
 def test_variance_bounds_pins(T):
-    got = variance_bounds(T, 0.5)
+    got = exact_reports([T], 0.5)[1][0]
     want = VARIANCE_BOUNDS_HALF[T]
     assert (got.v1_bound, got.v2_bound, got.v3_bound, got.var_bound_total) == (
         pytest.approx(want, rel=1e-12)
@@ -479,11 +496,12 @@ def test_variance_bounds_pins(T):
 
 @pytest.fixture(scope="module")
 def serial_reports_half():
-    """weight_sums and variance_bounds at c = 0.5 for T = 1 .. VARIANCE_CAP, on 1 worker."""
+    """exact_reports([T], 0.5) for T = 1 .. VARIANCE_CAP, one call each, on 1 worker."""
     ts = range(1, VARIANCE_CAP + 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("NO3L_THREADS", "1")
-        return [weight_sums(t, 0.5) for t in ts], [variance_bounds(t, 0.5) for t in ts]
+        reports = [exact_reports([t], 0.5) for t in ts]
+    return [w for (w,), _ in reports], [v for _, (v,) in reports]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -491,15 +509,16 @@ def test_one_scan_per_exponent_equals_the_per_exponent_reports(
     monkeypatch, serial_reports_half, workers
 ):
     monkeypatch.setenv("NO3L_THREADS", workers)
-    # weight_sums(6) deals its scan out; exact_reports scans T = 6 with beta, whole
+    # all exponents in one call and one map; ENUMERATION_CAP + 1 is left out
     ts = [*range(1, VARIANCE_CAP + 1), ENUMERATION_CAP + 1]
     assert exact_reports(ts, 0.5) == serial_reports_half
 
 
 @pytest.mark.parametrize("workers", ["2", "3"])
-def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch, workers):
-    ts = range(1, 6)
-    want = {t: (weight_sums(t, 0.3), variance_bounds(t, 0.3), beta_box_grid(t, 0.3)) for t in ts}
+def test_exact_reports_deals_each_exponent_counts_then_scans(monkeypatch, workers):
+    ts = range(1, ENUMERATION_CAP + 1)
+    monkeypatch.setenv("NO3L_THREADS", "1")
+    want = exact_reports(ts, 0.3)
     tasks = []
 
     def recording(fn, items):
@@ -508,30 +527,25 @@ def test_split_weight_scans_and_whole_beta_scans_keep_every_bit(monkeypatch, wor
 
     monkeypatch.setattr(analytics, "map_ordered", recording)
     monkeypatch.setenv("NO3L_THREADS", workers)
-    requests = [(t, 0.3, want_beta) for t in ts for want_beta in (False, True)]
-    got = analytics._family_scans(requests)
-    scans = [args for fn, args in tasks if fn is analytics._scan_chunk]
+    assert exact_reports(ts, 0.3) == want
     counts = [args for fn, args in tasks if fn is analytics._mean_counts]
+    scans = [args for fn, args in tasks if fn is analytics._scan_chunk]
     assert len(scans) + len(counts) == len(tasks)
     # the tasks run largest box first
     assert [args[0] for _, args in tasks] == sorted((args[0] for _, args in tasks), reverse=True)
     for t in ts:
-        # one count per exponent, its g dealt one slice per worker
-        mine = [gs for T, gs in counts if T == t]
-        assert sorted(g for gs in mine for g in gs) == list(range(2, 1 << t))
-        assert len(mine) == min(int(workers), (1 << t) - 2)
-    for (t, _, want_beta), (weights, bounds, beta) in zip(requests, got):
-        mine = [part for T, _, part, b in scans if (T, b) == (t, want_beta)]
         n = 1 << t
+        # the count deals its g one slice per worker
+        mine = [gs for T, gs in counts if T == t]
+        assert sorted(g for gs in mine for g in gs) == list(range(2, n))
+        assert len(mine) == min(int(workers), n - 2)
+        # the scans cover the directions with 2b < n once each; at T = 1 there are none
+        parts = [dirs for T, _, dirs in scans if T == t]
         dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b and 2 * b < n]
-        # the tasks cover the directions with 2b < n once each; at T = 1 there are none
-        assert sorted(d for part in mine for d in part) == sorted(dirs)
-        assert weights == want[t][0]
-        if want_beta:
-            assert len(mine) == 1
-            assert bounds == want[t][1]
-            assert np.array_equal(beta, want[t][2])
+        assert sorted(d for part in parts for d in part) == sorted(dirs)
+        if t <= VARIANCE_CAP:
+            # one beta scan, summed in one order whatever the worker count
+            assert len(parts) == 1
         else:
             # one task per worker, or per direction if there are fewer
-            assert len(mine) == min(int(workers), len(dirs))
-            assert bounds is None and beta is None
+            assert len(parts) == min(int(workers), len(dirs))

@@ -143,6 +143,19 @@ def test_density_profile_values():
     assert rows[1] == (4, 2, 2 * math.sqrt(math.log(4)) / 4)
 
 
+@given(
+    pts=st.sets(st.tuples(st.integers(-6, 12), st.integers(-6, 12)), max_size=40),
+    sides=st.lists(st.integers(2, 14), max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_density_profile_counts_like_the_direct_box_test(pts, sides):
+    # members off the positive quadrant and past the box must not count
+    rows = density_profile(PointSet(pts), sides)
+    assert [count for _, count, _ in rows] == [
+        sum(1 for x, y in pts if 1 <= x <= n and 1 <= y <= n) for n in sides
+    ]
+
+
 def test_density_profile_validation():
     ps = PointSet([(1, 1)], {"window_exponent": 4})
     with pytest.raises(ValueError):
