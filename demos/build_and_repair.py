@@ -20,9 +20,9 @@ import argparse
 import math
 from pathlib import Path
 
-from no3l.construct import delete_max_of_triples
+from no3l.construct import delete_max_with_profile
 from no3l.sampling import SamplerConfig, sample_window, shell_counts, write_pointset
-from no3l.triples import box_triple_counts, count_collinear_triples
+from no3l.triples import count_collinear_triples
 
 
 def main() -> None:
@@ -35,11 +35,11 @@ def main() -> None:
 
     cfg = SamplerConfig(seed=args.seed, c=args.c, window_exponent=args.window)
     q = sample_window(cfg)
-    s = delete_max_of_triples(q)
     w = args.window
+    # one kernel pass over Q gives both S and Y_T for T = 0 .. w - 1
+    s, y = delete_max_with_profile(q, w - 1)
 
     x = shell_counts(q, w)
-    y = box_triple_counts(q, w - 1)
     kept = shell_counts(s, w)
 
     print(f"sampled |Q| = {len(q)}, repaired |S| = {len(s)} "

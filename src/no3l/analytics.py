@@ -116,6 +116,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import fmean, variance
 from typing import Sequence
 
 import numpy as np
@@ -529,6 +530,15 @@ def normalized_moments(
     return k1_hat, k2_hat
 
 
+def seed_moments(rows: Sequence[Sequence[int]]) -> tuple[list[float], list[float]]:
+    """Per column of rows, one row per seed: statistics.fmean and
+    statistics.variance (0.0 for a single seed), correctly rounded on counts."""
+    columns = list(zip(*rows))
+    means = [fmean(col) for col in columns]
+    variances = [float(variance(col)) if len(col) > 1 else 0.0 for col in columns]
+    return means, variances
+
+
 def x_floor(t: int, c: float) -> float:
     """Floor of the event X on X_T: c * 2**(T-1) / sqrt(T)."""
     return c * 2 ** (t - 1) / math.sqrt(t)
@@ -582,7 +592,7 @@ def require_moment_inputs(t_values: Sequence[int], c: float, seeds: Sequence[int
         )
     if not seeds:
         raise ValueError("need at least one seed")
-    for seed in seeds:
+    for seed in (min(seeds), max(seeds)):
         SamplerConfig(seed=seed, c=c, window_exponent=ts[-1] + 1)
     require_cubable_rate(c)
 
@@ -603,29 +613,23 @@ def monte_carlo_moments(
     vectors = map_ordered(_mc_vectors, [(s, c, w) for s in seeds])
     x_by_seed = [[xv[t] for t in ts] for xv, _ in vectors]
     y_by_seed = [[yv[t] for t in ts] for _, yv in vectors]
-    x_arr = np.array(x_by_seed, dtype=np.int64)
-    y_arr = np.array(y_by_seed, dtype=np.int64)
-    nseed = len(seeds)
-    ddof = 1 if nseed > 1 else 0
-    x_mean = x_arr.mean(axis=0)
-    x_var = x_arr.var(axis=0, ddof=ddof)
-    y_mean = [float(v) for v in y_arr.mean(axis=0)]
-    y_var = [float(v) for v in y_arr.var(axis=0, ddof=ddof)]
+    x_mean, x_var = seed_moments(x_by_seed)
+    y_mean, y_var = seed_moments(y_by_seed)
     k1_hat, k2_hat = normalized_moments(ts, y_mean, y_var, c)
-    x_thresh = np.array([x_floor(t, c) for t in ts])
-    y_thresh = np.array([y_ceiling(t, c, k1_hat) for t in ts])
+    x_floors = [x_floor(t, c) for t in ts]
+    y_ceilings = [y_ceiling(t, c, k1_hat) for t in ts]
     return TrialStatistics(
         t_values=ts,
         c=c,
-        sample_size=nseed,
+        sample_size=len(seeds),
         x_by_seed=x_by_seed,
         y_by_seed=y_by_seed,
-        x_mean=[float(v) for v in x_mean],
-        x_var=[float(v) for v in x_var],
+        x_mean=x_mean,
+        x_var=x_var,
         y_mean=y_mean,
         y_var=y_var,
-        x_tail_freq=[float(v) for v in (x_arr <= x_thresh).mean(axis=0)],
-        y_tail_freq=[float(v) for v in (y_arr >= y_thresh).mean(axis=0)],
+        x_tail_freq=[fmean(v <= f for v in col) for f, col in zip(x_floors, zip(*x_by_seed))],
+        y_tail_freq=[fmean(v >= f for v in col) for f, col in zip(y_ceilings, zip(*y_by_seed))],
         k1_hat=k1_hat,
         k2_hat=k2_hat,
     )

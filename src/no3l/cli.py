@@ -126,7 +126,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     seeds = range(args.base_seed, args.base_seed + args.trials)
     report = lemma_report(range(args.tmin, args.tmax + 1), args.c, seeds)
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         text = lemma_report_csv(report)
     _emit(text, args.out)
@@ -149,11 +149,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "k2_hat": result.k2_hat,
             "density_check": check,
         }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         lines = ["n,median_ratio,ok"]
         for row in check["per_n"]:
-            ok = row["n"] < args.nmin or row["median_ratio"] >= args.alpha
+            ok = row["n"] not in check["failing"]
             lines.append(f"{row['n']},{row['median_ratio']!r},{int(ok)}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)

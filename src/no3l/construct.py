@@ -41,11 +41,15 @@ def delete_max_with_profile(sample: PointSet, t_max: int) -> tuple[PointSet, lis
 
     Both come from one kernel pass over the whole sample: a point's prefix
     count depends only on the points before it, so the counts of the
-    points inside the box are a prefix of the sample's counts.  The sample
-    must lie in the positive quadrant.
+    points inside the box are a prefix of the sample's counts.  They take
+    in triples through every member, so a member off the positive quadrant
+    raises ValueError.
     """
+    low = min(sample.points, key=min, default=(1, 1))
+    if min(low) < 1:
+        raise ValueError(f"point {low} outside the positive quadrant")
     counts = prefix_triple_counts(sample)
-    return _survivors(sample, counts), box_profile(sample.points, counts, t_max)
+    return _survivors(sample, counts), box_profile(sample, counts, t_max)
 
 
 def _survivors(sample: PointSet, counts: Sequence[int]) -> PointSet:

@@ -31,13 +31,14 @@ from .analytics import (
     normalized_moments,
     require_cubable_rate,
     require_moment_inputs,
+    seed_moments,
     x_floor,
     y_ceiling,
 )
 from .construct import delete_max_with_profile, density_profile
 from .parallel import map_ordered
 from .sampling import SamplerConfig, sample_window, shell_counts, write_pointset
-from .triples import box_triple_counts
+from .triples import count_collinear_triples
 
 # JSON value types accepted for each manifest field annotation.
 _JSON_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
@@ -68,7 +69,8 @@ class TrialManifest:
             )
         if self.log_base != "ln":
             raise ValueError(f"density ratios are defined for log_base 'ln', got {self.log_base!r}")
-        SamplerConfig(self.base_seed, self.c, self.window_exponent)
+        for seed in (self.base_seed, self.base_seed + self.trial_count - 1):
+            SamplerConfig(seed, self.c, self.window_exponent)
         require_cubable_rate(self.c)
 
     @property
@@ -162,12 +164,9 @@ def _run_one_trial(args: tuple[int, float, int]) -> dict:
     q = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
     x = shell_counts(q, w)
     s, y = delete_max_with_profile(q, w)
-    survivors = box_triple_counts(s, w)[w]
+    survivors = count_collinear_triples(s)
     if survivors != 0:
-        raise RuntimeError(
-            f"seed {seed}: survivor set has {survivors} collinear"
-            f" triples inside the box of exponent {w}"
-        )
+        raise RuntimeError(f"seed {seed}: survivor set has {survivors} collinear triples")
     s_counts = shell_counts(s, w)
     for t in range(w):
         if s_counts[t] < x[t] - y[t + 1]:
@@ -200,12 +199,8 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
         _run_one_trial, [(s, manifest.c, w) for s in manifest.seeds]
     )
     t_values = list(range(1, w))
-    ys = [[raw["y"][t] for raw in raws] for t in t_values]
     k1_hat, k2_hat = normalized_moments(
-        t_values,
-        [statistics.fmean(y) for y in ys],
-        [statistics.variance(y) if len(y) > 1 else 0.0 for y in ys],
-        manifest.c,
+        t_values, *seed_moments([raw["y"][1:] for raw in raws]), manifest.c
     )
 
     out_dir = Path(manifest.out_dir)
@@ -272,7 +267,7 @@ def aggregate_json(result: TrialRunResult) -> str:
             for tr in sorted(result.trials, key=lambda tr: tr.seed)
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def aggregate_csv(result: TrialRunResult) -> str:
@@ -341,8 +336,9 @@ def lemma_report(
     summability proxy (the sum of the joint miss frequencies), and whether
     joint misses decay by at least a factor 1.5 per exponent over the top
     half of the range.  With c = 0 the X-side misses everywhere (the empty
-    sample retains nothing) and the Y-side never does.  Every input is
-    checked before any sample is drawn or any line family scanned.
+    sample retains nothing), the Y-side never does, and the Chebyshev bound
+    is None.  Every input is checked before any sample is drawn or any line
+    family scanned.
     """
     ts = list(t_values)
     require_moment_inputs(ts, c, seeds)
@@ -377,7 +373,7 @@ def lemma_report(
         "y_miss_freq": y_miss,
         "event_miss_freq": miss_freq,
         "chebyshev_x_bound": [
-            4.0 * math.sqrt(t) / (c * 2**t) if c > 0 else math.inf for t in ts
+            4.0 * math.sqrt(t) / (c * 2**t) if c > 0 else None for t in ts
         ],
         "summability_proxy": math.fsum(miss_freq),
         "decay_ok": decay_ok,
@@ -385,7 +381,7 @@ def lemma_report(
 
 
 def lemma_report_csv(report: dict) -> str:
-    """One row per box exponent; exact columns blank beyond their caps."""
+    """One row per box exponent; blank cells past the exact caps and for a None bound."""
     mc = report["monte_carlo"]
     weights = {row["T"]: row for row in report["weights"]}
     bounds = {row["T"]: row for row in report["variance_bounds"]}
@@ -399,6 +395,7 @@ def lemma_report_csv(report: dict) -> str:
     for i, t in enumerate(report["t_values"]):
         wrow = weights.get(t)
         brow = bounds.get(t)
+        cheb = report["chebyshev_x_bound"][i]
         cells = [
             str(t),
             repr(report["c"]),
@@ -406,7 +403,7 @@ def lemma_report_csv(report: dict) -> str:
             repr(mc["x_mean"][i]),
             repr(mc["x_var"][i]),
             repr(mc["x_tail_freq"][i]),
-            repr(report["chebyshev_x_bound"][i]),
+            repr(cheb) if cheb is not None else "",
             repr(mc["y_mean"][i]),
             repr(mc["y_var"][i]),
             repr(mc["y_tail_freq"][i]),

@@ -175,9 +175,6 @@ class PointSet:
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
-    def __contains__(self, p: object) -> bool:
-        return p in self.points
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
@@ -199,13 +196,17 @@ class PointSet:
         ps.meta = meta
         return ps
 
+    def norm_prefix(self, n: int) -> int:
+        """How many leading members have inf_norm <= n (a bisection)."""
+        return bisect_right(self.points, n, key=inf_norm)
+
     def in_box(self, n: int) -> "PointSet":
         """Members inside [1, n]^2, same provenance.
 
         They are among the leading members, those of norm <= n, and keep
         their order, so they are not sorted or checked again.
         """
-        lead = self.points[: bisect_right(self.points, n, key=inf_norm)]
+        lead = self.points[: self.norm_prefix(n)]
         return PointSet._ordered(
             tuple(p for p in lead if p[0] >= 1 and p[1] >= 1), dict(self.meta)
         )
@@ -355,7 +356,7 @@ def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
         shell_index(pts[0])
         if shell_index(pts[-1]) >= window_exponent:
             raise ValueError(f"point {pts[-1]} outside window of exponent {window_exponent}")
-    ends = [bisect_right(pts, (1 << T) - 1, key=inf_norm) for T in range(window_exponent + 1)]
+    ends = [ps.norm_prefix((1 << T) - 1) for T in range(window_exponent + 1)]
     return [hi - lo for lo, hi in zip(ends, ends[1:])]
 
 
@@ -374,14 +375,16 @@ def _finite_float(token: str) -> float:
 
 def _meta_line(meta: dict) -> str:
     """The one #meta line the writer emits for meta: its four keys, sorted."""
-    return "#meta " + json.dumps({k: meta.get(k) for k in _META_KEYS}, sort_keys=True)
+    values = {k: meta.get(k) for k in _META_KEYS}
+    return "#meta " + json.dumps(values, sort_keys=True, allow_nan=False)
 
 
 def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
     """Serialize: magic line, one-line JSON meta, then x<TAB>y rows in order."""
+    meta_line = _meta_line(ps.meta)  # a NaN or infinite value raises before the file opens
     with open(path, "w", encoding="ascii") as fh:
         fh.write(FORMAT_MAGIC + "\n")
-        fh.write(_meta_line(ps.meta) + "\n")
+        fh.write(meta_line + "\n")
         for x, y in ps.points:
             fh.write(f"{x}\t{y}\n")
 
@@ -421,7 +424,7 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
         except _NonFinite as exc:
             raise ValueError(f"{path}:2: meta holds the non-finite number {exc}") from exc
         if not isinstance(meta, dict):
-            raise ValueError(f"{path}: meta is not a JSON object")
+            raise ValueError(f"{path}:2: meta is not a JSON object")
         unknown = sorted(set(meta) - set(_META_KEYS))
         if unknown:
             raise ValueError(f"{path}:2: unknown meta keys {unknown}")

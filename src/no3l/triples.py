@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -228,38 +229,28 @@ def _anchor_counts(xs: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
     return counts
 
 
-def box_profile(points: Sequence[Point], counts: Sequence[int], t_max: int) -> list[int]:
+def box_profile(ps: PointSet, counts: Sequence[int], t_max: int) -> list[int]:
     """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max] from prefix counts.
 
-    ``points`` is a positive-quadrant set in (inf_norm, x, y) order and
-    ``counts`` holds the prefix_triple_counts of its leading points, at
-    least all those of norm <= 2**t_max.  A triple lies in the box of
-    exponent T exactly when its largest member has norm <= 2**T, so each
-    entry is a prefix sum of the counts.
+    ``ps`` is a positive-quadrant set, ``counts`` the prefix_triple_counts
+    of its leading points, at least all those of norm <= 2**t_max.  A
+    triple lies in the box of exponent T exactly when its largest member
+    has norm <= 2**T, so each entry is a prefix sum of the counts.
     """
-    for p in points:
-        if p[0] < 1 or p[1] < 1:
-            raise ValueError(f"point {p} outside the positive quadrant")
-    profile = []
-    acc = 0
-    idx = 0
-    for T in range(t_max + 1):
-        bound = 1 << T
-        while idx < len(counts) and max(points[idx]) <= bound:
-            acc += counts[idx]
-            idx += 1
-        profile.append(acc)
-    return profile
+    sums = [0, *accumulate(counts)]
+    return [sums[ps.norm_prefix(1 << T)] for T in range(t_max + 1)]
 
 
 def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
     """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max], in one pass.
 
-    Requires a positive-quadrant set.  The set is ordered once; only the
-    points of the largest box, which lead that order, go through the kernel,
-    as a PointSet, so they are not sorted again.
+    Any set: only the members of the largest box count, and those lead
+    the set's order once the members off the positive quadrant are left
+    out.  They go through the kernel as a PointSet, so they are not sorted
+    again, and their own counts give the profile.
     """
     if t_max < 0:
         raise ValueError(f"box exponent must be >= 0, got {t_max}")
     ordered = ps if isinstance(ps, PointSet) else PointSet(ps)
-    return box_profile(ordered.points, prefix_triple_counts(ordered.in_box(1 << t_max)), t_max)
+    box = ordered.in_box(1 << t_max)
+    return box_profile(box, prefix_triple_counts(box), t_max)

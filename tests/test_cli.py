@@ -54,6 +54,25 @@ def test_sample_rejects_negative_rate(tmp_path, capsys):
     assert "--c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,needle",
+    [
+        (["--seed", str(2**64), "--window", "3"], "argument --seed: must fit in an unsigned"),
+        (["--seed", "1", "--window", "0"], "argument --window: must be a positive integer"),
+    ],
+    ids=["seed-past-64-bits", "window-zero"],
+)
+def test_sample_flags_outside_their_domain_are_usage_errors(tmp_path, capsys, flags, needle):
+    out = tmp_path / "x.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--c", "0.1", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    usage, *errors = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: no3l sample")
+    assert len(errors) == 1 and needle in errors[0]
+    assert not out.exists()
+
+
 def test_pipeline_sample_construct_verify(tmp_path, capsys):
     q = tmp_path / "q.tsv"
     s = tmp_path / "s.tsv"
@@ -97,6 +116,11 @@ def test_construct_missing_conditional_flags(tmp_path, capsys):
     assert main(["construct", "--method", "delete-max", "--out",
                  str(tmp_path / "d.tsv")]) == 2
     assert "--in" in capsys.readouterr().err
+    assert main(["construct", "--method", "parabola", "--out",
+                 str(tmp_path / "p.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert "--p" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_construct_greedy(tmp_path, capsys):
@@ -213,6 +237,44 @@ def test_lemmas_rejects_bad_input_before_any_work(capsys, monkeypatch, flags, ne
     assert len(err.splitlines()) == 1
 
 
+def _no_trial(args):
+    raise AssertionError("a trial ran before the seeds were validated")
+
+
+@pytest.mark.parametrize("command", ["stats", "bench"])
+def test_batches_reject_a_last_seed_past_64_bits_before_any_trial(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the first seed fits; trial 1's seed, 2**64, does not
+    monkeypatch.setattr(experiments, "_run_one_trial", _no_trial)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    base_seed, out = 2**64 - 1, tmp_path / "runs"
+    if command == "stats":
+        man = tmp_path / "man.json"
+        man.write_text(json.dumps({
+            "base_seed": base_seed, "trial_count": 2, "c": 0.1, "window_exponent": 12,
+        }), encoding="ascii")
+        argv = ["stats", "--manifest", str(man), "--out", str(out)]
+    else:
+        argv = ["bench", "--window", "12", "--c", "0.1", "--trials", "2", "--nmin", "16",
+                "--alpha", "0", "--base-seed", str(base_seed), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must fit in 64 bits, got {2**64}\n"
+    assert not out.exists()
+
+
+def test_lemmas_at_zero_rate_write_strict_json(capsys):
+    # the Chebyshev bound has no value at c = 0: null, never Infinity
+    assert main(["lemmas", "--tmin", "1", "--tmax", "3", "--c", "0", "--trials", "3"]) == 0
+
+    def not_json(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=not_json)
+    assert report["chebyshev_x_bound"] == [None] * 3
+
+
 def test_lemmas_rejects_reversed_range(capsys):
     assert main(["lemmas", "--tmin", "5", "--tmax", "3", "--c", "0.4",
                  "--trials", "4"]) == 2
@@ -318,9 +380,10 @@ def test_verify_rejects_rows_the_writer_never_emits(tmp_path, capsys, row):
         ('{"c": 0.5, "kind": null, "seed": null}', "writer emits"),
         ('{"c": 0.50, "kind": null, "seed": null, "window_exponent": null}', "writer emits"),
         ('{"kind": null, "c": 0.5, "seed": null, "window_exponent": null}', "writer emits"),
+        ("[]", "not a JSON object"),
     ],
     ids=["nan-and-unknown-key", "unknown-key", "nested-infinity", "overflowing-literal",
-         "spacing", "missing-key", "trailing-zero", "key-order"],
+         "spacing", "missing-key", "trailing-zero", "key-order", "not-an-object"],
 )
 def test_meta_the_writer_never_emits_is_a_usage_error(
     tmp_path, capsys, monkeypatch, argv, meta, needle

@@ -6,6 +6,7 @@ is asserted by the exact counter (brute force where cheap).
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,14 @@ from hypothesis import strategies as st
 from no3l import construct
 from no3l.construct import (
     delete_max_of_triples,
+    delete_max_with_profile,
     density_profile,
     greedy_construct,
     modular_parabola,
 )
 from no3l.geom import norm_lex_key
 from no3l.sampling import PointSet, SamplerConfig, sample_window
-from no3l.triples import count_collinear_triples, prefix_triple_counts
+from no3l.triples import box_triple_counts, count_collinear_triples, prefix_triple_counts
 from brute_force import count_collinear_triples_bruteforce
 from lattice_lines import line_points_in_rect, line_through
 
@@ -74,6 +76,22 @@ def test_delete_max_output_is_triple_free(seed):
     s = delete_max_of_triples(q)
     assert count_collinear_triples(s) == 0
     assert set(s.points) <= set(q.points)
+
+
+@pytest.mark.parametrize("seed,c,w", [(1, 0.8, 6), (5, 3.0, 5), (9, 0.3, 8)])
+def test_delete_max_with_profile_is_the_two_separate_passes(seed, c, w):
+    q = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
+    s, profile = delete_max_with_profile(q, w)
+    assert s == delete_max_of_triples(q)
+    assert profile == box_triple_counts(q, w)
+
+
+@pytest.mark.parametrize("off", [(0, 3), (2, -1)], ids=["on-an-axis", "below-the-axis"])
+def test_delete_max_with_profile_rejects_a_sample_off_the_positive_quadrant(off):
+    # its counts would take in triples through that member
+    sample = PointSet([(1, 1), (2, 2), (3, 3), off])
+    with pytest.raises(ValueError, match=re.escape(f"point {off} outside the positive")):
+        delete_max_with_profile(sample, 2)
 
 
 def test_modular_parabola_small_sets():

@@ -7,6 +7,7 @@ statistics recomputed from the persisted per-trial point files.
 
 import json
 import math
+import statistics
 from dataclasses import fields
 
 import pytest
@@ -57,6 +58,10 @@ def test_manifest_validation():
     with pytest.raises(ValueError):
         TrialManifest(base_seed=0, trial_count=1, c=0.1, window_exponent=5,
                       t_exact_cap=8)
+    # the last trial's seed must fit in 64 bits too, not only the first
+    TrialManifest(base_seed=2**64 - 2, trial_count=2, c=0.1, window_exponent=5)
+    with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+        TrialManifest(base_seed=2**64 - 2, trial_count=3, c=0.1, window_exponent=5)
 
 
 def test_manifest_seeds_and_file_round_trip(tmp_path):
@@ -156,14 +161,12 @@ def test_run_trials_events_match_thresholds(small_run):
 
 
 def test_run_trials_and_monte_carlo_share_normalized_moments(small_run):
-    # statistics (run_trials) and numpy (monte_carlo_moments) compute the
-    # means exactly on these small integer counts; variances may differ in
-    # the last bit
+    # both take their moments from seed_moments, so they agree to the bit
     man, res = small_run
     mc = monte_carlo_moments(range(1, man.window_exponent), man.c, man.seeds)
     assert res.k1_hat > 0.0
     assert mc.k1_hat == res.k1_hat
-    assert mc.k2_hat == pytest.approx(res.k2_hat, rel=1e-12, abs=0.0)
+    assert mc.k2_hat == res.k2_hat
 
 
 def test_run_trials_rerun_is_byte_identical(small_run):
@@ -307,7 +310,11 @@ def test_lemma_report_zero_rate_degenerates():
     assert rep["x_miss_freq"] == [1.0, 1.0, 1.0]
     assert rep["y_miss_freq"] == [0.0, 0.0, 0.0]
     assert rep["event_miss_freq"] == [1.0, 1.0, 1.0]
-    assert rep["chebyshev_x_bound"] == [math.inf] * 3
+    # the bound 4 * sqrt(T) / (c * 2**T) has no value at c = 0
+    assert rep["chebyshev_x_bound"] == [None] * 3
+    cells = [row.split(",") for row in lemma_report_csv(rep).splitlines()]
+    column = cells[0].index("chebyshev_x_bound")
+    assert [row[column] for row in cells[1:]] == [""] * 3
     assert rep["weights"] == [] and rep["variance_bounds"] == []
     assert rep["summability_proxy"] == 3.0
 
@@ -321,6 +328,17 @@ def test_lemma_report_echoes_caps_and_is_deterministic():
     assert len(a["weights"]) == 2 and len(a["variance_bounds"]) == 2
     # exact_ey rides along for every T under the cap
     assert a["weights"][0]["T"] == 2
+
+
+def test_lemma_report_moments_are_the_statistics_of_each_column():
+    rep = lemma_report([3, 4, 5], 0.5, range(1, 41))
+    mc = rep["monte_carlo"]
+    for name in ("x", "y"):
+        columns = list(zip(*mc[f"{name}_by_seed"]))
+        assert mc[f"{name}_mean"] == [statistics.fmean(col) for col in columns]
+        assert mc[f"{name}_var"] == [statistics.variance(col) for col in columns]
+    single = lemma_report([3, 4], 0.5, [7])["monte_carlo"]
+    assert single["x_var"] == single["y_var"] == [0.0, 0.0]
 
 
 def test_lemma_report_csv_one_row_per_exponent():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from no3l import sampling
-from no3l.geom import shell_index
+from no3l.geom import inf_norm, shell_index
 from no3l.sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
@@ -354,6 +354,8 @@ def test_shell_counts_partition_the_sample():
     # recount by definition
     for t in range(7):
         assert counts[t] == sum(1 for p in ps if shell_index(p) == t)
+    with pytest.raises(ValueError, match="window exponent must be >= 1"):
+        shell_counts(ps, 0)
 
 
 @given(
@@ -407,6 +409,7 @@ def test_pointset_in_box_equals_a_filtered_rebuild(pts, n):
     # in_box takes its members from the leading points without sorting
     # again; that must be the set the constructor builds from a filter.
     ps = PointSet(pts, {"kind": "sampled", "seed": 3})
+    assert ps.norm_prefix(n) == sum(1 for p in pts if inf_norm(p) <= n)
     box = ps.in_box(n)
     assert box == PointSet([(x, y) for x, y in pts if 1 <= x <= n and 1 <= y <= n], ps.meta)
     assert box.meta is not ps.meta
@@ -472,3 +475,11 @@ def test_written_file_layout_is_stable(tmp_path):
     assert lines[0] == "#no3l v1"
     assert lines[1].startswith("#meta {")
     assert lines[2:] == ["1\t1", "2\t1"]
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_a_meta_value_that_is_not_json_is_never_written(tmp_path, rate):
+    path = tmp_path / "ps.tsv"
+    with pytest.raises(ValueError, match="JSON"):
+        write_pointset(PointSet([(1, 1)], {"kind": "sampled", "c": rate}), path)
+    assert not path.exists()

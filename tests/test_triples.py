@@ -466,6 +466,16 @@ def test_box_triple_counts_cumulative():
     assert counts == sorted(counts)
 
 
-def test_box_triple_counts_requires_positive_quadrant():
-    with pytest.raises(ValueError):
-        box_triple_counts(PointSet([(-1, 2), (3, 3)]), 2)
+@given(
+    pts=st.lists(st.tuples(st.integers(-12, 20), st.integers(-12, 20)), max_size=60, unique=True),
+    t_max=st.integers(0, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_box_triple_counts_of_any_set_count_each_box(pts, t_max):
+    # members on the axes, off the positive quadrant or past every box
+    # count in no box, wherever they fall in the set's order
+    ps = PointSet(pts)
+    got = box_triple_counts(ps, t_max)
+    assert got == [count_collinear_triples(ps.in_box(1 << t)) for t in range(t_max + 1)]
+    with pytest.raises(ValueError, match="box exponent"):
+        box_triple_counts(ps, -1)
