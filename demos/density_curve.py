@@ -16,11 +16,10 @@ Usage: python3 demos/density_curve.py [--window 12] [--c 0.1] [--trials 10]
 """
 
 import argparse
-import statistics
 from pathlib import Path
 
 from no3l.construct import density_profile, modular_parabola
-from no3l.experiments import TrialManifest, run_trials
+from no3l.experiments import TrialManifest, run_trials, verify_theorem
 
 
 def main() -> None:
@@ -40,12 +39,11 @@ def main() -> None:
     )
     res = run_trials(man, write_files=False)
 
-    rows = []
+    per_n = verify_theorem(res, n_min=0, alpha=0.0)["per_n"]
+    rows = [(row["n"], row["median_ratio"]) for row in per_n]
     print(f"{args.trials} trials at c={args.c}, window 2^{args.window}-1\n")
     print("      n   median r(n)")
-    for j, (n, _, _) in enumerate(res.trials[0].density):
-        med = statistics.median(tr.density[j][2] for tr in res.trials)
-        rows.append((n, med))
+    for n, med in rows:
         print(f"{n:>7} {med:>12.4f}")
 
     p = 101

@@ -39,29 +39,22 @@ over a line L and W_2(L) for the sum of P**2, sum_w3 and sum_w4 are the
 sums of W**3 and W**4 over the lines with two or more box points, and
 beta (below) needs W and W_2.  Those are computed without materializing
 any line: for a canonical direction (a, b) the offset k = b*x - a*y
-indexes the parallel family, and a weighted bincount over k accumulates
-W per line in one vectorized pass per direction, plus one for W_2 in a
-scan that builds beta.  The line count needs no bins: each line with two
-or more box points has one first point p, with p + (a, b) in the box and
-p - (a, b) not, so direction (a, b) has
-(n - |a|)*(n - b) - max(0, n - 2|a|)*max(0, n - 2b) such lines.
-
-Lines with a single box point would be enumerated wastefully, so each
-direction is scanned over disjoint rectangles: F, the points with an
-in-box neighbour at +(a, b), plus the points with a neighbour at -(a, b)
-but none at +(a, b), which are the last points of the lines.  Every point
-of every line with at least two box points is counted exactly once, and
-one-point lines drop out altogether.  The offset bins span only the
-offsets of F, which every line with two or more points reaches; a box
-point outside the rectangles may fall outside the bins, so the beta pass
-below visits only the rectangles' points.
+indexes the parallel family, and every box point is binned by its
+offset, shifted so that the smallest is bin 0.  One unweighted bincount
+marks the lines with two or more box points, and their number is the
+direction's line count.  A weighted bincount accumulates W per line,
+plus one for W_2 in a scan that builds beta, and sum_w3 and sum_w4 take
+the marked bins only.  The lines with one box point hold about one box
+cell in eight over the scanned directions.  They are binned too, not cut
+out: each adds exactly zero to beta, as its W and W_2 are its one
+point's P and P**2.
 
 Most directions are counted, not scanned.  Three box points on a line of
 a scanned direction (a, b), |a| <= b, are p, p + (a, b) and p + 2(a, b),
 whose y values span 2b <= n - 1.  So when 2b >= n every line holds at most
-two box points, and those with two are the pairs (p, p + (a, b)) with p in
-F.  When 2b < n the line through (1, 1), or through (n, 1) if a < 0, holds
-three points, so the cut-off is exact.  A two-point direction adds
+two box points, and those with two are the pairs (p, p + (a, b)) with
+both in the box.  When 2b < n the line through (1, 1), or through (n, 1)
+if a < 0, holds three points, so the cut-off is exact.  A two-point direction adds
 nothing to beta, as a pair leaves no third point to pair with, and W over
 a pair is p_s + p_s', s the shell of p and s' that of p + (a, b): one of
 (T + 1)**2 values.  So the scans take only the directions with 2b < n,
@@ -261,86 +254,22 @@ def exact_mean(T: int, c: float) -> float:
     return _mean_from_counts(T, c, map_ordered(_call, _count_tasks(T, resolve_workers())))
 
 
-def _interval_minus(lo: int, hi: int, cut_lo: int, cut_hi: int) -> tuple[int, int]:
-    """[lo, hi] minus [cut_lo, cut_hi], two intervals of equal length.
-
-    Equal lengths make the difference a single (possibly empty) interval.
-    """
-    if lo > cut_lo:
-        return max(lo, cut_hi + 1), hi
-    return lo, min(hi, cut_lo - 1)
-
-
-def _neighbour_rects(n: int, a: int, b: int) -> list[tuple[int, int, int, int]]:
-    """Disjoint rectangles covering the box points on lines with >= 2 points.
-
-    The first is F, the points with an in-box neighbour at +(a, b); the
-    others cover the points with a neighbour at -(a, b) but none at +(a, b),
-    the last point of each line.  Rectangles are (x_lo, x_hi, y_lo, y_hi),
-    inclusive, and may be empty.
-    """
-    fx = (max(1, 1 - a), min(n, n - a))
-    fy = (1, n - b)
-    bx = (max(1, 1 + a), min(n, n + a))
-    by = (1 + b, n)
-    both_x = (max(fx[0], bx[0]), min(fx[1], bx[1]))
-    return [
-        (*fx, *fy),
-        (*_interval_minus(*bx, *fx), *by),
-        (*both_x, *_interval_minus(*by, *fy)),
-    ]
-
-
 def _direction_line_sums(
     n: int, a: int, b: int, grids: Sequence[np.ndarray]
-) -> tuple[int, list[np.ndarray], list]:
-    """Per-line sums of each grid for one direction.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Offset bins of one direction over the whole box, and each grid's line sums.
 
-    Returns (kmin, sums, parts), indexed by offset: bin j describes the
-    line with offset kmin + j, and sums[i] holds the line sums of grids[i].
-    The bins span only the offsets of F, the points with an in-box
-    neighbour at +(a, b), because every line with >= 2 box points has all
-    but its last point there.  A box point on no such line may have an
-    offset outside the bins, so lookups go through parts: one (rect, bin
-    index array) per nonempty rectangle of _neighbour_rects, which between
-    them hold each point of each line with >= 2 box points exactly once.
-    Every bin is either such a line or empty, with all sums exactly zero;
-    a grid of ones gives the point count of each line.
+    Returns (idx, multi, sums).  idx[x-1, y-1] is the bin of the line
+    through (x, y): its offset b*x - a*y less the smallest offset in the
+    box.  multi marks the bins whose line holds two or more box points,
+    and sums[i] holds the line sums of grids[i] per bin.  A bin that no
+    box point reaches has all sums exactly zero.
     """
-    rects = _neighbour_rects(n, a, b)
-    fx_lo, fx_hi, fy_lo, fy_hi = rects[0]
-    kmin = b * fx_lo + min(-a * fy_lo, -a * fy_hi)
-    kmax = b * fx_hi + max(-a * fy_lo, -a * fy_hi)
-    span = kmax - kmin + 1
-    parts = []
-    for x_lo, x_hi, y_lo, y_hi in rects:
-        if x_lo > x_hi or y_lo > y_hi:
-            continue
-        xs = np.arange(x_lo, x_hi + 1, dtype=np.int64)
-        ys = np.arange(y_lo, y_hi + 1, dtype=np.int64)
-        parts.append(((x_lo, x_hi, y_lo, y_hi), np.add.outer(b * xs - kmin, -a * ys)))
-    idx = np.concatenate([k.ravel() for _, k in parts])
-    sums = [
-        np.bincount(
-            idx,
-            weights=np.concatenate(
-                [grid[x_lo - 1 : x_hi, y_lo - 1 : y_hi].ravel()
-                 for (x_lo, x_hi, y_lo, y_hi), _ in parts]
-            ),
-            minlength=span,
-        )
-        for grid in grids
-    ]
-    return kmin, sums, parts
-
-
-def _line_count(n: int, a: int, b: int) -> int:
-    """Lines of direction (a, b) with >= 2 points in [1, n]^2.
-
-    Each has one first point: a neighbour at +(a, b) in the box, none at
-    -(a, b).
-    """
-    return (n - abs(a)) * (n - abs(b)) - max(0, n - 2 * abs(a)) * max(0, n - 2 * abs(b))
+    v = np.arange(n)
+    idx = np.add.outer(b * v, -a * v + max(a, 0) * (n - 1)).ravel()
+    multi = np.bincount(idx) >= 2
+    sums = [np.bincount(idx, weights=grid.ravel()) for grid in grids]
+    return idx.reshape(n, n), multi, sums
 
 
 def _pair_counts(T: int) -> np.ndarray:
@@ -407,9 +336,9 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]]]) -> tuple:
     each x<->y mirror pair is scanned (|a| < b, which takes (0, 1) for the
     axes), and its parts count twice; the two diagonal directions,
     |a| == b, are their own mirrors and count once.  Returns the w3 and w4
-    parts of each direction and the slice's line count.  Where
-    T <= VARIANCE_CAP the slice holds every such direction and the scan
-    also returns v1 and beta, else None for both.  The grids are
+    parts of each direction and the slice's line count, its marked bins.
+    Where T <= VARIANCE_CAP the slice holds every such direction and the
+    scan also returns v1 and beta, else None for both.  The grids are
     symmetric, so a mirror's beta contribution is the transpose of its
     partner's: paired directions accumulate in one grid, the diagonal ones
     in another, and beta is paired + paired.T + diagonal.
@@ -426,18 +355,16 @@ def _scan_chunk(args: tuple[int, float, list[tuple[int, int]]]) -> tuple:
     diagonal = np.zeros((n, n)) if want_beta else None
     for a, b in dirs:
         mult = 2 if abs(a) < b else 1
-        line_count += mult * _line_count(n, a, b)
-        _, sums, parts = _direction_line_sums(n, a, b, grids)
+        idx, multi, sums = _direction_line_sums(n, a, b, grids)
+        line_count += mult * int(np.count_nonzero(multi))
         w1 = sums[0]
         if want_beta:
-            w2 = sums[1]
+            # a one-point line's sums are its own P and P**2: it adds 0
             acc = paired if mult == 2 else diagonal
-            # every point of parts lies on a line with >= 2 box points
-            for (x_lo, x_hi, y_lo, y_hi), k in parts:
-                box = (slice(x_lo - 1, x_hi), slice(y_lo - 1, y_hi))
-                acc[box] += 0.5 * ((w1[k] - P[box]) ** 2 - (w2[k] - P2[box]))
-        sq = w1 * w1
-        w3_parts.append(mult * float(np.sum(sq * w1)))
+            acc += 0.5 * ((w1[idx] - P) ** 2 - (sums[1][idx] - P2))
+        w = w1[multi]
+        sq = w * w
+        w3_parts.append(mult * float(np.sum(sq * w)))
         w4_parts.append(mult * float(np.sum(sq * sq)))
     if not want_beta:
         return w3_parts, w4_parts, line_count, None, None

@@ -12,11 +12,10 @@ parallelism) and never changes output bytes, only wall time.
 Exit status: 0 on success, 1 when a requested check fails (a verified
 set that still contains a triple, a bench run whose density floor is
 violated), 2 on usage errors including flag values outside their
-domain.
+domain and a bench --nmin past every box side the window profiles.
 """
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, replace
@@ -30,6 +29,8 @@ from .construct import (
 )
 from .experiments import (
     TrialManifest,
+    density_box_sides,
+    json_text,
     lemma_report,
     lemma_report_csv,
     run_trials,
@@ -126,7 +127,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     seeds = range(args.base_seed, args.base_seed + args.trials)
     report = lemma_report(range(args.tmin, args.tmax + 1), args.c, seeds)
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = json_text(report)
     else:
         text = lemma_report_csv(report)
     _emit(text, args.out)
@@ -140,6 +141,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         c=args.c,
         window_exponent=args.window,
     )
+    sides = density_box_sides(args.window)
+    if not sides or sides[-1] < args.nmin:
+        profiled = f"{sides[0]} to {sides[-1]}" if sides else "none"
+        raise ValueError(
+            f"--nmin {args.nmin} leaves no box side to check"
+            f" (window {args.window} profiles sides: {profiled})"
+        )
     result = run_trials(manifest, write_files=False)
     check = verify_theorem(result, n_min=args.nmin, alpha=args.alpha)
     if args.format == "json":
@@ -149,7 +157,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "k2_hat": result.k2_hat,
             "density_check": check,
         }
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = json_text(doc)
     else:
         lines = ["n,median_ratio,ok"]
         for row in check["per_n"]:

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import statistics
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,7 @@ from .analytics import (
 )
 from .construct import delete_max_with_profile, density_profile
 from .parallel import map_ordered
-from .sampling import SamplerConfig, sample_window, shell_counts, write_pointset
+from .sampling import PointSet, SamplerConfig, sample_window, shell_counts, write_pointset
 from .triples import count_collinear_triples
 
 # JSON value types accepted for each manifest field annotation.
@@ -123,13 +123,17 @@ class EventRecord:
     e_ok: bool
 
 
-def _x_ok(x: int, t: int, c: float) -> bool:
-    thr = x_floor(t, c)
-    return x >= thr if thr > 0 else x > 0
-
-
-def _y_ok(y: int, t: int, c: float, k1_hat: float) -> bool:
-    return y <= y_ceiling(t, c, k1_hat)
+def _seed_events(
+    t_values: Sequence[int], x: Sequence[int], y: Sequence[int], c: float, k1_hat: float
+) -> list[EventRecord]:
+    """One seed's EventRecords; x[i] and y[i] are its X_T and Y_T at T = t_values[i]."""
+    events = []
+    for t, xt, yt in zip(t_values, x, y):
+        floor = x_floor(t, c)
+        x_ok = xt >= floor if floor > 0 else xt > 0
+        y_ok = yt <= y_ceiling(t, c, k1_hat)
+        events.append(EventRecord(T=t, x_ok=x_ok, y_ok=y_ok, e_ok=x_ok and y_ok))
+    return events
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,8 @@ def density_box_sides(window_exponent: int) -> list[int]:
     return [1 << e for e in range(4, window_exponent)]
 
 
-def _run_one_trial(args: tuple[int, float, int]) -> dict:
+def _run_one_trial(args: tuple[int, float, int]) -> tuple[TrialOutcome, PointSet, PointSet]:
+    """One trial's outcome, without events or file names, and its Q and S."""
     seed, c, w = args
     q = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
     x = shell_counts(q, w)
@@ -175,14 +180,10 @@ def _run_one_trial(args: tuple[int, float, int]) -> dict:
                 f" below the guaranteed {x[t]} - {y[t + 1]}"
             )
     density = density_profile(s, density_box_sides(w))
-    return {
-        "seed": seed,
-        "x": x,
-        "y": y[:w],
-        "q": q,
-        "s": s,
-        "density": density,
-    }
+    outcome = TrialOutcome(
+        seed=seed, x=x, y=y[:w], q_size=len(q), s_size=len(s), density=density
+    )
+    return outcome, q, s
 
 
 def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunResult:
@@ -195,43 +196,25 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
     used by that check only and not reported.
     """
     w = manifest.window_exponent
-    raws = map_ordered(
+    outs = map_ordered(
         _run_one_trial, [(s, manifest.c, w) for s in manifest.seeds]
     )
     t_values = list(range(1, w))
     k1_hat, k2_hat = normalized_moments(
-        t_values, *seed_moments([raw["y"][1:] for raw in raws]), manifest.c
+        t_values, *seed_moments([tr.y[1:] for tr, _, _ in outs]), manifest.c
     )
 
     out_dir = Path(manifest.out_dir)
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
     trials = []
-    for i, raw in enumerate(raws):
-        events = []
-        for t in t_values:
-            x_ok = _x_ok(raw["x"][t], t, manifest.c)
-            y_ok = _y_ok(raw["y"][t], t, manifest.c, k1_hat)
-            events.append(EventRecord(T=t, x_ok=x_ok, y_ok=y_ok, e_ok=x_ok and y_ok))
-        q_file = s_file = None
+    for i, (tr, q, s) in enumerate(outs):
+        tr = replace(tr, events=_seed_events(t_values, tr.x[1:], tr.y[1:], manifest.c, k1_hat))
         if write_files:
-            q_file = f"trial{i:04d}_q.tsv"
-            s_file = f"trial{i:04d}_s.tsv"
-            write_pointset(raw["q"], out_dir / q_file)
-            write_pointset(raw["s"], out_dir / s_file)
-        trials.append(
-            TrialOutcome(
-                seed=raw["seed"],
-                x=raw["x"],
-                y=raw["y"],
-                q_size=len(raw["q"]),
-                s_size=len(raw["s"]),
-                density=raw["density"],
-                events=events,
-                q_file=q_file,
-                s_file=s_file,
-            )
-        )
+            tr = replace(tr, q_file=f"trial{i:04d}_q.tsv", s_file=f"trial{i:04d}_s.tsv")
+            write_pointset(q, out_dir / tr.q_file)
+            write_pointset(s, out_dir / tr.s_file)
+        trials.append(tr)
     result = TrialRunResult(
         manifest=manifest, t_values=t_values, trials=trials,
         k1_hat=k1_hat, k2_hat=k2_hat,
@@ -243,31 +226,17 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
     return result
 
 
+def json_text(doc: object) -> str:
+    """doc as strict JSON with sorted keys, indented, newline-terminated."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def aggregate_json(result: TrialRunResult) -> str:
-    payload = {
-        "manifest": asdict(result.manifest),
-        "t_values": result.t_values,
-        "k1_hat": result.k1_hat,
-        "k2_hat": result.k2_hat,
-        "trials": [
-            {
-                "seed": tr.seed,
-                "x": tr.x,
-                "y": tr.y,
-                "q_size": tr.q_size,
-                "s_size": tr.s_size,
-                "density": [
-                    {"n": n, "count": cnt, "ratio": ratio}
-                    for n, cnt, ratio in tr.density
-                ],
-                "events": [asdict(e) for e in tr.events],
-                "q_file": tr.q_file,
-                "s_file": tr.s_file,
-            }
-            for tr in sorted(result.trials, key=lambda tr: tr.seed)
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    payload = asdict(result)
+    payload["trials"].sort(key=lambda tr: tr["seed"])
+    for tr in payload["trials"]:
+        tr["density"] = [{"n": n, "count": cnt, "ratio": r} for n, cnt, r in tr["density"]]
+    return json_text(payload)
 
 
 def aggregate_csv(result: TrialRunResult) -> str:
@@ -344,20 +313,12 @@ def lemma_report(
     require_moment_inputs(ts, c, seeds)
     mc = monte_carlo_moments(ts, c, seeds)
     weights, bounds = exact_reports(ts, c) if c > 0 else ([], [])
-    x_miss = []
-    y_miss = []
-    miss_freq = []
-    for i, t in enumerate(ts):
-        xm = ym = joint = 0
-        for xv, yv in zip(mc.x_by_seed, mc.y_by_seed):
-            x_ok = _x_ok(xv[i], t, c)
-            y_ok = _y_ok(yv[i], t, c, mc.k1_hat)
-            xm += not x_ok
-            ym += not y_ok
-            joint += not (x_ok and y_ok)
-        x_miss.append(xm / mc.sample_size)
-        y_miss.append(ym / mc.sample_size)
-        miss_freq.append(joint / mc.sample_size)
+    by_t = list(zip(*(
+        _seed_events(ts, xv, yv, c, mc.k1_hat) for xv, yv in zip(mc.x_by_seed, mc.y_by_seed)
+    )))
+    x_miss = [statistics.fmean(not ev.x_ok for ev in col) for col in by_t]
+    y_miss = [statistics.fmean(not ev.y_ok for ev in col) for col in by_t]
+    miss_freq = [statistics.fmean(not ev.e_ok for ev in col) for col in by_t]
     top_half = range(len(ts) // 2, len(ts) - 1)
     decay_ok = all(miss_freq[i + 1] <= miss_freq[i] / 1.5 for i in top_half)
     return {

@@ -23,7 +23,6 @@ from no3l.analytics import (
     _box_directions,
     _deal,
     _direction_line_sums,
-    _line_count,
     _mean_counts,
     _pair_counts,
     _pair_parts,
@@ -97,7 +96,7 @@ def _oracle_scan(T, c):
     return math.fsum(w3), math.fsum(w4), math.fsum(ey), len(lines)
 
 
-@pytest.mark.parametrize("T,c", [(1, 0.5), (2, 0.5), (2, 0.1), (3, 0.3)])
+@pytest.mark.parametrize("T,c", [(1, 0.5), (2, 0.5), (2, 0.1), (3, 0.3), (4, 0.3)])
 def test_weight_sums_against_pair_oracle(T, c):
     want_w3, want_w4, want_ey, want_lines = _oracle_scan(T, c)
     (got,), _ = exact_reports([T], c)
@@ -113,9 +112,19 @@ def test_line_count_field_matches_enumeration():
 
 
 def _bin_counts(n, a, b, grids=()):
-    """Points per offset bin of direction (a, b), from a grid of ones, and the other grids' sums."""
-    kmin, sums, parts = _direction_line_sums(n, a, b, (np.ones((n, n)), *grids))
-    return kmin, sums[0], sums[1:], parts
+    """Direction (a, b)'s bins and two-point mark, its points per bin from a
+    grid of ones, and the other grids' line sums."""
+    idx, multi, sums = _direction_line_sums(n, a, b, (np.ones((n, n)), *grids))
+    return idx, multi, sums[0], sums[1:]
+
+
+def _line_count(n, a, b):
+    """Lines of direction (a, b) with >= 2 points in [1, n]^2, in closed form.
+
+    Each has one first point: a neighbour at +(a, b) in the box, none at
+    -(a, b).
+    """
+    return (n - abs(a)) * (n - abs(b)) - max(0, n - 2 * abs(a)) * max(0, n - 2 * abs(b))
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 3.0, 30.0])
@@ -347,7 +356,7 @@ def test_weight_report_shape():
     assert rep.c == 0.3
     # every direction's lines with two or more points, from a grid of ones
     assert rep.line_count == sum(
-        np.count_nonzero(_bin_counts(4, a, b)[1]) for a, b in _box_directions(4)
+        np.count_nonzero(_bin_counts(4, a, b)[2] >= 2) for a, b in _box_directions(4)
     )
 
 
@@ -356,7 +365,7 @@ def _mirror(a, b):
 
 
 def _sorted_line_rows(n, a, b, grids):
-    _, cnt, sums, _ = _bin_counts(n, a, b, grids)
+    _, _, cnt, sums = _bin_counts(n, a, b, grids)
     keep = cnt > 0
     rows = np.column_stack([cnt[keep]] + [w[keep] for w in sums])
     # round the sort key so last-bit differences cannot reorder near ties
@@ -378,33 +387,32 @@ def test_mirror_directions_have_equal_line_sums(T):
 
 
 def test_bins_hold_exactly_the_lines_with_two_points():
-    # a bin is a line with >= 2 box points or has zero count and sums, and
-    # the parts cover each point of those lines once
-    T, n = 3, 8
-    grids = _probability_grids(T, 0.5)
-    pts = {(x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
-    for a, b in _box_directions(n):
-        kmin, cnt, sums, parts = _bin_counts(n, a, b, grids)
-        members = {}
-        for x, y in pts:
-            members.setdefault(b * x - a * y, []).append((x, y))
-        want = {k: m for k, m in members.items() if len(m) >= 2}
-        got = {kmin + j for j in np.flatnonzero(cnt)}
-        assert got == set(want)
-        for k, m in want.items():
-            assert cnt[k - kmin] == len(m)
-            assert sums[0][k - kmin] == pytest.approx(
-                math.fsum(_prob(p, 0.5) for p in m), rel=1e-15
-            )
-        for w in sums:
-            assert not w[cnt == 0].any()
-        covered = [
-            (x, y)
-            for (x_lo, x_hi, y_lo, y_hi), _ in parts
-            for x in range(x_lo, x_hi + 1)
-            for y in range(y_lo, y_hi + 1)
-        ]
-        assert sorted(covered) == sorted(p for m in want.values() for p in m)
+    # idx is each box point's offset bin, the mark holds exactly the
+    # offsets with two or more box points, and a bin that no box point
+    # reaches has zero count and sums
+    for T in (3, 4):
+        n = 1 << T
+        grids = _probability_grids(T, 0.5)
+        for a, b in _box_directions(n):
+            idx, multi, cnt, sums = _bin_counts(n, a, b, grids)
+            members = {}
+            for x in range(1, n + 1):
+                for y in range(1, n + 1):
+                    members.setdefault(b * x - a * y, []).append((x, y))
+            kmin = min(members)
+            assert len(multi) == len(cnt) == max(members) - kmin + 1
+            for k, m in members.items():
+                assert all(idx[x - 1, y - 1] == k - kmin for x, y in m)
+                assert cnt[k - kmin] == len(m)
+                assert sums[0][k - kmin] == pytest.approx(
+                    math.fsum(_prob(p, 0.5) for p in m), rel=1e-15
+                )
+            want = {k - kmin for k, m in members.items() if len(m) >= 2}
+            assert set(np.flatnonzero(multi).tolist()) == want
+            empty = np.ones(len(cnt), dtype=bool)
+            empty[[k - kmin for k in members]] = False
+            for w in (cnt, *sums):
+                assert not w[empty].any()
 
 
 def test_beta_grid_is_symmetric_and_matches_brute():
@@ -433,7 +441,8 @@ def test_pair_counts_weight_like_the_bincount_path(c):
         grids = _probability_grids(T, c)
         w3, w4, lines = [], [], 0
         for a, b, mult in _two_point_directions(n):
-            w1 = _direction_line_sums(n, a, b, grids[:1])[1][0]
+            _, multi, sums = _direction_line_sums(n, a, b, grids[:1])
+            w1 = sums[0][multi]
             w3.append(mult * float(np.sum(w1**3)))
             w4.append(mult * float(np.sum(w1**4)))
             lines += mult * _line_count(n, a, b)
@@ -468,8 +477,8 @@ def test_box_directions_equal_the_gcd_loop():
 def test_closed_form_line_count_equals_the_nonzero_bins(T):
     n = 1 << T
     for a, b in _box_directions(n):
-        cnt = _bin_counts(n, a, b)[1]
-        assert _line_count(n, a, b) == np.count_nonzero(cnt)
+        _, multi, cnt, _ = _bin_counts(n, a, b)
+        assert _line_count(n, a, b) == np.count_nonzero(multi) == np.count_nonzero(cnt >= 2)
         if abs(a) <= b:
             # a scanned direction has no three-point line iff 2b >= n
             assert (cnt.max() <= 2) == (2 * b >= n)

@@ -293,6 +293,28 @@ def test_bench_pass_and_fail(tmp_path, capsys):
     assert "n = 16, 32, 64" in err
 
 
+@pytest.mark.parametrize(
+    "window,nmin,profiled",
+    [(8, 256, "16 to 128"), (4, 16, "none")],
+    ids=["past-the-largest-side", "no-side-profiled"],
+)
+def test_bench_rejects_an_nmin_past_every_profiled_side(
+    capsys, monkeypatch, window, nmin, profiled
+):
+    # no profiled side is >= nmin, so the density check would check nothing
+    monkeypatch.setattr(experiments, "_run_one_trial", _no_trial)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    argv = ["bench", "--window", str(window), "--c", "0.1", "--trials", "1",
+            "--nmin", str(nmin), "--alpha", "99", "--format", "csv"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: --nmin {nmin} leaves no box side to check"
+        f" (window {window} profiles sides: {profiled})\n"
+    )
+
+
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "q.tsv"
     # the child imports the package this suite imported, even when only

@@ -111,13 +111,15 @@ def test_run_trials_per_trial_contents(small_run):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_one_trial_pass_matches_the_separate_passes(seed):
     c, w = 0.8, 8
-    raw = _run_one_trial((seed, c, w))
+    tr, got_q, got_s = _run_one_trial((seed, c, w))
     q = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
     s = delete_max_of_triples(q)
-    assert raw["x"] == shell_counts(q, w)
-    assert raw["y"] == box_triple_counts(q, w - 1)
-    assert raw["y"][w - 1] > 0
-    assert raw["s"] == s
+    assert got_q == q
+    assert tr.x == shell_counts(q, w)
+    assert tr.y == box_triple_counts(q, w - 1)
+    assert tr.y[w - 1] > 0
+    assert got_s == s
+    assert (tr.q_size, tr.s_size) == (len(q), len(s))
 
 
 def _patched_repair(monkeypatch, edit):
