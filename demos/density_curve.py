@@ -19,7 +19,7 @@ import argparse
 from pathlib import Path
 
 from no3l.construct import density_profile, modular_parabola
-from no3l.experiments import TrialManifest, run_trials, verify_theorem
+from no3l.experiments import TrialManifest, csv_text, run_trials, verify_theorem
 
 
 def main() -> None:
@@ -52,8 +52,7 @@ def main() -> None:
     print("(denser, but defined on one box only; the sampled sets extend)")
 
     if args.out:
-        text = "n,median_ratio\n" + "".join(f"{n},{m!r}\n" for n, m in rows)
-        Path(args.out).write_text(text, encoding="ascii")
+        Path(args.out).write_text(csv_text(("n", "median_ratio"), rows), encoding="ascii")
         print(f"wrote {args.out}")
 
 

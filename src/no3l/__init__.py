@@ -2,7 +2,7 @@
 
 The pipeline: sample a random window with per-shell inclusion
 probabilities (sampling), count and locate collinear triples exactly
-(geom, triples), repair the sample by deleting the largest member of
+(triples), repair the sample by deleting the largest member of
 every triple (construct), and compare the outcome against exact
 expectation/variance bounds and Monte Carlo moments (analytics,
 experiments).  The cli module wraps the pipeline for batch use.
@@ -32,17 +32,15 @@ from .experiments import (
     run_trials,
     verify_theorem,
 )
-from .geom import (
-    inf_norm,
-    norm_lex_key,
-    shell_index,
-)
 from .sampling import (
     PointSet,
     SamplerConfig,
+    inf_norm,
+    norm_lex_key,
     read_pointset,
     sample_window,
     shell_counts,
+    shell_index,
     shell_probability,
     write_pointset,
 )

@@ -34,6 +34,11 @@ phi(g) * ceil(n/g)**2.  That bound is 0.86 * 2**63 at T = 15 and
 14.6 * 2**63 at T = 16, which sets MEAN_CAP.  The count costs about
 n**2 * (T + 1)**3 cell operations, against the scan's n**4.
 
+Lines are named by direction and offset.  An unoriented direction is the
+coprime vector (a, b) normalized so that b > 0, or b == 0 and a > 0; the
+line with direction (a, b) and offset k is {(x, y) : b*x - a*y == k},
+and walking it means stepping by (a, b).
+
 The scans give what needs per-line data.  Writing W(L) for the sum of P
 over a line L and W_2(L) for the sum of P**2, sum_w3 and sum_w4 are the
 sums of W**3 and W**4 over the lines with two or more box points, and
@@ -398,9 +403,9 @@ def exact_reports(
     count can change a bit.
     """
     ts = [t for t in t_values if t <= ENUMERATION_CAP]
-    for t in ts:
-        _require_cap(t, ENUMERATION_CAP, "line family enumeration")
     if ts:
+        if min(ts) < 0:
+            raise ValueError(f"box exponent must be >= 0, got {min(ts)}")
         if c <= 0:
             raise ValueError(f"sampling rate must be > 0, got {c}")
         shell_probability(0, c)  # reject a non-finite rate before scanning

@@ -22,6 +22,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .construct import (
+    PARABOLA_MODULUS_CAP,
     _is_prime,
     delete_max_of_triples,
     greedy_construct,
@@ -29,6 +30,7 @@ from .construct import (
 )
 from .experiments import (
     TrialManifest,
+    csv_text,
     density_box_sides,
     json_text,
     lemma_report,
@@ -63,8 +65,11 @@ def _positive_int(text: str) -> int:
 
 def _prime_int(text: str) -> int:
     value = int(text)
-    if value < 2 or not _is_prime(value):
-        raise argparse.ArgumentTypeError(f"must be prime, got {text}")
+    # the cap comes first: trial division past it would not finish
+    if value >= PARABOLA_MODULUS_CAP or not _is_prime(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a prime below {PARABOLA_MODULUS_CAP}, got {text}"
+        )
     return value
 
 
@@ -159,11 +164,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         }
         text = json_text(doc)
     else:
-        lines = ["n,median_ratio,ok"]
-        for row in check["per_n"]:
-            ok = row["n"] not in check["failing"]
-            lines.append(f"{row['n']},{row['median_ratio']!r},{int(ok)}")
-        text = "\n".join(lines) + "\n"
+        text = csv_text(
+            ("n", "median_ratio", "ok"),
+            (
+                (row["n"], row["median_ratio"], row["n"] not in check["failing"])
+                for row in check["per_n"]
+            ),
+        )
     _emit(text, args.out)
     if not check["ok"]:
         failing = ", ".join(str(n) for n in check["failing"])

@@ -21,7 +21,7 @@ import os
 import statistics
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analytics import (
     ENUMERATION_CAP,
@@ -196,6 +196,10 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
     used by that check only and not reported.
     """
     w = manifest.window_exponent
+    out_dir = Path(manifest.out_dir)
+    if write_files:
+        # an unusable directory fails here, before any trial runs
+        out_dir.mkdir(parents=True, exist_ok=True)
     outs = map_ordered(
         _run_one_trial, [(s, manifest.c, w) for s in manifest.seeds]
     )
@@ -204,9 +208,6 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
         t_values, *seed_moments([tr.y[1:] for tr, _, _ in outs]), manifest.c
     )
 
-    out_dir = Path(manifest.out_dir)
-    if write_files:
-        out_dir.mkdir(parents=True, exist_ok=True)
     trials = []
     for i, (tr, q, s) in enumerate(outs):
         tr = replace(tr, events=_seed_events(t_values, tr.x[1:], tr.y[1:], manifest.c, k1_hat))
@@ -231,6 +232,25 @@ def json_text(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _csv_cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A header line, then one line per row, newline-terminated.
+
+    A None cell is written empty, a bool as 0 or 1, anything else as its
+    repr (exact for floats, plain digits for ints).
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def aggregate_json(result: TrialRunResult) -> str:
     payload = asdict(result)
     payload["trials"].sort(key=lambda tr: tr["seed"])
@@ -240,26 +260,24 @@ def aggregate_json(result: TrialRunResult) -> str:
 
 
 def aggregate_csv(result: TrialRunResult) -> str:
-    lines = ["T,seed,x,y,x_ok,y_ok,e_ok"]
     by_seed = sorted(result.trials, key=lambda tr: tr.seed)
-    for t in result.t_values:
+    rows = []
+    for i, t in enumerate(result.t_values):
         for tr in by_seed:
-            ev = tr.events[t - result.t_values[0]]
-            lines.append(
-                f"{t},{tr.seed},{tr.x[t]},{tr.y[t]},"
-                f"{int(ev.x_ok)},{int(ev.y_ok)},{int(ev.e_ok)}"
-            )
-    return "\n".join(lines) + "\n"
+            ev = tr.events[i]
+            rows.append((t, tr.seed, tr.x[t], tr.y[t], ev.x_ok, ev.y_ok, ev.e_ok))
+    return csv_text(("T", "seed", "x", "y", "x_ok", "y_ok", "e_ok"), rows)
 
 
 def density_csv(result: TrialRunResult) -> str:
-    lines = ["n,seed,count,ratio"]
     by_seed = sorted(result.trials, key=lambda tr: tr.seed)
-    if by_seed and by_seed[0].density:
-        for j, (n, _, _) in enumerate(by_seed[0].density):
-            for tr in by_seed:
-                lines.append(f"{n},{tr.seed},{tr.density[j][1]},{tr.density[j][2]!r}")
-    return "\n".join(lines) + "\n"
+    sides = [n for n, _, _ in by_seed[0].density] if by_seed else []
+    rows = [
+        (n, tr.seed, tr.density[j][1], tr.density[j][2])
+        for j, n in enumerate(sides)
+        for tr in by_seed
+    ]
+    return csv_text(("n", "seed", "count", "ratio"), rows)
 
 
 def verify_theorem(result: TrialRunResult, n_min: int, alpha: float) -> dict:
@@ -341,45 +359,29 @@ def lemma_report(
     }
 
 
+_LEMMA_COLUMNS = (
+    "T", "c", "sample_size", "x_mean", "x_var", "x_tail_freq", "chebyshev_x_bound",
+    "y_mean", "y_var", "y_tail_freq", "x_miss_freq", "y_miss_freq", "event_miss_freq",
+    "exact_ey", "sum_w3", "sum_w4",
+    "v1_bound", "v2_bound", "v3_bound", "var_bound_total", "k1_hat", "k2_hat",
+)
+
+
 def lemma_report_csv(report: dict) -> str:
-    """One row per box exponent; blank cells past the exact caps and for a None bound."""
-    mc = report["monte_carlo"]
+    """One row per box exponent; blank cells past the exact caps and for a None bound.
+
+    Each column is looked up by name in one merged row: the exponent's
+    weight and variance rows, the monte_carlo block and the report itself.
+    A per-exponent list gives the entry at the row's position.
+    """
     weights = {row["T"]: row for row in report["weights"]}
     bounds = {row["T"]: row for row in report["variance_bounds"]}
-    header = (
-        "T,c,sample_size,x_mean,x_var,x_tail_freq,chebyshev_x_bound,"
-        "y_mean,y_var,y_tail_freq,x_miss_freq,y_miss_freq,event_miss_freq,"
-        "exact_ey,sum_w3,sum_w4,"
-        "v1_bound,v2_bound,v3_bound,var_bound_total,k1_hat,k2_hat"
-    )
-    lines = [header]
+    rows = []
     for i, t in enumerate(report["t_values"]):
-        wrow = weights.get(t)
-        brow = bounds.get(t)
-        cheb = report["chebyshev_x_bound"][i]
-        cells = [
-            str(t),
-            repr(report["c"]),
-            str(report["sample_size"]),
-            repr(mc["x_mean"][i]),
-            repr(mc["x_var"][i]),
-            repr(mc["x_tail_freq"][i]),
-            repr(cheb) if cheb is not None else "",
-            repr(mc["y_mean"][i]),
-            repr(mc["y_var"][i]),
-            repr(mc["y_tail_freq"][i]),
-            repr(report["x_miss_freq"][i]),
-            repr(report["y_miss_freq"][i]),
-            repr(report["event_miss_freq"][i]),
-            repr(wrow["exact_ey"]) if wrow else "",
-            repr(wrow["sum_w3"]) if wrow else "",
-            repr(wrow["sum_w4"]) if wrow else "",
-            repr(brow["v1_bound"]) if brow else "",
-            repr(brow["v2_bound"]) if brow else "",
-            repr(brow["v3_bound"]) if brow else "",
-            repr(brow["var_bound_total"]) if brow else "",
-            repr(mc["k1_hat"]),
-            repr(mc["k2_hat"]),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        merged = {
+            **weights.get(t, {}), **bounds.get(t, {}), **report["monte_carlo"], **report,
+            "T": t,
+        }
+        cells = [merged.get(name) for name in _LEMMA_COLUMNS]
+        rows.append([v[i] if isinstance(v, list) else v for v in cells])
+    return csv_text(_LEMMA_COLUMNS, rows)

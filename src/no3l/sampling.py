@@ -62,6 +62,14 @@ so a process that samples many small windows maps their pages once.
 Inclusion probabilities: shell T >= 1 keeps a point with probability
 min(1, c / (2**T * sqrt(T))); shell 0 (the single point (1, 1)) with
 probability min(1, c).
+
+A point is an ``(x, y)`` tuple of Python ints.  Shell T is the set of
+points whose infinity norm lies in [2**T, 2**(T+1)); the box of exponent
+T is [1, 2**T]^2.  Points are totally ordered by (inf_norm, x, y), and
+"largest" always refers to that order: a PointSet stores its members in
+it, and it is what makes deleting the largest member of each triple
+depend only on a norm prefix of the sample.  Shells and norms are exact
+integer arithmetic (bit lengths, never floating-point logs).
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geom import Point, inf_norm, norm_lex_key, shell_index
+Point = tuple[int, int]
 
 WINDOW_EXPONENT_CAP = 20
 
@@ -114,6 +122,24 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
     z *= np.uint64(_MIX_MUL2)
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
+
+
+def inf_norm(p: Point) -> int:
+    """max(|x|, |y|)."""
+    return max(abs(p[0]), abs(p[1]))
+
+
+def norm_lex_key(p: Point) -> tuple[int, int, int]:
+    """Sort key realizing the (inf_norm, x, y) total order."""
+    return (inf_norm(p), p[0], p[1])
+
+
+def shell_index(p: Point) -> int:
+    """Exponent T with 2**T <= inf_norm(p) < 2**(T+1); the origin has no shell."""
+    m = inf_norm(p)
+    if m == 0:
+        raise ValueError("the origin lies in no shell")
+    return m.bit_length() - 1
 
 
 def shell_probability(T: int, c: float) -> float:

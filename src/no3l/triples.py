@@ -60,8 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geom import Point
-from .sampling import PointSet
+from .sampling import Point, PointSet
 
 # Row cells, earlier-point pairs and the sentinels after them, keyed and
 # sorted together per block of anchors.  It bounds the block's temporaries.

@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from no3l.geom import Point
-from no3l.sampling import PointSet
+from no3l.sampling import Point, PointSet
 
 BRUTE_FORCE_CAP = 2000
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from no3l.geom import Point
+from no3l.sampling import Point
 
 Direction = tuple[int, int]
 

@@ -34,9 +34,8 @@ from no3l.analytics import (
     x_floor,
     y_ceiling,
 )
-from no3l.geom import shell_index
 from no3l.parallel import map_ordered
-from no3l.sampling import SamplerConfig, sample_window, shell_probability
+from no3l.sampling import SamplerConfig, sample_window, shell_index, shell_probability
 from no3l.triples import box_triple_counts, count_collinear_triples
 from beta_grid import beta_box_grid
 from lattice_lines import box_directions, collinear, line_through

@@ -6,11 +6,13 @@ contract: 0 success, 1 failed check, 2 usage error.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,15 @@ def test_construct_parabola(tmp_path, capsys):
     assert "prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["4294967311", str(10**30)])
+def test_construct_rejects_a_modulus_past_the_cap_before_testing_it(tmp_path, capsys, p):
+    # both would take trial division far past the cap's 2**16 divisors
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--method", "parabola", "--p", p, "--out", str(tmp_path / "p.tsv")])
+    assert exc.value.code == 2
+    assert "prime" in capsys.readouterr().err
+
+
 def test_construct_missing_conditional_flags(tmp_path, capsys):
     assert main(["construct", "--method", "greedy", "--out",
                  str(tmp_path / "g.tsv")]) == 2
@@ -145,6 +156,23 @@ def test_stats_runs_manifest(tmp_path, capsys):
     for name in names:
         if name.endswith(".tsv") and name.startswith("trial"):
             read_pointset(out / name)
+
+
+def test_stats_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("man.json").write_text(json.dumps({
+        "base_seed": 1, "trial_count": 4, "c": 0.5, "window_exponent": 8,
+    }), encoding="ascii")
+    assert main(["stats", "--manifest", "man.json", "--out", "runs"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "runs" / name).read_bytes()).hexdigest()
+        for name in ("aggregate.json", "aggregate.csv", "density.csv")
+    }
+    assert digests == {
+        "aggregate.json": "de485587fee9a294e298df4bd433192a5c2225c4dd5d7751c39d9e4c19e09111",
+        "aggregate.csv": "1a2b56c5d8925b00282bd6ba47fb1196e1f06a6b3cc58a2c6dbdb05f6807ba35",
+        "density.csv": "7ef96edd69ffbf8dc1d641a7f18077f280ff25b0a369537bb955fc980730b95f",
+    }
 
 
 def test_lemmas_csv_has_one_row_per_exponent(capsys):
@@ -262,6 +290,20 @@ def test_batches_reject_a_last_seed_past_64_bits_before_any_trial(
     err = capsys.readouterr().err
     assert err == f"error: seed must fit in 64 bits, got {2**64}\n"
     assert not out.exists()
+
+
+def test_stats_fails_on_an_unusable_out_dir_before_any_trial(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_run_one_trial", _no_trial)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({
+        "base_seed": 1, "trial_count": 3, "c": 0.1, "window_exponent": 12,
+    }), encoding="ascii")
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="ascii")
+    assert main(["stats", "--manifest", str(man), "--out", str(blocker / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_lemmas_at_zero_rate_write_strict_json(capsys):

@@ -20,8 +20,7 @@ from no3l.construct import (
     greedy_construct,
     modular_parabola,
 )
-from no3l.geom import norm_lex_key
-from no3l.sampling import PointSet, SamplerConfig, sample_window
+from no3l.sampling import PointSet, SamplerConfig, norm_lex_key, sample_window
 from no3l.triples import box_triple_counts, count_collinear_triples, prefix_triple_counts
 from brute_force import count_collinear_triples_bruteforce
 from lattice_lines import line_points_in_rect, line_through
@@ -121,6 +120,21 @@ def test_modular_parabola_rejects_composites_and_huge_moduli():
         modular_parabola(1)
     with pytest.raises(ValueError):
         modular_parabola(2**32 + 15)  # prime, but past the supported range
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if construct._is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+    assert construct._is_prime(4294967291)  # the largest prime below 2**32
+    # 151 * 751 * 28351: the smallest strong pseudoprime to bases 2, 3, 5 and 7
+    assert not construct._is_prime(3215031751)
 
 
 def test_greedy_sizes_and_triple_freeness():

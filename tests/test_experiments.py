@@ -343,6 +343,51 @@ def test_lemma_report_moments_are_the_statistics_of_each_column():
     assert single["x_var"] == single["y_var"] == [0.0, 0.0]
 
 
+# Where each lemma CSV column lives in a lemma_report; "T" is the row's exponent.
+_LEMMA_CSV_SOURCES = {
+    "report": ("c", "sample_size", "chebyshev_x_bound",
+               "x_miss_freq", "y_miss_freq", "event_miss_freq"),
+    "monte_carlo": ("x_mean", "x_var", "x_tail_freq", "y_mean", "y_var", "y_tail_freq",
+                    "k1_hat", "k2_hat"),
+    "weights": ("exact_ey", "sum_w3", "sum_w4"),
+    "variance_bounds": ("v1_bound", "v2_bound", "v3_bound", "var_bound_total"),
+}
+
+
+def _lemma_cell(report, i, name):
+    """The CSV cell for column name in row i: the value's repr, or empty if None or absent."""
+    t = report["t_values"][i]
+    source = next((k for k, names in _LEMMA_CSV_SOURCES.items() if name in names), None)
+    if name == "T":
+        value = t
+    elif source in ("weights", "variance_bounds"):
+        rows = [row for row in report[source] if row["T"] == t]
+        value = rows[0][name] if rows else None
+    else:
+        value = (report if source == "report" else report["monte_carlo"])[name]
+        if isinstance(value, list):
+            value = value[i]
+    return "" if value is None else repr(value)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.4])
+def test_lemma_report_csv_cells_are_the_report_values(c):
+    # 7 is past VARIANCE_CAP and 8 past ENUMERATION_CAP too
+    rep = lemma_report([5, 6, 7, 8], c, range(1, 6))
+    lines = lemma_report_csv(rep).splitlines()
+    assert lines[0] == (
+        "T,c,sample_size,x_mean,x_var,x_tail_freq,chebyshev_x_bound,"
+        "y_mean,y_var,y_tail_freq,x_miss_freq,y_miss_freq,event_miss_freq,"
+        "exact_ey,sum_w3,sum_w4,"
+        "v1_bound,v2_bound,v3_bound,var_bound_total,k1_hat,k2_hat"
+    )
+    header = lines[0].split(",")
+    assert set(header) == {"T"}.union(*_LEMMA_CSV_SOURCES.values())
+    assert len(lines) == 1 + len(rep["t_values"])
+    for i, line in enumerate(lines[1:]):
+        assert line.split(",") == [_lemma_cell(rep, i, name) for name in header]
+
+
 def test_lemma_report_csv_one_row_per_exponent():
     rep = lemma_report([2, 3, 4], 0.4, range(1, 11))
     lines = lemma_report_csv(rep).splitlines()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from no3l.geom import inf_norm, norm_lex_key, shell_index
+from no3l.sampling import inf_norm, norm_lex_key, shell_index
 from brute_force import SHELL_EXPONENT_CAP, shell_size
 from lattice_lines import (
     LatticeLine,

@@ -20,15 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from no3l import sampling
-from no3l.geom import inf_norm, shell_index
 from no3l.sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
     SamplerConfig,
     _keep_bound,
+    inf_norm,
     read_pointset,
     sample_window,
     shell_counts,
+    shell_index,
     shell_probability,
     write_pointset,
 )
