@@ -6,31 +6,21 @@ probabilities (sampling), count and locate collinear triples exactly
 every triple (construct), and compare the outcome against exact
 expectation/variance bounds and Monte Carlo moments (analytics,
 experiments).  The cli module wraps the pipeline for batch use.
+
+The package root re-exports the sampling, triples and construct names,
+which is all that ``import no3l`` loads.  The experiment layer
+(analytics, experiments, and through them the process pool in
+parallel) is imported from its modules, ``from no3l.experiments import
+run_trials``; the cli's ``stats``, ``lemmas`` and ``bench`` commands
+import it when they run, so ``sample``, ``construct`` and ``verify``
+never load it.
 """
 
-from .analytics import (
-    LineWeightReport,
-    TrialStatistics,
-    VarianceBoundReport,
-    exact_mean,
-    exact_reports,
-    monte_carlo_moments,
-)
 from .construct import (
     delete_max_of_triples,
     density_profile,
     greedy_construct,
     modular_parabola,
-)
-from .experiments import (
-    TrialManifest,
-    TrialOutcome,
-    TrialRunResult,
-    density_box_sides,
-    lemma_report,
-    lemma_report_csv,
-    run_trials,
-    verify_theorem,
 )
 from .sampling import (
     PointSet,

@@ -5,6 +5,12 @@ window, ``construct`` repairs it by deletion (or builds a baseline set),
 ``verify`` counts collinear triples exactly, and ``stats`` / ``lemmas``
 / ``bench`` drive the experiment harness and write JSON/CSV reports.
 
+Importing this module loads only what the file commands run: sampling,
+triples and construct.  ``stats``, ``lemmas`` and ``bench`` import the
+experiments module (and with it analytics and the process pool in
+parallel) when they run, so a ``sample``, ``construct`` or ``verify``
+process never pays for it.
+
 Every command is deterministic given its flags.  Worker parallelism is
 taken from the NO3L_THREADS environment variable (default: machine
 parallelism) and never changes output bytes, only wall time.
@@ -27,16 +33,6 @@ from .construct import (
     delete_max_of_triples,
     greedy_construct,
     modular_parabola,
-)
-from .experiments import (
-    TrialManifest,
-    csv_text,
-    density_box_sides,
-    json_text,
-    lemma_report,
-    lemma_report_csv,
-    run_trials,
-    verify_theorem,
 )
 from .sampling import SamplerConfig, read_pointset, sample_window, write_pointset
 from .triples import count_collinear_triples
@@ -115,6 +111,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .experiments import TrialManifest, run_trials
+
     manifest = TrialManifest.from_json_file(args.manifest)
     if args.out is not None:
         manifest = replace(manifest, out_dir=args.out)
@@ -127,6 +125,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
+    from .experiments import json_text, lemma_report, lemma_report_csv
+
     if args.tmax < args.tmin:
         raise ValueError(f"--tmax must be at least --tmin, got {args.tmin}..{args.tmax}")
     seeds = range(args.base_seed, args.base_seed + args.trials)
@@ -140,6 +140,15 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .experiments import (
+        TrialManifest,
+        csv_text,
+        density_box_sides,
+        json_text,
+        run_trials,
+        verify_theorem,
+    )
+
     manifest = TrialManifest(
         base_seed=args.base_seed,
         trial_count=args.trials,

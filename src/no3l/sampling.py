@@ -76,10 +76,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -109,6 +112,9 @@ _tmp_buf = np.empty(0, dtype=np.uint64)
 _keep_buf = np.empty(0, dtype=bool)
 
 FORMAT_MAGIC = "#no3l v1"
+# The rows as the writer emits them: two integers in their canonical decimal
+# form (no plus sign, leading zero or -0), a tab between, a newline after.
+_ROWS = re.compile(r"(?:(?:0|-?[1-9][0-9]*)\t(?:0|-?[1-9][0-9]*)\n)*")
 _META_KEYS = ("kind", "seed", "c", "window_exponent")
 
 
@@ -247,10 +253,16 @@ def _windowed_meta(points: Sequence[Point], meta: dict | None) -> dict:
     if w is not None:
         if isinstance(w, bool) or not isinstance(w, int) or w < 0:
             raise ValueError(f"window_exponent must be a nonnegative integer, got {w!r}")
-        # bit_length tests v <= 2**w - 1 without building 2**w for a huge w
-        for p in points:
-            if min(p) < 1 or max(p).bit_length() > w:
-                raise ValueError(f"point {p} outside declared window [1, 2**{w} - 1]^2")
+
+        def outside(p: Point) -> bool:
+            # bit_length tests v <= 2**w - 1 without building 2**w for a huge w
+            return min(p) < 1 or max(p).bit_length() > w
+
+        # some point is outside iff (smallest coordinate, largest coordinate) is
+        coords = list(chain.from_iterable(points))
+        if coords and outside((min(coords), max(coords))):
+            first = next(filter(outside, points))
+            raise ValueError(f"point {first} outside declared window [1, 2**{w} - 1]^2")
     return full_meta
 
 
@@ -415,70 +427,106 @@ def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
             fh.write(f"{x}\t{y}\n")
 
 
-def _require_newline(path: str | os.PathLike, ln: int, line: str) -> None:
-    if not line.endswith("\n"):
-        raise ValueError(f"{path}:{ln}: the last line has no final newline")
+def _read_meta(fh: TextIO, path: str | os.PathLike) -> dict:
+    """Check the magic line and read the meta line of an open PointSet file.
+
+    The meta line must be the one the writer emits for its values: its four
+    keys, sorted, finite numbers, json.dumps spacing, and a final newline.
+    """
+    magic = fh.readline().rstrip("\n")
+    if magic != FORMAT_MAGIC:
+        raise ValueError(f"{path}: bad magic line {magic!r}")
+    meta_line = fh.readline()
+    if not meta_line.startswith("#meta "):
+        raise ValueError(f"{path}: missing #meta line")
+    if not meta_line.endswith("\n"):
+        raise ValueError(f"{path}:2: the last line has no final newline")
+    meta_line = meta_line[:-1]
+    try:
+        meta = json.loads(
+            meta_line[len("#meta "):],
+            parse_constant=_finite_float,
+            parse_float=_finite_float,
+        )
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:2: meta is not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}:2: meta is nested too deeply to decode") from exc
+    except _NonFinite as exc:
+        raise ValueError(f"{path}:2: meta holds the non-finite number {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}:2: meta is not a JSON object")
+    unknown = sorted(set(meta) - set(_META_KEYS))
+    if unknown:
+        raise ValueError(f"{path}:2: unknown meta keys {unknown}")
+    if meta_line != _meta_line(meta):
+        raise ValueError(
+            f"{path}:2: meta is not as the writer emits it: all four keys, sorted,"
+            " with its spacing and number forms"
+        )
+    return meta
+
+
+def _parse_rows(body: str) -> tuple[Point, ...] | None:
+    """The points of a body of rows, or None if any row fails a check.
+
+    Every row must be as the writer emits it (_ROWS), and the rows must be
+    in strictly increasing (inf_norm, x, y) order.  Each check is one pass
+    over the whole body.
+    """
+    if _ROWS.fullmatch(body) is None:
+        return None
+    try:
+        values = list(map(int, body.split()))
+    except ValueError:  # a coordinate past int()'s digit limit
+        return None
+    xs, ys = values[0::2], values[1::2]
+    keys = list(zip(map(max, map(abs, xs), map(abs, ys)), xs, ys))
+    if not all(map(operator.lt, keys, keys[1:])):
+        return None
+    return tuple(zip(xs, ys))
+
+
+def _row_error(path: str | os.PathLike, body: str) -> ValueError:
+    """The error of the first row of body that fails a check.
+
+    Each row is checked in turn, in this order: it ends in a newline, has
+    two tab-separated fields, holds two canonical integers, and comes after
+    the row before it.  Only a body that _parse_rows refused gets here.
+    """
+    rows = body.split("\n")[:-1]  # the last piece is "" or a line with no newline
+    prev = None
+    for ln, row in enumerate(rows, start=3):
+        fields = row.split("\t")
+        if len(fields) != 2:
+            return ValueError(f"{path}:{ln}: expected two tab-separated fields")
+        parsed = _parse_rows(row + "\n")
+        if parsed is None:
+            return ValueError(
+                f"{path}:{ln}: coordinates must be plain decimal integers,"
+                f" got {fields[0]!r} and {fields[1]!r}"
+            )
+        key = norm_lex_key(parsed[0])
+        if prev is not None and key <= prev:
+            return ValueError(f"{path}:{ln}: points not strictly ordered at {parsed[0]}")
+        prev = key
+    return ValueError(f"{path}:{3 + len(rows)}: the last line has no final newline")
 
 
 def read_pointset(path: str | os.PathLike) -> PointSet:
     """Parse the format written by write_pointset.
 
-    The meta line must be the one the writer emits for its values (its four
-    keys, sorted, finite numbers, json.dumps spacing), the rows must match
-    its order and form, and every line must end in a newline, so a file
-    that reads is byte for byte the writer's file of its set.
+    The meta line must be the one the writer emits for its values, the rows
+    must match its order and form, and every line must end in a newline,
+    so a file that reads is byte for byte the writer's file of its set.
+    The rows are checked in passes over the whole body; only a body that
+    fails is walked row by row, to name its first bad line.
     """
     with open(path, "r", encoding="ascii", newline="\n") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != FORMAT_MAGIC:
-            raise ValueError(f"{path}: bad magic line {magic!r}")
-        meta_line = fh.readline()
-        if not meta_line.startswith("#meta "):
-            raise ValueError(f"{path}: missing #meta line")
-        _require_newline(path, 2, meta_line)
-        meta_line = meta_line[:-1]
-        try:
-            meta = json.loads(
-                meta_line[len("#meta "):],
-                parse_constant=_finite_float,
-                parse_float=_finite_float,
-            )
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:2: meta is not valid JSON ({exc})") from exc
-        except RecursionError as exc:
-            raise ValueError(f"{path}:2: meta is nested too deeply to decode") from exc
-        except _NonFinite as exc:
-            raise ValueError(f"{path}:2: meta holds the non-finite number {exc}") from exc
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path}:2: meta is not a JSON object")
-        unknown = sorted(set(meta) - set(_META_KEYS))
-        if unknown:
-            raise ValueError(f"{path}:2: unknown meta keys {unknown}")
-        if meta_line != _meta_line(meta):
-            raise ValueError(
-                f"{path}:2: meta is not as the writer emits it: all four keys, sorted,"
-                " with its spacing and number forms"
-            )
-        pts: list[Point] = []
-        prev_key = None
-        for ln, line in enumerate(fh, start=3):
-            _require_newline(path, ln, line)
-            fields = line[:-1].split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{ln}: expected two tab-separated fields")
-            try:
-                p = (int(fields[0]), int(fields[1]))
-            except ValueError:
-                p = None
-            if p is None or [str(v) for v in p] != fields:
-                raise ValueError(
-                    f"{path}:{ln}: coordinates must be plain decimal integers,"
-                    f" got {fields[0]!r} and {fields[1]!r}"
-                )
-            key = norm_lex_key(p)
-            if prev_key is not None and key <= prev_key:
-                raise ValueError(f"{path}:{ln}: points not strictly ordered at {p}")
-            prev_key = key
-            pts.append(p)
-    # Distinct and in order, as checked row by row above.
-    return PointSet._ordered(tuple(pts), _windowed_meta(pts, meta))
+        meta = _read_meta(fh, path)
+        body = fh.read()
+    pts = _parse_rows(body)
+    if pts is None:
+        raise _row_error(path, body)
+    # Distinct and in order, as checked above.
+    return PointSet._ordered(pts, _windowed_meta(pts, meta))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from no3l import experiments, parallel
+from no3l import cli, experiments, parallel
 from no3l.cli import main
 from no3l.sampling import PointSet, read_pointset, write_pointset
 
@@ -111,13 +111,33 @@ def test_construct_parabola(tmp_path, capsys):
     assert "prime" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("p", ["4294967311", str(10**30)])
-def test_construct_rejects_a_modulus_past_the_cap_before_testing_it(tmp_path, capsys, p):
-    # both would take trial division far past the cap's 2**16 divisors
+def _no_call(*args, **kwargs):
+    raise AssertionError("called past the modulus cap")
+
+
+@pytest.mark.parametrize("p", ["1048583", "4294967291", "4294967311", str(10**30)])
+def test_construct_rejects_a_modulus_past_the_cap_before_testing_it(
+    tmp_path, capsys, monkeypatch, p
+):
+    # primes among them too: the first prime past 2**20 and the last below 2**32
+    # would build 1e6 to 4e9 points, and 10**30 would not finish its trial division
+    monkeypatch.setattr(cli, "_is_prime", _no_call)
+    monkeypatch.setattr(cli, "modular_parabola", _no_call)
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--method", "parabola", "--p", p, "--out", str(tmp_path / "p.tsv")])
     assert exc.value.code == 2
-    assert "prime" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [
+        f"no3l construct: error: argument --p: must be a prime below 1048576, got {p}"
+    ]
+    assert not (tmp_path / "p.tsv").exists()
+
+
+def test_construct_accepts_the_largest_prime_below_the_cap():
+    args = cli.build_parser().parse_args(
+        ["construct", "--method", "parabola", "--p", "1048573", "--out", "p.tsv"]
+    )
+    assert args.p == 1048573
 
 
 def test_construct_missing_conditional_flags(tmp_path, capsys):
@@ -357,21 +377,57 @@ def test_bench_rejects_an_nmin_past_every_profiled_side(
     )
 
 
-def test_console_script_entry_point(tmp_path):
-    out = tmp_path / "q.tsv"
+def _child_env() -> dict:
     # the child imports the package this suite imported, even when only
     # pytest's own pythonpath setting put it on the path
-    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def test_console_script_entry_point(tmp_path):
+    # lemmas imports the experiment layer, which the cli module does not load
+    for argv in (
+        ["sample", "--seed", "1", "--c", "0.1", "--window", "6", "--out", "q.tsv"],
+        ["lemmas", "--tmin", "3", "--tmax", "4", "--c", "0.5", "--trials", "5",
+         "--out", "lemmas.json"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "no3l.cli", *argv],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / argv[-1]).exists()
+
+
+COLD_IMPORT_PROBE = """
+import json, sys
+import no3l.cli
+print(json.dumps({
+    "no3l": sorted(m for m in sys.modules if m.partition(".")[0] == "no3l"),
+    "pool": [m for m in ("concurrent.futures.process", "multiprocessing", "statistics")
+             if m in sys.modules],
+}))
+"""
+
+
+def test_importing_the_cli_loads_only_what_the_file_commands_run():
+    # a sample, construct or verify process never loads the experiment layer
+    # or the process pool; stats, lemmas and bench import them when they run
     proc = subprocess.run(
-        [sys.executable, "-m", "no3l.cli", "sample", "--seed", "1", "--c", "0.1",
-         "--window", "6", "--out", str(out)],
+        [sys.executable, "-c", COLD_IMPORT_PROBE],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        env=_child_env(),
     )
-    assert proc.returncode == 0
-    assert out.exists()
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "no3l": ["no3l", "no3l.cli", "no3l.construct", "no3l.sampling", "no3l.triples"],
+        "pool": [],
+    }
 
 
 def test_verify_rejects_non_integer_window_meta(tmp_path, capsys):

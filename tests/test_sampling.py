@@ -3,8 +3,10 @@
 The counter-based kernel is pinned by frozen values (any change to the
 mixing constants is a format break: persisted samples would no longer
 reproduce).  The vectorized window sampler is checked cell-by-cell
-against a scan with the scalar hash of ``scalar_hash.py``, and the
-PointSet text format round-trips under hypothesis.
+against a scan with the scalar hash of ``scalar_hash.py``, the
+PointSet text format round-trips under hypothesis, and the reader is
+checked against the row-by-row reader of ``row_reader.py`` on mutated
+files.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from no3l import sampling
@@ -33,6 +35,7 @@ from no3l.sampling import (
     shell_probability,
     write_pointset,
 )
+from row_reader import read_pointset as read_pointset_by_rows
 from scalar_hash import MASK64, mix64, point_uniform
 
 # kernel regression values; these freeze the mixing constants
@@ -467,6 +470,78 @@ def test_read_pointset_rejects_out_of_order_rows(tmp_path):
     path.write_text(f"#no3l v1\n#meta {NULL_META}\n2\t2\n1\t1\n", encoding="ascii")
     with pytest.raises(ValueError, match="order"):
         read_pointset(path)
+
+
+# Ways a field can be written that int() reads but the writer never emits,
+# "{}" standing for the field as written; each is also a row mutation.
+FIELD_FORMS = ("0{}", "-0", "+{}", " {}", "{}_0", "{}\r")
+ROW_MUTATIONS = (
+    "swap", "duplicate", "third-field", "empty-field", "edge-value", "negate",
+    "past-window", "drop-newline", *FIELD_FORMS,
+)
+
+
+@st.composite
+def mutated_writer_output(draw) -> str:
+    """A file as write_pointset writes it, with one or two row mutations.
+
+    Under a null window the points may be anywhere in [-40, 40]^2; under
+    window 6 they lie in it.  The mutations change the rows' form, order,
+    values or count: "edge-value" writes 0 or +-2**70 into a field, and
+    "past-window" appends a point of norm 2**6, past every other, so only
+    the window can refuse it.
+    """
+    window = draw(st.sampled_from([None, 6]))
+    lo, hi = (-40, 40) if window is None else (1, 2**6 - 1)
+    coord = st.integers(lo, hi)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12, unique=True))
+    ps = PointSet(pts, {"kind": "sampled", "seed": 3, "window_exponent": window})
+    rows = [f"{x}\t{y}" for x, y in ps.points]
+    newline = "\n"
+    for kind in draw(st.lists(st.sampled_from(ROW_MUTATIONS), min_size=1, max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        fields = rows[i].split("\t")
+        k = draw(st.integers(0, 1))
+        if kind == "drop-newline":
+            newline = ""
+        elif kind == "swap":
+            j = (i + draw(st.integers(1, max(1, len(rows) - 1)))) % len(rows)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "duplicate":
+            rows.insert(i, rows[i])
+        elif kind == "past-window":
+            rows.append(f"{2**6}\t{draw(st.integers(1, 2**6))}")
+        elif kind == "third-field":
+            rows[i] += f"\t{draw(coord)}"
+        else:
+            if kind in FIELD_FORMS:
+                fields[k] = kind.format(fields[k])
+            elif kind == "empty-field":
+                fields[k] = ""
+            elif kind == "edge-value":
+                fields[k] = str(draw(st.sampled_from([0, 2**70, -(2**70)])))
+            else:
+                fields[k] = fields[k][1:] if fields[k].startswith("-") else "-" + fields[k]
+            rows[i] = "\t".join(fields)
+    header = f"{sampling.FORMAT_MAGIC}\n{sampling._meta_line(ps.meta)}\n"
+    return header + "\n".join(rows) + newline
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(mutated_writer_output())
+@example(f"#no3l v1\n#meta {NULL_META}\n1\t1\n{'9' * 5000}\t1\n")  # past int()'s digit limit
+@settings(max_examples=300, deadline=None)
+def test_read_pointset_agrees_with_the_row_oracle(tmp_path_factory, text):
+    # the same set, or the same first failing line and check
+    path = tmp_path_factory.mktemp("rows") / "in.tsv"
+    path.write_text(text, encoding="ascii")
+    assert _read_outcome(read_pointset, path) == _read_outcome(read_pointset_by_rows, path)
 
 
 def test_written_file_layout_is_stable(tmp_path):
