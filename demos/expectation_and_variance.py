@@ -28,7 +28,8 @@ Usage: python3 demos/expectation_and_variance.py [--c 0.5] [--tmax 6] [--trials 
 import argparse
 import math
 
-from no3l.analytics import exact_reports, monte_carlo_moments
+from no3l.analytics import exact_reports
+from no3l.experiments import monte_carlo_moments
 
 
 def main() -> None:

@@ -2,18 +2,18 @@
 
 The pipeline: sample a random window with per-shell inclusion
 probabilities (sampling), count and locate collinear triples exactly
-(triples), repair the sample by deleting the largest member of
-every triple (construct), and compare the outcome against exact
-expectation/variance bounds and Monte Carlo moments (analytics,
-experiments).  The cli module wraps the pipeline for batch use.
+(triples), repair the sample by deleting the largest member of every
+triple (construct), and compare the outcome against exact expectation
+and variance bounds (analytics) and against seeded batches of trials
+and Monte Carlo moments (experiments).  The cli module wraps the
+pipeline for batch use.
 
-The package root re-exports the sampling, triples and construct names,
-which is all that ``import no3l`` loads.  The experiment layer
-(analytics, experiments, and through them the process pool in
-parallel) is imported from its modules, ``from no3l.experiments import
-run_trials``; the cli's ``stats``, ``lemmas`` and ``bench`` commands
-import it when they run, so ``sample``, ``construct`` and ``verify``
-never load it.
+Layering, by module-level imports: triples takes sampling, construct
+takes both, analytics takes sampling and the process pool in parallel,
+and experiments takes all five.  The package root and the cli take only
+sampling, triples and construct, so ``import no3l`` and the ``sample``,
+``construct`` and ``verify`` commands never load the rest; ``stats``,
+``lemmas`` and ``bench`` import experiments when they run.
 """
 
 from .construct import (

@@ -106,28 +106,19 @@ bit of the output.
 Caps: the scans are quartic in the box side, so exact_reports leaves out
 exponents past 7 (ENUMERATION_CAP), and its variance reports those past 6
 (VARIANCE_CAP).  exact_mean runs to MEAN_CAP and raises past it.
-Desk-scale Monte Carlo estimates for the same quantities have no cap
-beyond the sampling window's.
+Nothing here samples: Monte Carlo moments live in no3l.experiments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean, variance
 from typing import Sequence
 
 import numpy as np
 
 from .parallel import map_ordered, resolve_workers
-from .sampling import (
-    WINDOW_EXPONENT_CAP,
-    SamplerConfig,
-    sample_window,
-    shell_counts,
-    shell_probability,
-)
-from .triples import box_triple_counts
+from .sampling import shell_probability
 
 ENUMERATION_CAP = 7
 VARIANCE_CAP = 6
@@ -141,23 +132,6 @@ def _require_cap(T: int, cap: int, what: str) -> None:
         raise ValueError(f"box exponent must be >= 0, got {T}")
     if T > cap:
         raise ValueError(f"{what} is capped at box exponent {cap}, got {T}")
-
-
-def require_cubable_rate(c: float) -> None:
-    """Reject a nonzero rate whose cube is not a positive finite float.
-
-    The normalized moment k1_hat divides by c**3 and the triple-count
-    threshold multiplies by it, so such a rate would overflow or divide by
-    zero there.
-    """
-    try:
-        cube = c**3
-    except OverflowError:
-        cube = math.inf
-    if c != 0 and not 0.0 < cube < math.inf:
-        raise ValueError(
-            f"sampling rate {c!r} is out of range: c**3 must be a positive finite float"
-        )
 
 
 def _box_directions(n: int) -> list[tuple[int, int]]:
@@ -443,125 +417,3 @@ def exact_reports(
             )
         done[T] = weights, bounds
     return [done[t][0] for t in ts], [done[t][1] for t in ts if t <= VARIANCE_CAP]
-
-
-def normalized_moments(
-    t_values: Sequence[int], means: Sequence[float], variances: Sequence[float], c: float
-) -> tuple[float, float]:
-    """(k1_hat, k2_hat): the largest normalized mean and variance of Y_T.
-
-    Over the given exponents, k1_hat is the largest mean * sqrt(T) /
-    (c**3 * 2**T) and k2_hat the largest var / (2**T * T**3.5); both are 0
-    at c = 0, where every Y_T is 0.
-    """
-    k1_hat = k2_hat = 0.0
-    if c > 0:
-        for t, mean, var in zip(t_values, means, variances):
-            k1_hat = max(k1_hat, mean * math.sqrt(t) / (c**3 * 2**t))
-            k2_hat = max(k2_hat, var / (2**t * t**3.5))
-    return k1_hat, k2_hat
-
-
-def seed_moments(rows: Sequence[Sequence[int]]) -> tuple[list[float], list[float]]:
-    """Per column of rows, one row per seed: statistics.fmean and
-    statistics.variance (0.0 for a single seed), correctly rounded on counts."""
-    columns = list(zip(*rows))
-    means = [fmean(col) for col in columns]
-    variances = [float(variance(col)) if len(col) > 1 else 0.0 for col in columns]
-    return means, variances
-
-
-def x_floor(t: int, c: float) -> float:
-    """Floor of the event X on X_T: c * 2**(T-1) / sqrt(T)."""
-    return c * 2 ** (t - 1) / math.sqrt(t)
-
-
-def y_ceiling(t: int, c: float, k1_hat: float) -> float:
-    """Ceiling of the event Y on Y_T: 2 * k1_hat * c**3 * 2**T / sqrt(T)."""
-    return 2.0 * k1_hat * c**3 * 2**t / math.sqrt(t)
-
-
-@dataclass(frozen=True)
-class TrialStatistics:
-    """Seeded Monte Carlo moments of shell counts X_T and triple counts Y_T.
-
-    Tail frequencies use the inclusive conventions
-    x_tail_freq[i] = freq(X_T <= x_floor(T, c)) and
-    y_tail_freq[i] = freq(Y_T >= y_ceiling(T, c, k1_hat)); k1_hat and
-    k2_hat come from normalized_moments over the tested exponents.
-    """
-
-    t_values: list[int]
-    c: float
-    sample_size: int
-    x_by_seed: list[list[int]]
-    y_by_seed: list[list[int]]
-    x_mean: list[float]
-    x_var: list[float]
-    y_mean: list[float]
-    y_var: list[float]
-    x_tail_freq: list[float]
-    y_tail_freq: list[float]
-    k1_hat: float
-    k2_hat: float
-
-
-def require_moment_inputs(t_values: Sequence[int], c: float, seeds: Sequence[int]) -> None:
-    """Reject exponents, rate or seeds that monte_carlo_moments cannot sample.
-
-    The exponents must be strictly increasing and >= 1, and the largest, T,
-    must leave the sampled window 2**(T+1) within the sampler's cap.
-    """
-    ts = list(t_values)
-    if not ts or sorted(set(ts)) != ts:
-        raise ValueError(f"need strictly increasing box exponents, got {t_values}")
-    if ts[0] < 1:
-        raise ValueError("box exponents below 1 have no normalized moments")
-    if ts[-1] >= WINDOW_EXPONENT_CAP:
-        raise ValueError(
-            f"box exponents must be at most {WINDOW_EXPONENT_CAP - 1}, so that the sampled"
-            f" window 2**(T+1) stays within 2**{WINDOW_EXPONENT_CAP}; got {ts[-1]}"
-        )
-    if not seeds:
-        raise ValueError("need at least one seed")
-    for seed in (min(seeds), max(seeds)):
-        SamplerConfig(seed=seed, c=c, window_exponent=ts[-1] + 1)
-    require_cubable_rate(c)
-
-
-def _mc_vectors(args: tuple[int, float, int]) -> tuple[list[int], list[int]]:
-    seed, c, w = args
-    ps = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
-    return shell_counts(ps, w), box_triple_counts(ps, w - 1)
-
-
-def monte_carlo_moments(
-    t_values: Sequence[int], c: float, seeds: Sequence[int]
-) -> TrialStatistics:
-    """Sample X_T and Y_T over the given seeds and summarize their moments."""
-    ts = list(t_values)
-    require_moment_inputs(ts, c, seeds)
-    w = ts[-1] + 1
-    vectors = map_ordered(_mc_vectors, [(s, c, w) for s in seeds])
-    x_by_seed = [[xv[t] for t in ts] for xv, _ in vectors]
-    y_by_seed = [[yv[t] for t in ts] for _, yv in vectors]
-    x_mean, x_var = seed_moments(x_by_seed)
-    y_mean, y_var = seed_moments(y_by_seed)
-    k1_hat, k2_hat = normalized_moments(ts, y_mean, y_var, c)
-    x_floors = [x_floor(t, c) for t in ts]
-    y_ceilings = [y_ceiling(t, c, k1_hat) for t in ts]
-    return TrialStatistics(
-        t_values=ts,
-        c=c,
-        sample_size=len(seeds),
-        x_by_seed=x_by_seed,
-        y_by_seed=y_by_seed,
-        x_mean=x_mean,
-        x_var=x_var,
-        y_mean=y_mean,
-        y_var=y_var,
-        x_tail_freq=[fmean(v <= f for v in col) for f, col in zip(x_floors, zip(*x_by_seed))],
-        y_tail_freq=[fmean(v >= f for v in col) for f, col in zip(y_ceilings, zip(*y_by_seed))],
-        k1_hat=k1_hat,
-        k2_hat=k2_hat,
-    )

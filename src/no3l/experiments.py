@@ -11,37 +11,58 @@ the implementation, not the randomness, is wrong.
 Aggregates are written byte-reproducibly: trials are keyed by ascending
 seed, rows by ascending box exponent, JSON with sorted keys, no timestamps.
 Rerunning a manifest must reproduce every output file exactly.
+
+Every seeded batch lives here: a manifest's trials and the Monte Carlo
+moments of X_T and Y_T share one batch check, one moment routine and the
+event thresholds x_floor and y_ceiling; lemma_report sets those moments
+next to the exact bounds of no3l.analytics.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
-import statistics
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from statistics import fmean, median, variance
 from typing import Iterable, Sequence
 
-from .analytics import (
-    ENUMERATION_CAP,
-    VARIANCE_CAP,
-    exact_reports,
-    monte_carlo_moments,
-    normalized_moments,
-    require_cubable_rate,
-    require_moment_inputs,
-    seed_moments,
-    x_floor,
-    y_ceiling,
-)
+from .analytics import ENUMERATION_CAP, VARIANCE_CAP, exact_reports
 from .construct import delete_max_with_profile, density_profile
-from .parallel import map_ordered
-from .sampling import PointSet, SamplerConfig, sample_window, shell_counts, write_pointset
-from .triples import count_collinear_triples
+from .parallel import map_ordered, resolve_workers
+from .sampling import (
+    WINDOW_EXPONENT_CAP,
+    PointSet,
+    SamplerConfig,
+    read_ascii,
+    sample_window,
+    shell_counts,
+    write_pointset,
+)
+from .triples import box_triple_counts, count_collinear_triples
 
 # JSON value types accepted for each manifest field annotation.
 _JSON_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _check_batch(first_seed: int, last_seed: int, c: float, window_exponent: int) -> None:
+    """Reject seeds first_seed .. last_seed, rate or window that the sampler refuses.
+
+    Also a nonzero rate whose cube is not a positive finite float: k1_hat
+    divides by c**3 and the triple-count threshold multiplies by it.
+    """
+    for seed in (first_seed, last_seed):
+        SamplerConfig(seed=seed, c=c, window_exponent=window_exponent)
+    try:
+        cube = c**3
+    except OverflowError:
+        cube = math.inf
+    if c != 0 and not 0.0 < cube < math.inf:
+        raise ValueError(
+            f"sampling rate {c!r} is out of range: c**3 must be a positive finite float"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,9 +90,8 @@ class TrialManifest:
             )
         if self.log_base != "ln":
             raise ValueError(f"density ratios are defined for log_base 'ln', got {self.log_base!r}")
-        for seed in (self.base_seed, self.base_seed + self.trial_count - 1):
-            SamplerConfig(seed, self.c, self.window_exponent)
-        require_cubable_rate(self.c)
+        last_seed = self.base_seed + self.trial_count - 1
+        _check_batch(self.base_seed, last_seed, self.c, self.window_exponent)
 
     @property
     def seeds(self) -> list[int]:
@@ -79,11 +99,11 @@ class TrialManifest:
 
     @classmethod
     def from_json_file(cls, path: str | os.PathLike) -> "TrialManifest":
-        with open(path, "r", encoding="ascii") as fh:
-            try:
-                raw = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError(f"{path}: manifest is nested too deeply to decode") from exc
+        try:
+            # universal newlines, as a text-mode open reads, for the decoder's positions
+            raw = json.load(io.StringIO(read_ascii(path), newline=None))
+        except RecursionError as exc:
+            raise ValueError(f"{path}: manifest is nested too deeply to decode") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: manifest is not a JSON object")
         declared = {f.name: f for f in fields(cls)}
@@ -121,6 +141,42 @@ class EventRecord:
     x_ok: bool
     y_ok: bool
     e_ok: bool
+
+
+def seed_moments(rows: Sequence[Sequence[int]]) -> tuple[list[float], list[float]]:
+    """Per column of rows, one row per seed: statistics.fmean and
+    statistics.variance (0.0 for a single seed), correctly rounded on counts."""
+    columns = list(zip(*rows))
+    means = [fmean(col) for col in columns]
+    variances = [float(variance(col)) if len(col) > 1 else 0.0 for col in columns]
+    return means, variances
+
+
+def normalized_moments(
+    t_values: Sequence[int], means: Sequence[float], variances: Sequence[float], c: float
+) -> tuple[float, float]:
+    """(k1_hat, k2_hat): the largest normalized mean and variance of Y_T.
+
+    Over the given exponents, k1_hat is the largest mean * sqrt(T) /
+    (c**3 * 2**T) and k2_hat the largest var / (2**T * T**3.5); both are 0
+    at c = 0, where every Y_T is 0.
+    """
+    k1_hat = k2_hat = 0.0
+    if c > 0:
+        for t, mean, var in zip(t_values, means, variances):
+            k1_hat = max(k1_hat, mean * math.sqrt(t) / (c**3 * 2**t))
+            k2_hat = max(k2_hat, var / (2**t * t**3.5))
+    return k1_hat, k2_hat
+
+
+def x_floor(t: int, c: float) -> float:
+    """Floor of the event X on X_T: c * 2**(T-1) / sqrt(T)."""
+    return c * 2 ** (t - 1) / math.sqrt(t)
+
+
+def y_ceiling(t: int, c: float, k1_hat: float) -> float:
+    """Ceiling of the event Y on Y_T: 2 * k1_hat * c**3 * 2**T / sqrt(T)."""
+    return 2.0 * k1_hat * c**3 * 2**t / math.sqrt(t)
 
 
 def _seed_events(
@@ -197,6 +253,7 @@ def run_trials(manifest: TrialManifest, write_files: bool = True) -> TrialRunRes
     """
     w = manifest.window_exponent
     out_dir = Path(manifest.out_dir)
+    resolve_workers()  # a bad NO3L_THREADS fails here, before the directory is made
     if write_files:
         # an unusable directory fails here, before any trial runs
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,7 +352,7 @@ def verify_theorem(result: TrialRunResult, n_min: int, alpha: float) -> dict:
     failing = []
     if result.trials[0].density:
         for j, (n, _, _) in enumerate(result.trials[0].density):
-            med = statistics.median(tr.density[j][2] for tr in result.trials)
+            med = median(tr.density[j][2] for tr in result.trials)
             per_n.append({"n": n, "median_ratio": med})
             if n >= n_min and med < alpha:
                 failing.append(n)
@@ -306,6 +363,83 @@ def verify_theorem(result: TrialRunResult, n_min: int, alpha: float) -> dict:
         "failing": failing,
         "ok": not failing,
     }
+
+
+@dataclass(frozen=True)
+class TrialStatistics:
+    """Seeded Monte Carlo moments of shell counts X_T and triple counts Y_T.
+
+    Tail frequencies use the inclusive conventions
+    x_tail_freq[i] = freq(X_T <= x_floor(T, c)) and
+    y_tail_freq[i] = freq(Y_T >= y_ceiling(T, c, k1_hat)); k1_hat and
+    k2_hat come from normalized_moments over the tested exponents.
+    """
+
+    t_values: list[int]
+    c: float
+    sample_size: int
+    x_by_seed: list[list[int]]
+    y_by_seed: list[list[int]]
+    x_mean: list[float]
+    x_var: list[float]
+    y_mean: list[float]
+    y_var: list[float]
+    x_tail_freq: list[float]
+    y_tail_freq: list[float]
+    k1_hat: float
+    k2_hat: float
+
+
+def _mc_vectors(args: tuple[int, float, int]) -> tuple[list[int], list[int]]:
+    seed, c, w = args
+    ps = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
+    return shell_counts(ps, w), box_triple_counts(ps, w - 1)
+
+
+def monte_carlo_moments(
+    t_values: Sequence[int], c: float, seeds: Sequence[int]
+) -> TrialStatistics:
+    """Sample X_T and Y_T over the given seeds and summarize their moments.
+
+    Every input is checked before any sample is drawn.
+    """
+    ts = list(t_values)
+    if not ts or sorted(set(ts)) != ts:
+        raise ValueError(f"need strictly increasing box exponents, got {t_values}")
+    if ts[0] < 1:
+        raise ValueError("box exponents below 1 have no normalized moments")
+    if ts[-1] >= WINDOW_EXPONENT_CAP:
+        raise ValueError(
+            f"box exponents must be at most {WINDOW_EXPONENT_CAP - 1}, so that the sampled"
+            f" window 2**(T+1) stays within 2**{WINDOW_EXPONENT_CAP}; got {ts[-1]}"
+        )
+    if not seeds:
+        raise ValueError("need at least one seed")
+    w = ts[-1] + 1
+    _check_batch(min(seeds), max(seeds), c, w)
+    vectors = map_ordered(_mc_vectors, [(s, c, w) for s in seeds])
+    x_by_seed = [[xv[t] for t in ts] for xv, _ in vectors]
+    y_by_seed = [[yv[t] for t in ts] for _, yv in vectors]
+    x_mean, x_var = seed_moments(x_by_seed)
+    y_mean, y_var = seed_moments(y_by_seed)
+    k1_hat, k2_hat = normalized_moments(ts, y_mean, y_var, c)
+    x_floors = [x_floor(t, c) for t in ts]
+    y_ceilings = [y_ceiling(t, c, k1_hat) for t in ts]
+    return TrialStatistics(
+        t_values=ts,
+        c=c,
+        sample_size=len(seeds),
+        x_by_seed=x_by_seed,
+        y_by_seed=y_by_seed,
+        x_mean=x_mean,
+        x_var=x_var,
+        y_mean=y_mean,
+        y_var=y_var,
+        x_tail_freq=[fmean(v <= f for v in col) for f, col in zip(x_floors, zip(*x_by_seed))],
+        y_tail_freq=[fmean(v >= f for v in col) for f, col in zip(y_ceilings, zip(*y_by_seed))],
+        k1_hat=k1_hat,
+        k2_hat=k2_hat,
+    )
 
 
 def lemma_report(
@@ -328,15 +462,14 @@ def lemma_report(
     family scanned.
     """
     ts = list(t_values)
-    require_moment_inputs(ts, c, seeds)
     mc = monte_carlo_moments(ts, c, seeds)
     weights, bounds = exact_reports(ts, c) if c > 0 else ([], [])
     by_t = list(zip(*(
         _seed_events(ts, xv, yv, c, mc.k1_hat) for xv, yv in zip(mc.x_by_seed, mc.y_by_seed)
     )))
-    x_miss = [statistics.fmean(not ev.x_ok for ev in col) for col in by_t]
-    y_miss = [statistics.fmean(not ev.y_ok for ev in col) for col in by_t]
-    miss_freq = [statistics.fmean(not ev.e_ok for ev in col) for col in by_t]
+    x_miss = [fmean(not ev.x_ok for ev in col) for col in by_t]
+    y_miss = [fmean(not ev.y_ok for ev in col) for col in by_t]
+    miss_freq = [fmean(not ev.e_ok for ev in col) for col in by_t]
     top_half = range(len(ts) // 2, len(ts) - 1)
     decay_ok = all(miss_freq[i + 1] <= miss_freq[i] / 1.5 for i in top_half)
     return {

@@ -74,6 +74,7 @@ integer arithmetic (bit lengths, never floating-point logs).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
@@ -513,6 +514,17 @@ def _row_error(path: str | os.PathLike, body: str) -> ValueError:
     return ValueError(f"{path}:{3 + len(rows)}: the last line has no final newline")
 
 
+def read_ascii(path: str | os.PathLike) -> str:
+    """A file's text; a byte past ASCII is an error naming path:line and the byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
 def read_pointset(path: str | os.PathLike) -> PointSet:
     """Parse the format written by write_pointset.
 
@@ -522,9 +534,9 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
     The rows are checked in passes over the whole body; only a body that
     fails is walked row by row, to name its first bad line.
     """
-    with open(path, "r", encoding="ascii", newline="\n") as fh:
-        meta = _read_meta(fh, path)
-        body = fh.read()
+    fh = io.StringIO(read_ascii(path))  # splits lines at "\n" only, as the writer does
+    meta = _read_meta(fh, path)
+    body = fh.read()
     pts = _parse_rows(body)
     if pts is None:
         raise _row_error(path, body)

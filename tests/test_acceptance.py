@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from no3l.analytics import exact_reports, monte_carlo_moments
+from no3l.analytics import exact_reports
 from no3l.construct import _is_prime, greedy_construct, modular_parabola
-from no3l.experiments import TrialManifest, run_trials
+from no3l.experiments import TrialManifest, monte_carlo_moments, run_trials
 from no3l.sampling import read_pointset, shell_counts, shell_probability, write_pointset
 from no3l.triples import count_collinear_triples
 from beta_grid import beta_box_grid

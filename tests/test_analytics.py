@@ -29,11 +29,8 @@ from no3l.analytics import (
     _probability_grids,
     exact_mean,
     exact_reports,
-    monte_carlo_moments,
-    normalized_moments,
-    x_floor,
-    y_ceiling,
 )
+from no3l.experiments import monte_carlo_moments, normalized_moments, x_floor, y_ceiling
 from no3l.parallel import map_ordered
 from no3l.sampling import SamplerConfig, sample_window, shell_index, shell_probability
 from no3l.triples import box_triple_counts, count_collinear_triples

@@ -277,7 +277,7 @@ def test_lemmas_rejects_bad_input_before_any_work(capsys, monkeypatch, flags, ne
     def no_work(*args):
         raise AssertionError("sampled or scanned before validating")
 
-    monkeypatch.setattr(experiments, "monte_carlo_moments", no_work)
+    monkeypatch.setattr(experiments, "_mc_vectors", no_work)
     monkeypatch.setattr(experiments, "exact_reports", no_work)
     assert main(["lemmas", "--tmin", "3", "--c", "0.5", "--trials", "2", *flags]) == 2
     err = capsys.readouterr().err
@@ -324,6 +324,50 @@ def test_stats_fails_on_an_unusable_out_dir_before_any_trial(tmp_path, capsys, m
     assert main(["stats", "--manifest", str(man), "--out", str(blocker / "runs")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stats_rejects_a_bad_worker_count_before_making_its_out_dir(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(experiments, "_run_one_trial", _no_trial)
+    monkeypatch.setenv("NO3L_THREADS", "abc")
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({
+        "base_seed": 1, "trial_count": 2, "c": 0.1, "window_exponent": 6,
+    }), encoding="ascii")
+    out = tmp_path / "new"
+    assert main(["stats", "--manifest", str(man), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: NO3L_THREADS must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
+_HEADER = [b"#no3l v1", b'#meta {"c": null, "kind": null, "seed": null, "window_exponent": null}']
+
+
+@pytest.mark.parametrize("line", [1, 2, 3, 4], ids=["magic", "meta", "row", "last-row"])
+def test_a_non_ascii_byte_names_its_file_and_line(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.chdir(tmp_path)
+    lines = [*_HEADER, b"1\t1", b"2\t2"]
+    lines[line - 1] += b"\xe9"
+    Path("bad.tsv").write_bytes(b"\n".join(lines) + b"\n")
+    for argv in (["verify", "--in", "bad.tsv"],
+                 ["construct", "--in", "bad.tsv", "--method", "delete-max", "--out", "s.tsv"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: bad.tsv:{line}: non-ASCII byte 0xe9\n"
+    assert not Path("s.tsv").exists()
+
+
+def test_a_non_ascii_manifest_names_its_file_and_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_run_one_trial", _no_trial)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.chdir(tmp_path)
+    Path("man.json").write_bytes(
+        b'{"base_seed": 1,\n "trial_count": 2,\n "c": 0.1, "out_dir": "r\xc3\xa9",\n'
+        b' "window_exponent": 6}\n'
+    )
+    assert main(["stats", "--manifest", "man.json"]) == 2
+    assert capsys.readouterr().err == "error: man.json:3: non-ASCII byte 0xc3\n"
 
 
 def test_lemmas_at_zero_rate_write_strict_json(capsys):
