@@ -86,17 +86,20 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    # each method reads one input flag; before any file is read or written,
+    # it must be given and no other method's may be
+    inputs = {"delete-max": ("--in", args.infile), "greedy": ("--window", args.window),
+              "parabola": ("--p", args.p)}
+    for method, (flag, value) in inputs.items():
+        if method == args.method and value is None:
+            raise ValueError(f"--method {method} needs {flag}")
+        if method != args.method and value is not None:
+            raise ValueError(f"--method {args.method} does not read {flag}")
     if args.method == "delete-max":
-        if args.infile is None:
-            raise ValueError("--method delete-max repairs a sample; pass it with --in")
         ps = delete_max_of_triples(read_pointset(args.infile))
     elif args.method == "greedy":
-        if args.window is None:
-            raise ValueError("--method greedy generates from scratch; pass --window")
         ps = greedy_construct(args.window)
     else:
-        if args.p is None:
-            raise ValueError("--method parabola needs a prime modulus; pass --p")
         ps = modular_parabola(args.p)
     write_pointset(ps, args.out)
     print(f"wrote {len(ps)} points to {args.out}")

@@ -36,6 +36,7 @@ from .sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
     SamplerConfig,
+    decode_json,
     read_ascii,
     sample_window,
     shell_counts,
@@ -99,11 +100,9 @@ class TrialManifest:
 
     @classmethod
     def from_json_file(cls, path: str | os.PathLike) -> "TrialManifest":
-        try:
-            # universal newlines, as a text-mode open reads, for the decoder's positions
-            raw = json.load(io.StringIO(read_ascii(path), newline=None))
-        except RecursionError as exc:
-            raise ValueError(f"{path}: manifest is nested too deeply to decode") from exc
+        """The manifest a JSON file declares; each ValueError begins with the path."""
+        # universal newlines, as a text-mode open reads, for the decoder's positions
+        raw = decode_json(io.StringIO(read_ascii(path), newline=None).read(), path, "manifest")
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: manifest is not a JSON object")
         declared = {f.name: f for f in fields(cls)}
@@ -124,7 +123,10 @@ class TrialManifest:
                     f"{path}: manifest key {name} must be {declared[name].type},"
                     f" got {value!r}"
                 )
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ValueError as exc:  # the range checks of __post_init__
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -50,14 +50,10 @@ passes out of the second mix without changing any kept cell:
   i.e. z <= b | (2**33 - 1).  Every cell is tested against that weaker
   bound; only the few that pass get h = z ^ (z >> 31) and the exact test
   h <= b.
-- A block whose rows share one bound b(x) tests z against the scalar
-  b(x) | (2**33 - 1), which min(b(x), b(y)) never exceeds; the exact test
-  then uses the cell's own bound.  Only the blocks whose rows span shells
-  (at most one per shell) spend a pass writing each cell's
-  min(b(x), b(y)) | (2**33 - 1).
-
-The z, tmp and keep block buffers stay alive between calls and only grow,
-so a process that samples many small windows maps their pages once.
+- A block tests its rows' shared bound, or else each column's bound.
+  With w(v) = b(v) | (2**33 - 1), it tests z <= w(x) if all its rows x
+  share w(x), else z <= w(y) in column y; neither is below the cell's
+  w(max(x, y)), and the exact test h <= b(max(x, y)) follows.
 
 Inclusion probabilities: shell T >= 1 keeps a point with probability
 min(1, c / (2**T * sqrt(T))); shell 0 (the single point (1, 1)) with
@@ -82,7 +78,7 @@ import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -296,26 +292,16 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
     The window stops before the first shell whose probability is 0.0; the
     rest, [1, n]^2, is hashed as blocks of full-width rows, at most
     _BLOCK_CELLS cells (or one row, if wider), in the reused scratch
-    buffers.  A block makes six passes when its rows share one bound: the
-    row-column xor, multiply, shift, xor, multiply, and the test against
-    b(x) | (2**33 - 1).  A block whose rows span shells first writes each
-    cell's min(b(x), b(y)) | (2**33 - 1) into tmp.  The few cells that pass
-    get the last xorshift and the exact test (module docstring).  Each cell
-    is hashed once and lies in the window, so the kept points, sorted into
-    (inf_norm, x, y) order, go into the PointSet as they are.
+    buffers.  A block makes six passes: the row-column xor, multiply,
+    shift, xor, multiply, and the weak test of z against its rows' shared
+    bound, or else each column's bound, OR 2**33 - 1.  The few cells that
+    pass get the last xorshift and the exact test (module docstring).
+    Each cell is hashed once and lies in the window, so the kept points,
+    sorted into (inf_norm, x, y) order, go into the PointSet as they are.
     """
-    meta = {
-        "kind": "sampled",
-        "seed": cfg.seed,
-        "c": cfg.c,
-        "window_exponent": cfg.window_exponent,
-    }
-    shell_bounds = []
-    for T in range(cfg.window_exponent):
-        prob = shell_probability(T, cfg.c)
-        if prob == 0.0:
-            break
-        shell_bounds.append(_keep_bound(prob))
+    meta = {"kind": "sampled", "seed": cfg.seed, "c": cfg.c, "window_exponent": cfg.window_exponent}
+    probs = (shell_probability(T, cfg.c) for T in range(cfg.window_exponent))
+    shell_bounds = [_keep_bound(prob) for prob in takewhile(bool, probs)]  # stop at 0.0
     if not shell_bounds:
         return PointSet._ordered((), meta)
 
@@ -324,6 +310,7 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
     bound = np.repeat(
         np.array(shell_bounds, dtype=np.uint64), [1 << T for T in range(len(shell_bounds))]
     )
+    weak = bound | np.uint64(_LOW33)
     rows_per_block = min(max(1, _BLOCK_CELLS // n), n)
     z_buf, tmp_buf, keep_buf = _scratch(rows_per_block * n)
     row_words = np.arange(1, n + 1, dtype=np.uint64)
@@ -345,19 +332,13 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
         z *= np.uint64(_MIX_MUL1)
         z ^= np.right_shift(z, np.uint64(27), out=tmp_buf[:cells])
         z *= np.uint64(_MIX_MUL2)
-        # h <= bound implies z <= bound | (2**33 - 1): h >> 33 == z >> 33
-        # (module docstring).  Rows x = r0 + 1 .. r1 lie in shells
-        # bit_length(x) - 1, whose bounds do not grow, so equal bounds at
-        # both ends mean one bound for every row.
-        first_bound = shell_bounds[(r0 + 1).bit_length() - 1]
-        if first_bound == shell_bounds[r1.bit_length() - 1]:
-            # min(b(x), b(y)) <= b(x), one value for the whole block
-            z_bound = np.uint64(first_bound | _LOW33)
-        else:
-            z_bound = tmp_buf[:cells]
-            np.minimum(bound[r0:r1, None], bound[None, :], out=z_bound.reshape(-1, n))
-            z_bound |= np.uint64(_LOW33)
-        keep = np.less_equal(z, z_bound, out=keep_buf[:cells])
+        # h <= b implies z <= b | (2**33 - 1): h >> 33 == z >> 33 (module
+        # docstring).  The weak bounds of rows x = r0 + 1 .. r1 do not grow
+        # with x, so equal ends mean one for every row, a scalar; else each
+        # column y tests its own.  Neither is below the cell's weak bound.
+        z_bound = weak[r0] if weak[r0] == weak[r1 - 1] else weak
+        keep = keep_buf[:cells]
+        np.less_equal(z.reshape(-1, n), z_bound, out=keep.reshape(-1, n))
         if not keep.any():
             continue
         idx = np.flatnonzero(keep)
@@ -399,8 +380,8 @@ def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
     return [hi - lo for lo, hi in zip(ends, ends[1:])]
 
 
-class _NonFinite(ValueError):
-    pass
+class _Refused(ValueError):
+    """A decoded JSON value the readers refuse; its text follows the value's name."""
 
 
 def _finite_float(token: str) -> float:
@@ -408,8 +389,34 @@ def _finite_float(token: str) -> float:
     # writer cannot emit them, and NaN is not even equal to itself
     value = float(token)
     if not math.isfinite(value):
-        raise _NonFinite(token)
+        raise _Refused(f"holds the non-finite number {token}")
     return value
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _Refused(f"gives the key {key!r} twice")
+        obj[key] = value
+    return obj
+
+
+def decode_json(text: str, where: str, what: str) -> object:
+    """The JSON value of text, with finite numbers and each object key once.
+
+    Every refusal is a ValueError that begins "<where>: <what>", so it names
+    the file (and line) the text came from.
+    """
+    try:
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float,
+                          object_pairs_hook=_unique_keys)
+    except _Refused as exc:
+        raise ValueError(f"{where}: {what} {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{where}: {what} is nested too deeply to decode") from exc
+    except ValueError as exc:  # a syntax error, or an integer past int()'s digit limit
+        raise ValueError(f"{where}: {what} is not valid JSON ({exc})") from exc
 
 
 def _meta_line(meta: dict) -> str:
@@ -443,18 +450,7 @@ def _read_meta(fh: TextIO, path: str | os.PathLike) -> dict:
     if not meta_line.endswith("\n"):
         raise ValueError(f"{path}:2: the last line has no final newline")
     meta_line = meta_line[:-1]
-    try:
-        meta = json.loads(
-            meta_line[len("#meta "):],
-            parse_constant=_finite_float,
-            parse_float=_finite_float,
-        )
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:2: meta is not valid JSON ({exc})") from exc
-    except RecursionError as exc:
-        raise ValueError(f"{path}:2: meta is nested too deeply to decode") from exc
-    except _NonFinite as exc:
-        raise ValueError(f"{path}:2: meta holds the non-finite number {exc}") from exc
+    meta = decode_json(meta_line[len("#meta "):], f"{path}:2", "meta")
     if not isinstance(meta, dict):
         raise ValueError(f"{path}:2: meta is not a JSON object")
     unknown = sorted(set(meta) - set(_META_KEYS))

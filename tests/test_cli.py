@@ -154,6 +154,28 @@ def test_construct_missing_conditional_flags(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+# each construct method's own input flag; a missing --in file is never read
+_METHOD_FLAG = {"delete-max": ["--in", "missing.tsv"], "greedy": ["--window", "3"],
+                "parabola": ["--p", "7"]}
+
+
+@pytest.mark.parametrize(
+    "method,other", [(m, o) for m in _METHOD_FLAG for o in _METHOD_FLAG if o != m]
+)
+def test_construct_refuses_a_flag_its_method_does_not_read(
+    tmp_path, capsys, monkeypatch, method, other
+):
+    monkeypatch.chdir(tmp_path)
+    for name in ("read_pointset", "greedy_construct", "modular_parabola"):
+        monkeypatch.setattr(cli, name, _no_call)
+    flag = _METHOD_FLAG[other][0]
+    argv = ["construct", "--method", method, *_METHOD_FLAG[method], *_METHOD_FLAG[other],
+            "--out", "out.tsv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --method {method} does not read {flag}\n"
+    assert not Path("out.tsv").exists()
+
+
 def test_construct_greedy(tmp_path, capsys):
     out = tmp_path / "g.tsv"
     assert main(["construct", "--method", "greedy", "--window", "4",
@@ -308,7 +330,8 @@ def test_batches_reject_a_last_seed_past_64_bits_before_any_trial(
                 "--alpha", "0", "--base-seed", str(base_seed), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err == f"error: seed must fit in 64 bits, got {2**64}\n"
+    where = f"{man}: " if command == "stats" else ""
+    assert err == f"error: {where}seed must fit in 64 bits, got {2**64}\n"
     assert not out.exists()
 
 
@@ -545,9 +568,12 @@ def test_verify_rejects_rows_the_writer_never_emits(tmp_path, capsys, row):
         ('{"c": 0.50, "kind": null, "seed": null, "window_exponent": null}', "writer emits"),
         ('{"kind": null, "c": 0.5, "seed": null, "window_exponent": null}', "writer emits"),
         ("[]", "not a JSON object"),
+        ('{"c": null, "c": null, "kind": null, "seed": null, "window_exponent": null}', "twice"),
+        ('{"seed": 1' + "0" * 5000 + "}", "digits"),
     ],
     ids=["nan-and-unknown-key", "unknown-key", "nested-infinity", "overflowing-literal",
-         "spacing", "missing-key", "trailing-zero", "key-order", "not-an-object"],
+         "spacing", "missing-key", "trailing-zero", "key-order", "not-an-object",
+         "duplicate-key", "huge-int"],
 )
 def test_meta_the_writer_never_emits_is_a_usage_error(
     tmp_path, capsys, monkeypatch, argv, meta, needle
@@ -722,6 +748,42 @@ def test_stats_rejects_bad_manifest(tmp_path, capsys, doc, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert len(err.splitlines()) == 1
+
+
+_GOOD_KEYS = '"trial_count": 2, "c": 0.1, "window_exponent": 6'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"base_seed": 1, }',
+        '{"base_seed": 1, "trial_count": 0, "c": 0.1, "window_exponent": 6}',
+        '{"base_seed": 1, "trial_count": 2, "c": NaN, "window_exponent": 6}',
+        '{"base_seed": 1, "trial_count": 2, "c": -Infinity, "window_exponent": 6}',
+        '{"base_seed": 1, "trial_count": 2, "c": 1e999, "window_exponent": 6}',
+        '{"base_seed": 1, "trial_count": 2, "c": 0.1, "window_exponent": 40}',
+        '{"base_seed": -1, ' + _GOOD_KEYS + "}",
+        '{"base_seed": 1, "log_base": "log2", ' + _GOOD_KEYS + "}",
+        '{"base_seed": 1, "t_exact_cap": 0, ' + _GOOD_KEYS + "}",
+        '{"base_seed": 1, "base_seed": 2, ' + _GOOD_KEYS + "}",
+        '{"base_seed": 1, "out_dir": {"a": 1, "a": 2}, ' + _GOOD_KEYS + "}",
+        '{"base_seed": 1' + "0" * 5000 + ", " + _GOOD_KEYS + "}",
+    ],
+    ids=[
+        "syntax", "no-trials", "nan-rate", "infinite-rate", "overflowing-rate", "wide-window",
+        "negative-seed", "log2", "exact-cap", "duplicate-key", "nested-duplicate", "huge-int",
+    ],
+)
+def test_every_manifest_error_names_its_file(tmp_path, capsys, monkeypatch, text):
+    monkeypatch.setattr(experiments, "_run_one_trial", _no_trial)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.chdir(tmp_path)
+    Path("man.json").write_text(text, encoding="ascii")
+    assert main(["stats", "--manifest", "man.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: man.json: ")
+    assert len(err.splitlines()) == 1
+    assert not Path("trials").exists()
 
 
 RATES_WITHOUT_A_FLOAT_CUBE = pytest.mark.parametrize(

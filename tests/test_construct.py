@@ -99,6 +99,15 @@ def test_modular_parabola_small_sets():
     assert modular_parabola(5).points == ((1, 1), (2, 4), (3, 4), (4, 1), (5, 5))
 
 
+def test_modular_parabola_equals_the_sorting_constructor():
+    # the parabola is built in PointSet order and skips the constructor's sort
+    for p in filter(construct._is_prime, range(1000)):
+        pts = [(t, (t * t - 1) % p + 1) for t in range(1, p + 1)]
+        got = modular_parabola(p)
+        assert got == PointSet(pts, {"kind": "baseline"})
+        assert all(type(v) is int for pt in got.points for v in pt)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 101])
 def test_modular_parabola_is_triple_free_bruteforce(p):
     ps = modular_parabola(p)

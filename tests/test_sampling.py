@@ -121,6 +121,17 @@ def test_sample_window_matches_scalar_scan_across_blocks(monkeypatch, block, see
     assert sorted(sample_window(cfg).points) == sorted(_reference_scan(cfg))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_block_spanning_every_shell_matches_the_scalar_scan(seed):
+    # W = 8, c = 0.5, the window of each Monte Carlo seed of `lemmas --tmax 7`:
+    # at the default block size the whole 255-row window is one block whose rows
+    # span all eight shells, so every cell takes its column's weak bound
+    n = 255
+    assert min(sampling._BLOCK_CELLS // n, n) == n
+    cfg = SamplerConfig(seed=seed, c=0.5, window_exponent=8)
+    assert sorted(sample_window(cfg).points) == sorted(_reference_scan(cfg))
+
+
 def _xorshift30(v: int) -> int:
     return v ^ (v >> 30)
 
@@ -153,28 +164,34 @@ def _rate_with_bound(t: int, bound: int) -> float:
 
 
 @pytest.mark.parametrize("bound_at", ["between-h-and-z", "just-below-h"])
-def test_filter_edge_cells_match_the_scalar_scan(bound_at):
+def test_filter_edge_cells_match_the_scalar_scan(monkeypatch, bound_at):
     # A shell bound in [h, z) keeps the cell although z > bound: the coarse
     # test must compare z against bound | (2**33 - 1).  A bound just below h
     # passes that coarse test and drops the cell only in the exact recheck.
-    w, t, x, y = 4, 3, 9, 5
-    # the first seed whose cell (9, 5) of shell 3 has room for a bound in [h, z)
-    seed = next(
-        s for s in range(100) if _last_words(s, x, y)[0] >> 11 > _last_words(s, x, y)[1] >> 11
-    )
-    z, h = _last_words(seed, x, y)
-    assert (h >> 11) * 2.0**-53 == point_uniform(seed, x, y)
-    if bound_at == "between-h-and-z":
-        bound = ((h >> 11) << 11) | 0x7FF
-        assert h <= bound < z
-    else:
-        bound = ((h >> 11) << 11) - 1
-        assert bound < h and z <= bound | ((1 << 33) - 1)
-    cfg = SamplerConfig(seed=seed, c=_rate_with_bound(t, bound), window_exponent=w)
-    assert _keep_bound(shell_probability(t, cfg.c)) == bound
-    ref = _reference_scan(cfg)
-    assert ((x, y) in ref) == (bound_at == "between-h-and-z")
-    assert sorted(sample_window(cfg).points) == sorted(ref)
+    # The coarse test meets the cell's own shell bound where its row or its
+    # column lies in the cell's shell: cell (9, 5) in a block of row 9 alone,
+    # and cell (5, 9) in column 9 of the one block of rows 1 .. 15.
+    w, t = 4, 3
+    for (x, y), block in (((9, 5), 15), ((5, 9), 1 << 16)):
+        monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
+        # the first seed whose cell of shell 3 has room for a bound in [h, z),
+        # with h below 2**63, where a rate reaches every bound
+        z, h, seed = next(
+            (z, h, s) for s in range(100) for z, h in [_last_words(s, x, y)]
+            if z >> 11 > h >> 11 and h >> 63 == 0
+        )
+        assert (h >> 11) * 2.0**-53 == point_uniform(seed, x, y)
+        if bound_at == "between-h-and-z":
+            bound = ((h >> 11) << 11) | 0x7FF
+            assert h <= bound < z
+        else:
+            bound = ((h >> 11) << 11) - 1
+            assert bound < h and z <= bound | ((1 << 33) - 1)
+        cfg = SamplerConfig(seed=seed, c=_rate_with_bound(t, bound), window_exponent=w)
+        assert _keep_bound(shell_probability(t, cfg.c)) == bound
+        ref = _reference_scan(cfg)
+        assert ((x, y) in ref) == (bound_at == "between-h-and-z")
+        assert sorted(sample_window(cfg).points) == sorted(ref)
 
 
 @given(
@@ -270,6 +287,7 @@ def test_reused_scratch_leaks_no_stale_cells(monkeypatch, fresh_samples, block):
 WINDOW_FILE_PINS = [
     ((1, 0.1, 13), 754, "d72e9078f30924907113968f873342c02882bbb9f4af8991ecae2b6d77d481d6"),
     ((1, 1.0, 12), 3979, "64b0193456e99eb085be1d5c2dab76e08525011b19cb63a6637946d59a4bd091"),
+    ((1, 0.5, 8), 160, "17a53f657c3e0d6d511b5d9db66a52de4efe58bc9387f47babf11cb66d16331f"),
 ]
 
 
