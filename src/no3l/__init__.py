@@ -10,33 +10,11 @@ pipeline for batch use.
 
 Layering, by module-level imports: triples takes sampling, construct
 takes both, analytics takes sampling and the process pool in parallel,
-and experiments takes all five.  The package root and the cli take only
-sampling, triples and construct, so ``import no3l`` and the ``sample``,
-``construct`` and ``verify`` commands never load the rest; ``stats``,
-``lemmas`` and ``bench`` import experiments when they run.
+and experiments takes all five.  The package root imports nothing, so
+``import no3l.<module>`` loads just that module's layer: the cli takes
+only sampling, triples and construct, so the ``sample``, ``construct``
+and ``verify`` commands never load the rest; ``stats``, ``lemmas`` and
+``bench`` import experiments when they run.
 """
-
-from .construct import (
-    delete_max_of_triples,
-    density_profile,
-    greedy_construct,
-    modular_parabola,
-)
-from .sampling import (
-    PointSet,
-    SamplerConfig,
-    inf_norm,
-    norm_lex_key,
-    read_pointset,
-    sample_window,
-    shell_counts,
-    shell_index,
-    shell_probability,
-    write_pointset,
-)
-from .triples import (
-    count_collinear_triples,
-    prefix_triple_counts,
-)
 
 __version__ = "0.1.0"

@@ -126,9 +126,9 @@ def greedy_construct(window_exponent: int) -> PointSet:
             xs[m] = x
             ys[m] = y
             m += 1
-    accepted = zip(xs[:m].tolist(), ys[:m].tolist())
-    meta = {"kind": "baseline", "window_exponent": window_exponent}
-    return PointSet(accepted, meta)
+    # Accepted in scan order, which is (inf_norm, x, y) order, inside the window.
+    meta = {"kind": "baseline", "seed": None, "c": None, "window_exponent": window_exponent}
+    return PointSet._ordered(tuple(zip(xs[:m].tolist(), ys[:m].tolist())), meta)
 
 
 def _block_lines(

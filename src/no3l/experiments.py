@@ -10,6 +10,9 @@ the implementation, not the randomness, is wrong.
 
 Aggregates are written byte-reproducibly: trials are keyed by ascending
 seed, rows by ascending box exponent, JSON with sorted keys, no timestamps.
+The trials need no sort: run_trials, the only maker of a TrialRunResult,
+takes them from manifest.seeds, which ascend, through the order-keeping
+map_ordered.
 Rerunning a manifest must reproduce every output file exactly.
 
 Every seeded batch lives here: a manifest's trials and the Monte Carlo
@@ -312,29 +315,26 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 def aggregate_json(result: TrialRunResult) -> str:
     payload = asdict(result)
-    payload["trials"].sort(key=lambda tr: tr["seed"])
     for tr in payload["trials"]:
         tr["density"] = [{"n": n, "count": cnt, "ratio": r} for n, cnt, r in tr["density"]]
     return json_text(payload)
 
 
 def aggregate_csv(result: TrialRunResult) -> str:
-    by_seed = sorted(result.trials, key=lambda tr: tr.seed)
     rows = []
     for i, t in enumerate(result.t_values):
-        for tr in by_seed:
+        for tr in result.trials:
             ev = tr.events[i]
             rows.append((t, tr.seed, tr.x[t], tr.y[t], ev.x_ok, ev.y_ok, ev.e_ok))
     return csv_text(("T", "seed", "x", "y", "x_ok", "y_ok", "e_ok"), rows)
 
 
 def density_csv(result: TrialRunResult) -> str:
-    by_seed = sorted(result.trials, key=lambda tr: tr.seed)
-    sides = [n for n, _, _ in by_seed[0].density] if by_seed else []
+    sides = [n for n, _, _ in result.trials[0].density] if result.trials else []
     rows = [
         (n, tr.seed, tr.density[j][1], tr.density[j][2])
         for j, n in enumerate(sides)
-        for tr in by_seed
+        for tr in result.trials
     ]
     return csv_text(("n", "seed", "count", "ratio"), rows)
 

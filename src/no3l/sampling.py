@@ -185,13 +185,15 @@ class PointSet:
 
     ``meta`` carries provenance: at least the keys kind, seed, c and
     window_exponent (absent values are None).  When window_exponent is set,
-    all members must lie inside that window.
+    all members must lie inside that window.  Coordinates are integers
+    (numpy's too, stored as Python ints); a float or a string raises
+    TypeError rather than being truncated or parsed.
     """
 
     __slots__ = ("points", "meta")
 
     def __init__(self, points: Iterable[Point], meta: dict | None = None):
-        pts = sorted(((int(x), int(y)) for x, y in points), key=norm_lex_key)
+        pts = sorted(((operator.index(x), operator.index(y)) for x, y in points), key=norm_lex_key)
         for i in range(1, len(pts)):
             if pts[i - 1] == pts[i]:
                 raise ValueError(f"duplicate point {pts[i]}")

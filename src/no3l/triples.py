@@ -22,11 +22,12 @@ block never cross rows.
 
 Only the direction key depends on the set's coordinate span s:
 
-- s <= 2**21 (every window, greedy set and parabola p < 2**21): the float
-  key.  Of a difference (dx, dy), it is q = dy / (|dx| + |dy|) signed by
-  dx, computed as dy / (dx + copysign(dy, dx)), in [-1, 1].  For dx != 0
-  it is r / (1 + |r|) of the slope r = dy / dx, which increases strictly
-  with r; along the vertical it is +1 upward and -1 downward.  So two
+- s <= 2**21 (every window, greedy set and parabola the program builds):
+  the float key.  Of a difference (dx, dy), it is q = dy / (|dx| + |dy|)
+  signed by dx, computed as dy / (dx + copysign(dy, dx)), in [-1, 1].
+  For dx != 0 it is r / (1 + |r|) of the slope r = dy / dx, which
+  increases strictly with r; along the vertical it is +1 upward and -1
+  downward.  So two
   differences have the same exact key when and only when they lie on one
   line through the anchor, except that the two sides of a vertical line
   differ, which splits no line: its earlier points lie on one side of the

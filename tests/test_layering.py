@@ -1,4 +1,5 @@
-"""The package's module layering, read from the source with ast.
+"""The package's module layering, read from the source with ast and
+observed in a fresh interpreter.
 
 Only module-level imports count: a command that imports a module when it
 runs (the cli's batch commands and experiments) does not make that
@@ -7,12 +8,18 @@ package docstring states.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import no3l
 
 LAYERS = {
-    "__init__": {"construct", "sampling", "triples"},
+    "__init__": set(),
     "sampling": set(),
     "parallel": set(),
     "triples": {"sampling"},
@@ -21,6 +28,15 @@ LAYERS = {
     "experiments": {"analytics", "construct", "parallel", "sampling", "triples"},
     "cli": {"construct", "sampling", "triples"},
 }
+
+IMPORT_PROBE = """
+import json, sys
+import {name}
+print(json.dumps({{
+    "no3l": sorted(m for m in sys.modules if m.partition(".")[0] == "no3l"),
+    "numpy": "numpy" in sys.modules,
+}}))
+"""
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -36,7 +52,32 @@ def _package_imports(path: Path) -> set[str]:
     return found
 
 
+def _closure(module: str) -> set[str]:
+    """module and every package module it loads through LAYERS."""
+    return {module}.union(*map(_closure, LAYERS[module]))
+
+
 def test_module_imports_follow_the_layering():
     src = Path(no3l.__file__).parent
     seen = {path.stem: _package_imports(path) for path in sorted(src.glob("*.py"))}
     assert seen == LAYERS
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_a_fresh_import_loads_exactly_its_layer(module):
+    # the child imports the package this suite imported
+    src = os.path.dirname(os.path.dirname(no3l.__file__))
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    name = "no3l" if module == "__init__" else f"no3l.{module}"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(name=name)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    expected = {"no3l"} | {f"no3l.{m}" for m in _closure(module) - {"__init__"}}
+    assert set(loaded["no3l"]) == expected
+    if module in ("__init__", "parallel"):
+        assert not loaded["numpy"]

@@ -408,6 +408,16 @@ def test_pointset_sorts_and_rejects_duplicates():
         PointSet([(1, 1), (1, 1)])
 
 
+def test_pointset_takes_integer_coordinates_only():
+    ps = PointSet([(np.int64(3), np.uint8(4)), (True, 2)])
+    assert ps.points == ((1, 2), (3, 4))
+    assert all(type(v) is int for p in ps.points for v in p)
+    # a float or a string is refused, never truncated to (1, 2) or parsed
+    for bad in [(1.5, 2), (1, 2.0), ("3", "4"), (np.float64(1.0), 1)]:
+        with pytest.raises(TypeError):
+            PointSet([bad])
+
+
 def test_pointset_window_validation():
     PointSet([(1, 1), (7, 7)], {"window_exponent": 3})
     with pytest.raises(ValueError):

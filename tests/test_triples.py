@@ -83,6 +83,12 @@ def test_duplicate_points_rejected():
         count_collinear_triples([(1, 1), (1, 1), (2, 2)])
 
 
+def test_non_integer_points_rejected():
+    # (0.5, 0), (1, 1), (2, 2) are not collinear; truncated, (0, 0) would be
+    with pytest.raises(TypeError):
+        count_collinear_triples([(0.5, 0), (1, 1), (2, 2)])
+
+
 random_sets = st.lists(
     st.tuples(st.integers(1, 100), st.integers(1, 100)),
     min_size=0,
