@@ -52,7 +52,7 @@ def delete_max_with_profile(sample: PointSet, t_max: int) -> tuple[PointSet, lis
     if min(low) < 1:
         raise ValueError(f"point {low} outside the positive quadrant")
     counts = prefix_triple_counts(sample)
-    return _survivors(sample, counts), box_profile(sample, counts, t_max)
+    return _survivors(sample, counts), box_profile(sample.norm_prefix, counts, t_max)
 
 
 def _survivors(sample: PointSet, counts: Sequence[int]) -> PointSet:

@@ -18,7 +18,12 @@ Rerunning a manifest must reproduce every output file exactly.
 Every seeded batch lives here: a manifest's trials and the Monte Carlo
 moments of X_T and Y_T share one batch check, one moment routine and the
 event thresholds x_floor and y_ceiling; lemma_report sets those moments
-next to the exact bounds of no3l.analytics.
+next to the exact bounds of no3l.analytics.  A trial is one task of the
+pool; the Monte Carlo maps contiguous chunks of seeds, one per worker (or
+narrower, so that one block row of the sampler holds the chunk), hashes
+each chunk's windows side by side in one sampler pass, and reads each
+seed's X_T and Y_T from its arrays through the same helpers that
+shell_counts and box_triple_counts use, with no PointSet per seed.
 """
 
 from __future__ import annotations
@@ -27,10 +32,15 @@ import io
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
+from itertools import pairwise
 from pathlib import Path
 from statistics import fmean, median, variance
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .analytics import ENUMERATION_CAP, VARIANCE_CAP, exact_reports
 from .construct import delete_max_with_profile, density_profile
@@ -39,13 +49,16 @@ from .sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
     SamplerConfig,
+    _block_row_seeds,
+    _hash_seeds,
+    _shell_sizes,
     decode_json,
     read_ascii,
     sample_window,
     shell_counts,
     write_pointset,
 )
-from .triples import box_triple_counts, count_collinear_triples
+from .triples import _anchor_counts, box_profile, count_collinear_triples
 
 # JSON value types accepted for each manifest field annotation.
 _JSON_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
@@ -392,10 +405,24 @@ class TrialStatistics:
     k2_hat: float
 
 
-def _mc_vectors(args: tuple[int, float, int]) -> tuple[list[int], list[int]]:
-    seed, c, w = args
-    ps = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
-    return shell_counts(ps, w), box_triple_counts(ps, w - 1)
+def _mc_vectors(args: tuple[Sequence[int], float, int]) -> list[tuple[list[int], list[int]]]:
+    """X_T and Y_T, T = 0 .. w - 1, of each seed of a chunk, from one
+    _hash_seeds pass over all of them.
+
+    A seed's X_T come from its norm array and its Y_T from the kernel's
+    counts of its points in [1, 2**(w-1)]^2, which lead its points; neither
+    builds a PointSet.
+    """
+    seeds, c, w = args
+    xs, ys, ends = _hash_seeds(seeds, c, w)
+    norms = np.maximum(xs, ys)
+    vectors = []
+    for lo, hi in pairwise(ends.tolist()):
+        norm_prefix = partial(bisect_right, norms[lo:hi].tolist())
+        box = norm_prefix(1 << (w - 1))
+        counts = _anchor_counts(xs[lo:lo + box], ys[lo:lo + box]).tolist()
+        vectors.append((_shell_sizes(norm_prefix, w), box_profile(norm_prefix, counts, w - 1)))
+    return vectors
 
 
 def monte_carlo_moments(
@@ -419,7 +446,11 @@ def monte_carlo_moments(
         raise ValueError("need at least one seed")
     w = ts[-1] + 1
     _check_batch(min(seeds), max(seeds), c, w)
-    vectors = map_ordered(_mc_vectors, [(s, c, w) for s in seeds])
+    # Contiguous chunks, one per worker unless one block row of _hash_seeds
+    # cannot hold that many seeds side by side.
+    width = min(-(-len(seeds) // resolve_workers()), _block_row_seeds(w))
+    chunks = [(seeds[i:i + width], c, w) for i in range(0, len(seeds), width)]
+    vectors = [v for chunk in map_ordered(_mc_vectors, chunks) for v in chunk]
     x_by_seed = [[xv[t] for t in ts] for xv, _ in vectors]
     y_by_seed = [[yv[t] for t in ts] for _, yv in vectors]
     x_mean, x_var = seed_moments(x_by_seed)

@@ -1,14 +1,14 @@
 """Worker-count resolution and an order-preserving parallel map.
 
-Trials, Monte Carlo seeds and exact-scan tasks are embarrassingly
-parallel.  The worker count is NO3L_THREADS when the environment variable
-is set, else the cpu count; with one worker everything runs serially
-in-process.  Results are returned in input order either way, so downstream
-output is identical whatever the worker count.
+Trials, chunks of Monte Carlo seeds and exact-scan tasks are
+embarrassingly parallel.  The worker count is NO3L_THREADS when the
+environment variable is set, else the cpu count; with one worker
+everything runs serially in-process.  Results are returned in input order
+either way, so downstream output is identical whatever the worker count.
 
-Pools exist at one level only: no mapped function (a trial, a Monte Carlo
-seed, a scan task) maps again, so the triple-kernel calls and everything
-else a worker does run serially inside that worker.
+Pools exist at one level only: no mapped function (a trial, a chunk of
+Monte Carlo seeds, a scan task) maps again, so the triple-kernel calls and
+everything else a worker does run serially inside that worker.
 """
 
 from __future__ import annotations

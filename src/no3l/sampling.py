@@ -33,27 +33,30 @@ kept).  At p == 0.0 it would be -1, but such a shell keeps nothing, and
 neither does any shell past it (p does not grow with T), so the window
 is cut at the first one.  Only a subnormal c reaches p == 0.0.
 
-The window [1, n]^2 is hashed as blocks of full-width rows.  Shell T is
+The window [1, n]^2 is hashed as blocks of rows y, and one pass can hash
+several seeds: a row holds every seed's cells (seed, x) side by side, so
+a chunk of narrow windows is hashed in long rows.  Shell T is
 {(x, y) : max(shell x, shell y) == T}, with shell v = bit_length(v) - 1,
 and p does not grow with T, so cell (x, y) has the bound
 min(b(x), b(y)), b(v) the bound of v's shell: one bound per row and one
-per column, never one per cell.  Three more exact shortcuts take per-cell
+per x, never one per cell.  Three more exact shortcuts take per-cell
 passes out of the second mix without changing any kept cell:
 
-- The first xorshift is applied per row and per column, not per cell.  A
-  cell's word is v = r[x] ^ s[y], with r the first mix's row words and
-  s[y] = y * 0xC2B2AE3D27D4EB4F; a logical shift distributes over xor, so
-  v ^ (v >> 30) = (r ^ r >> 30)[x] ^ (s ^ s >> 30)[y].
+- The first xorshift is applied per seed and x, and per row, not per
+  cell.  A cell's word is v = r[x] ^ s[y], with r the first mix's words
+  of the cell's seed and s[y] = y * 0xC2B2AE3D27D4EB4F; a logical shift
+  distributes over xor, so v ^ (v >> 30) = (r ^ r >> 30)[x] ^
+  (s ^ s >> 30)[y].
 - The filter runs before the last xorshift.  With z the word after the
   second multiply, h = z ^ (z >> 31), and z >> 31 has its top 31 bits
   clear, so h >> 33 == z >> 33.  Hence h <= b implies z >> 33 <= b >> 33,
   i.e. z <= b | (2**33 - 1).  Every cell is tested against that weaker
   bound; only the few that pass get h = z ^ (z >> 31) and the exact test
   h <= b.
-- A block tests its rows' shared bound, or else each column's bound.
-  With w(v) = b(v) | (2**33 - 1), it tests z <= w(x) if all its rows x
-  share w(x), else z <= w(y) in column y; neither is below the cell's
-  w(max(x, y)), and the exact test h <= b(max(x, y)) follows.
+- A block tests its rows' shared bound, or else each x's bound.  With
+  w(v) = b(v) | (2**33 - 1), it tests z <= w(y) if all its rows y share
+  w(y), else z <= w(x) in each seed's column x; neither is below the
+  cell's w(max(x, y)), and the exact test h <= b(max(x, y)) follows.
 
 Inclusion probabilities: shell T >= 1 keeps a point with probability
 min(1, c / (2**T * sqrt(T))); shell 0 (the single point (1, 1)) with
@@ -78,8 +81,8 @@ import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, takewhile
-from typing import Iterable, Iterator, Sequence, TextIO
+from itertools import chain, pairwise, takewhile
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -102,7 +105,7 @@ _LOW33 = (1 << 33) - 1
 # ms; W = 13, c = 0.1 (5 calls): 223 / 190 / 183 / 212 ms.
 _BLOCK_CELLS = 1 << 16
 
-# sample_window's scratch (see _scratch); one module-level set, so it is
+# _hash_seeds's scratch (see _scratch); one module-level set, so it is
 # not safe to sample from two threads of one process at once.
 _z_buf = np.empty(0, dtype=np.uint64)
 _tmp_buf = np.empty(0, dtype=np.uint64)
@@ -288,24 +291,46 @@ def _scratch(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _z_buf[:cells], _tmp_buf[:cells], _keep_buf[:cells]
 
 
+def _block_row_seeds(window_exponent: int) -> int:
+    """How many seeds' cells of one row of the window fit side by side in
+    _BLOCK_CELLS cells, at least 1: the widest chunk of seeds one block row
+    of _hash_seeds holds."""
+    return max(1, _BLOCK_CELLS // ((1 << window_exponent) - 1))
+
+
 def sample_window(cfg: SamplerConfig) -> PointSet:
     """One seeded realization over the window of cfg.
 
-    The window stops before the first shell whose probability is 0.0; the
-    rest, [1, n]^2, is hashed as blocks of full-width rows, at most
-    _BLOCK_CELLS cells (or one row, if wider), in the reused scratch
-    buffers.  A block makes six passes: the row-column xor, multiply,
-    shift, xor, multiply, and the weak test of z against its rows' shared
-    bound, or else each column's bound, OR 2**33 - 1.  The few cells that
-    pass get the last xorshift and the exact test (module docstring).
-    Each cell is hashed once and lies in the window, so the kept points,
-    sorted into (inf_norm, x, y) order, go into the PointSet as they are.
+    It is the one-seed case of _hash_seeds, whose kept points lie in the
+    window, once each, in (inf_norm, x, y) order, so they go into the
+    PointSet as they are.
     """
     meta = {"kind": "sampled", "seed": cfg.seed, "c": cfg.c, "window_exponent": cfg.window_exponent}
-    probs = (shell_probability(T, cfg.c) for T in range(cfg.window_exponent))
+    x, y, _ = _hash_seeds([cfg.seed], cfg.c, cfg.window_exponent)
+    return PointSet._ordered(tuple(zip(x.tolist(), y.tolist())), meta)
+
+
+def _hash_seeds(
+    seeds: Sequence[int], c: float, window_exponent: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every seed's realization at rate c over the window, hashed side by side.
+
+    Returns (x, y, ends): the kept points of seeds[k] are (x[i], y[i]) for
+    ends[k] <= i < ends[k + 1], in (inf_norm, x, y) order.  The window
+    stops before the first shell whose probability is 0.0; the rest,
+    [1, n]^2, is hashed as blocks of rows y, at most _BLOCK_CELLS cells (or
+    one row, if wider), in the reused scratch buffers.  A row holds every
+    seed's cells side by side, (seeds[k], x) at k * n + x - 1.  A block
+    makes six passes: the row-column xor, multiply, shift, xor, multiply,
+    and the weak test of z against its rows' shared bound, or else each
+    inner column's x's bound, OR 2**33 - 1.  The few cells that pass get
+    the last xorshift and the exact test (module docstring).
+    """
+    none = np.zeros(0, dtype=np.intp)
+    probs = (shell_probability(T, c) for T in range(window_exponent))
     shell_bounds = [_keep_bound(prob) for prob in takewhile(bool, probs)]  # stop at 0.0
     if not shell_bounds:
-        return PointSet._ordered((), meta)
+        return none, none, np.zeros(len(seeds) + 1, dtype=np.intp)
 
     n = (1 << len(shell_bounds)) - 1
     # bound[v - 1] = b(v): shell T holds the 2**T values [2**T, 2**(T+1) - 1]
@@ -313,63 +338,68 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
         np.array(shell_bounds, dtype=np.uint64), [1 << T for T in range(len(shell_bounds))]
     )
     weak = bound | np.uint64(_LOW33)
-    rows_per_block = min(max(1, _BLOCK_CELLS // n), n)
-    z_buf, tmp_buf, keep_buf = _scratch(rows_per_block * n)
+    width = len(seeds) * n
+    rows_per_block = min(max(1, _BLOCK_CELLS // width), n)
+    z_buf, tmp_buf, keep_buf = _scratch(rows_per_block * width)
+    # inner word (k, x): the first mix of seeds[k] at x, then the second
+    # mix's first xorshift
+    x_words = np.arange(1, n + 1, dtype=np.uint64)
+    x_words *= np.uint64(_X_SALT)
+    inner = (np.array(seeds, dtype=np.uint64)[:, None] ^ x_words).ravel()
+    _mix64_inplace(inner, tmp_buf[:width])
+    inner ^= inner >> np.uint64(30)
     row_words = np.arange(1, n + 1, dtype=np.uint64)
-    row_words *= np.uint64(_X_SALT)
-    row_words ^= np.uint64(cfg.seed)
-    _mix64_inplace(row_words, tmp_buf[:n])
+    row_words *= np.uint64(_Y_SALT)
     row_words ^= row_words >> np.uint64(30)
-    col_words = np.arange(1, n + 1, dtype=np.uint64)
-    col_words *= np.uint64(_Y_SALT)
-    col_words ^= col_words >> np.uint64(30)
 
-    xs_out: list[np.ndarray] = []
-    ys_out: list[np.ndarray] = []
+    ys_out = [none]
+    cols_out = [none]
     for r0 in range(0, n, rows_per_block):
         r1 = min(r0 + rows_per_block, n)
-        cells = (r1 - r0) * n
+        cells = (r1 - r0) * width
         z = z_buf[:cells]
-        np.bitwise_xor(row_words[r0:r1, None], col_words[None, :], out=z.reshape(-1, n))
+        np.bitwise_xor(row_words[r0:r1, None], inner, out=z.reshape(-1, width))
         z *= np.uint64(_MIX_MUL1)
         z ^= np.right_shift(z, np.uint64(27), out=tmp_buf[:cells])
         z *= np.uint64(_MIX_MUL2)
         # h <= b implies z <= b | (2**33 - 1): h >> 33 == z >> 33 (module
-        # docstring).  The weak bounds of rows x = r0 + 1 .. r1 do not grow
-        # with x, so equal ends mean one for every row, a scalar; else each
-        # column y tests its own.  Neither is below the cell's weak bound.
-        z_bound = weak[r0] if weak[r0] == weak[r1 - 1] else weak
+        # docstring).  The weak bounds of rows y = r0 + 1 .. r1 do not grow
+        # with y, so equal ends mean one for every row, a scalar; else each
+        # inner column tests its x's, the same n bounds for every seed.
+        # Neither is below the cell's weak bound.
         keep = keep_buf[:cells]
-        np.less_equal(z.reshape(-1, n), z_bound, out=keep.reshape(-1, n))
+        if weak[r0] == weak[r1 - 1]:
+            np.less_equal(z, weak[r0], out=keep)
+        else:
+            np.less_equal(z.reshape(-1, len(seeds), n), weak, out=keep.reshape(-1, len(seeds), n))
         if not keep.any():
             continue
         idx = np.flatnonzero(keep)
         h = z[idx]
         h ^= h >> np.uint64(31)
-        # keep_row and keep_col are x - 1 and y - 1; b does not grow with
+        # keep_row is y - 1 and keep_col % n is x - 1; b does not grow with
         # v, so min(b(x), b(y)) = b(max(x, y))
-        keep_row, keep_col = np.divmod(idx, n)
+        keep_row, keep_col = np.divmod(idx, width)
         keep_row += r0
-        exact = h <= bound[np.maximum(keep_row, keep_col)]
-        xs_out.append(keep_row[exact])
-        ys_out.append(keep_col[exact])
+        exact = h <= bound[np.maximum(keep_row, keep_col % n)]
+        ys_out.append(keep_row[exact])
+        cols_out.append(keep_col[exact])
 
-    if not xs_out:
-        return PointSet._ordered((), meta)
-    x = np.concatenate(xs_out) + 1
     y = np.concatenate(ys_out) + 1
-    # The blocks emit cells in (x, y) order; a stable sort by inf_norm
-    # makes that (inf_norm, x, y).
-    order = np.argsort(np.maximum(x, y), kind="stable")
-    return PointSet._ordered(tuple(zip(x[order].tolist(), y[order].tolist())), meta)
+    k, x = np.divmod(np.concatenate(cols_out), n)
+    x += 1
+    # The blocks emit cells in (y, k, x) order; a stable sort by
+    # (k, inf_norm, x) makes that (k, inf_norm, x, y).
+    order = np.argsort((k * (n + 1) + np.maximum(x, y)) * (n + 1) + x, kind="stable")
+    return x[order], y[order], np.searchsorted(k[order], np.arange(len(seeds) + 1))
 
 
 def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
     """Count members per shell T = 0 .. window_exponent - 1.
 
-    Members are in (inf_norm, x, y) order, so shell T is the run of norms
-    in [2**T, 2**(T+1) - 1], found by bisection; only the first member can
-    be the origin and only the last can lie past the window.
+    Members are in (inf_norm, x, y) order, so each shell is a run found by
+    bisection (_shell_sizes); only the first member can be the origin and
+    only the last can lie past the window.
     """
     if window_exponent < 1:
         raise ValueError(f"window exponent must be >= 1, got {window_exponent}")
@@ -378,8 +408,15 @@ def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
         shell_index(pts[0])
         if shell_index(pts[-1]) >= window_exponent:
             raise ValueError(f"point {pts[-1]} outside window of exponent {window_exponent}")
-    ends = [ps.norm_prefix((1 << T) - 1) for T in range(window_exponent + 1)]
-    return [hi - lo for lo, hi in zip(ends, ends[1:])]
+    return _shell_sizes(ps.norm_prefix, window_exponent)
+
+
+def _shell_sizes(norm_prefix: Callable[[int], int], window_exponent: int) -> list[int]:
+    """Members per shell T = 0 .. window_exponent - 1 of a set in (inf_norm,
+    x, y) order, from norm_prefix(n), how many leading members have
+    inf_norm <= n: shell T is the run of norms in [2**T, 2**(T+1) - 1]."""
+    ends = [norm_prefix((1 << T) - 1) for T in range(window_exponent + 1)]
+    return [hi - lo for lo, hi in pairwise(ends)]
 
 
 class _Refused(ValueError):

@@ -77,23 +77,14 @@ _PAIR_BLOCK = 1 << 15
 _FLOAT_KEY_SPAN = 1 << 21
 
 
-def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coordinate arrays and their span s, the larger coordinate range.
-
-    The gcd key needs s * (s + 1) + s to fit in int64; wider sets are
-    rejected.
-    """
+def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y coordinates of pts as int64 arrays."""
     try:
         xs = np.array([p[0] for p in pts], dtype=np.int64)
         ys = np.array([p[1] for p in pts], dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"coordinates must fit in int64 ({exc})") from exc
-    s = max(int(xs.max()) - int(xs.min()), int(ys.max()) - int(ys.min()))
-    if s * (s + 1) + s > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"coordinate span {s} too large to pack directions exactly in int64"
-        )
-    return xs, ys, s
+    return xs, ys
 
 
 def _float_keys(dx: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -191,17 +182,28 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     the corresponding smallest points.
     """
     pts = ps.points if isinstance(ps, PointSet) else PointSet(ps).points
-    m = len(pts)
-    if m < 3:
-        return [0] * m
+    if len(pts) < 3:  # no triple, whatever the coordinates
+        return [0] * len(pts)
     return _anchor_counts(*_packed_coords(pts)).tolist()
 
 
-def _anchor_counts(xs: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
-    """Prefix triple counts of every point of a set of span s, m >= 3 points
-    in PointSet order: the anchors 2 .. m - 1 one block at a time, and 0 for
-    the first two points, which have fewer than two earlier points."""
+def _anchor_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Prefix triple counts of the points (xs[i], ys[i]), int64 arrays in
+    PointSet order: the anchors 2 .. m - 1 one block at a time, and 0 for
+    the first two points, which have fewer than two earlier points.
+
+    The key depends on the set's span s, the larger coordinate range; the
+    gcd key needs s * (s + 1) + s to fit in int64, and wider sets are
+    rejected.
+    """
     m = len(xs)
+    if m < 3:
+        return np.zeros(m, dtype=np.int64)
+    s = max(int(xs.max()) - int(xs.min()), int(ys.max()) - int(ys.min()))
+    if s * (s + 1) + s > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"coordinate span {s} too large to pack directions exactly in int64"
+        )
     if s <= _FLOAT_KEY_SPAN:
         # Shifted to [0, s], the coordinates and their differences are exact
         # in float64.
@@ -229,16 +231,20 @@ def _anchor_counts(xs: np.ndarray, ys: np.ndarray, s: int) -> np.ndarray:
     return counts
 
 
-def box_profile(ps: PointSet, counts: Sequence[int], t_max: int) -> list[int]:
+def box_profile(
+    norm_prefix: Callable[[int], int], counts: Sequence[int], t_max: int
+) -> list[int]:
     """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max] from prefix counts.
 
-    ``ps`` is a positive-quadrant set, ``counts`` the prefix_triple_counts
-    of its leading points, at least all those of norm <= 2**t_max.  A
-    triple lies in the box of exponent T exactly when its largest member
-    has norm <= 2**T, so each entry is a prefix sum of the counts.
+    The set is in the positive quadrant and in (inf_norm, x, y) order;
+    norm_prefix(n) is how many of its leading members have inf_norm <= n,
+    and ``counts`` the prefix_triple_counts of its leading members, at least
+    all those of norm <= 2**t_max.  A triple lies in the box of exponent T
+    exactly when its largest member has norm <= 2**T, so each entry is a
+    prefix sum of the counts.
     """
     sums = [0, *accumulate(counts)]
-    return [sums[ps.norm_prefix(1 << T)] for T in range(t_max + 1)]
+    return [sums[norm_prefix(1 << T)] for T in range(t_max + 1)]
 
 
 def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
@@ -253,4 +259,4 @@ def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
         raise ValueError(f"box exponent must be >= 0, got {t_max}")
     ordered = ps if isinstance(ps, PointSet) else PointSet(ps)
     box = ordered.in_box(1 << t_max)
-    return box_profile(box, prefix_triple_counts(box), t_max)
+    return box_profile(box.norm_prefix, prefix_triple_counts(box), t_max)

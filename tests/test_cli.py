@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from no3l import cli, experiments, parallel
+from no3l import cli, experiments, parallel, sampling
 from no3l.cli import main
 from no3l.sampling import PointSet, read_pointset, write_pointset
 
@@ -236,14 +236,20 @@ def test_lemmas_json_contains_exact_and_sampled_means(tmp_path):
 
 
 def test_lemmas_json_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # The 20 seeds go in chunks of 20, 10 + 10 and 7 + 7 + 6 at 1, 2 and 3
+    # workers; blocks of 255 cells, one row of the W = 8 window, make each
+    # chunk one seed.
     written = []
-    for workers in ("1", "2"):
+    for workers, block in (("1", None), ("2", None), ("3", None), ("1", 255)):
         monkeypatch.setenv("NO3L_THREADS", workers)
-        out = tmp_path / f"lemmas{workers}.json"
+        if block is not None:
+            monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
+            assert sampling._block_row_seeds(8) == 1
+        out = tmp_path / f"lemmas{len(written)}.json"
         assert main(["lemmas", "--tmin", "3", "--tmax", "7", "--c", "0.5",
                      "--trials", "20", "--out", str(out)]) == 0
         written.append(out.read_bytes())
-    assert written[0] == written[1]
+    assert written[1:] == written[:1] * 3
 
 
 def test_delete_max_and_verify_bytes_do_not_depend_on_the_worker_count(

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import pairwise
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,13 @@ def test_sampler_config_validation():
         SamplerConfig(seed=1, c=0.1, window_exponent=0)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, c=0.1, window_exponent=WINDOW_EXPONENT_CAP + 1)
+
+
+def _chunk_points(seeds: list[int], c: float, w: int) -> list[list[tuple[int, int]]]:
+    """Each seed's points, in order, from one _hash_seeds pass over the chunk."""
+    x, y, ends = sampling._hash_seeds(seeds, c, w)
+    pts = list(zip(x.tolist(), y.tolist()))
+    return [pts[lo:hi] for lo, hi in pairwise(ends.tolist())]
 
 
 def _reference_scan(cfg: SamplerConfig) -> list[tuple[int, int]]:
@@ -168,11 +176,14 @@ def test_filter_edge_cells_match_the_scalar_scan(monkeypatch, bound_at):
     # A shell bound in [h, z) keeps the cell although z > bound: the coarse
     # test must compare z against bound | (2**33 - 1).  A bound just below h
     # passes that coarse test and drops the cell only in the exact recheck.
-    # The coarse test meets the cell's own shell bound where its row or its
-    # column lies in the cell's shell: cell (9, 5) in a block of row 9 alone,
-    # and cell (5, 9) in column 9 of the one block of rows 1 .. 15.
+    # The coarse test meets the cell's own shell bound where its row y or
+    # its column x lies in the cell's shell: cell (5, 9) in a block of row 9
+    # alone, and cell (9, 5) in column 9 of the one block of rows 1 .. 15,
+    # once for one seed and once as the middle seed of a chunk of three,
+    # whose rows hold the three seeds' columns side by side.
     w, t = 4, 3
-    for (x, y), block in (((9, 5), 15), ((5, 9), 1 << 16)):
+    placements = (((5, 9), 15, False), ((9, 5), 1 << 16, False), ((9, 5), 1 << 16, True))
+    for (x, y), block, in_chunk in placements:
         monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
         # the first seed whose cell of shell 3 has room for a bound in [h, z),
         # with h below 2**63, where a rate reaches every bound
@@ -187,33 +198,39 @@ def test_filter_edge_cells_match_the_scalar_scan(monkeypatch, bound_at):
         else:
             bound = ((h >> 11) << 11) - 1
             assert bound < h and z <= bound | ((1 << 33) - 1)
-        cfg = SamplerConfig(seed=seed, c=_rate_with_bound(t, bound), window_exponent=w)
-        assert _keep_bound(shell_probability(t, cfg.c)) == bound
-        ref = _reference_scan(cfg)
-        assert ((x, y) in ref) == (bound_at == "between-h-and-z")
-        assert sorted(sample_window(cfg).points) == sorted(ref)
+        c = _rate_with_bound(t, bound)
+        assert _keep_bound(shell_probability(t, c)) == bound
+        chunk = [seed + 1, seed, seed + 2] if in_chunk else [seed]
+        refs = {s: _reference_scan(SamplerConfig(seed=s, c=c, window_exponent=w)) for s in chunk}
+        assert ((x, y) in refs[seed]) == (bound_at == "between-h-and-z")
+        assert [sorted(pts) for pts in _chunk_points(chunk, c, w)] == [sorted(refs[s]) for s in chunk]
 
 
 @given(
-    seed=st.integers(0, MASK64),
+    seeds=st.lists(st.integers(0, MASK64), min_size=1, max_size=5),
     w=st.integers(1, 6),
     fraction=st.floats(min_value=0.0, max_value=1.0),
     log_scale=st.booleans(),
     block=st.sampled_from([1, 7, 64, 1 << 16]),
 )
 @settings(max_examples=60, deadline=None)
-def test_sample_window_matches_scalar_scan_hypothesis(seed, w, fraction, log_scale, block):
+def test_sample_window_matches_scalar_scan_hypothesis(seeds, w, fraction, log_scale, block):
     # c from 1e-6 (or 0) up to the rate that saturates every shell of the
-    # window.  At w <= 6 a block of 2**16 cells is the whole window, rows
-    # of every shell at once; 1, and 7 from w = 3, give one-row blocks, one
-    # bound each; 64 gives both kinds (at w = 4 rows 1-4 span shells, 9-12
-    # do not).
+    # window.  A chunk of seeds hashed side by side gives each seed the
+    # points sample_window gives it alone, in the same order.  At w <= 6 a
+    # block of 2**16 cells holds the whole window, rows of every shell at
+    # once; 1, and 7 from w = 3, give one-row blocks, one bound each; 64
+    # gives both kinds for one seed (at w = 4 rows 1-4 span shells, 9-12 do
+    # not), and blocks narrower than one row of a chunk (5 seeds at w = 4
+    # make rows of 75 cells).
     saturation = max(1.0, (1 << (w - 1)) * math.sqrt(w - 1))
     c = 1e-6 * (saturation / 1e-6) ** fraction if log_scale else fraction * saturation
-    cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
     with mock.patch.object(sampling, "_BLOCK_CELLS", block):
-        got = sample_window(cfg)
-    assert sorted(got.points) == sorted(_reference_scan(cfg))
+        chunk = _chunk_points(seeds, c, w)
+        alone = [sample_window(SamplerConfig(seed=s, c=c, window_exponent=w)) for s in seeds]
+    for seed, got, ps in zip(seeds, chunk, alone):
+        assert tuple(got) == ps.points
+        assert sorted(got) == sorted(_reference_scan(SamplerConfig(seed=seed, c=c, window_exponent=w)))
 
 
 @given(
@@ -245,7 +262,7 @@ def test_subnormal_rates_match_the_scalar_scan(c, first_zero):
     assert all(shell_probability(shell_index(p), c) > 0.0 for p in got)
 
 
-REUSE_CONFIGS = [(1, 1.0, 12), (2, 0.5, 8)]
+REUSE_CONFIGS = [(1, 1.0, 12), (2, 0.5, 8), (3, 0.5, 8)]
 
 
 @pytest.fixture(scope="module")
@@ -274,11 +291,16 @@ def fresh_samples():
 
 @pytest.mark.parametrize("block", [7, 64, 1 << 16])
 def test_reused_scratch_leaks_no_stale_cells(monkeypatch, fresh_samples, block):
-    # The block buffers outlive each call and only grow: a small window
-    # after a large one, and a large one after it, must read only what
-    # their own blocks wrote.
+    # The block buffers outlive each call and only grow: a chunk of two
+    # small windows after a large window, a single small one after the
+    # chunk, and the large one again must read only what their own blocks
+    # wrote.
     monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
-    for args in (REUSE_CONFIGS[0], REUSE_CONFIGS[1], REUSE_CONFIGS[0]):
+    large, small, other = REUSE_CONFIGS
+    assert str(sample_window(SamplerConfig(*large)).points) == fresh_samples[large]
+    chunk = _chunk_points([small[0], other[0]], 0.5, 8)
+    assert [str(tuple(pts)) for pts in chunk] == [fresh_samples[small], fresh_samples[other]]
+    for args in (small, large):
         assert str(sample_window(SamplerConfig(*args)).points) == fresh_samples[args]
 
 
