@@ -48,24 +48,22 @@ def delete_max_with_profile(sample: PointSet, t_max: int) -> tuple[PointSet, lis
     in triples through every member, so a member off the positive quadrant
     raises ValueError.
     """
-    low = min(sample.points, key=min, default=(1, 1))
-    if min(low) < 1:
-        raise ValueError(f"point {low} outside the positive quadrant")
+    low = np.minimum(sample.xs, sample.ys)
+    if low.size and low.min() < 1:
+        i = low.argmin()  # the first member of least coordinate
+        point = (int(sample.xs[i]), int(sample.ys[i]))
+        raise ValueError(f"point {point} outside the positive quadrant")
     counts = prefix_triple_counts(sample)
-    return _survivors(sample, counts), box_profile(sample.norm_prefix, counts, t_max)
+    return _survivors(sample, counts), box_profile(sample, counts, t_max)
 
 
 def _survivors(sample: PointSet, counts: Sequence[int]) -> PointSet:
     """The members of sample whose prefix triple count is 0."""
-    survivors = [p for p, t in zip(sample.points, counts) if t == 0]
-    meta = {
-        "kind": "constructed",
-        "seed": sample.meta.get("seed"),
-        "c": sample.meta.get("c"),
-        "window_exponent": sample.meta.get("window_exponent"),
-    }
+    keep = np.equal(counts, 0)
+    meta = {"kind": "constructed"}
+    meta.update((k, sample.meta.get(k)) for k in ("seed", "c", "window_exponent"))
     # A subset of the sample's members: ordered, distinct and in its window.
-    return PointSet._ordered(tuple(survivors), meta)
+    return PointSet._ordered(sample.xs[keep], sample.ys[keep], meta)
 
 
 def _is_prime(n: int) -> bool:
@@ -91,7 +89,7 @@ def modular_parabola(p: int) -> PointSet:
     # (inf_norm, x, y) order; the x = t are distinct, so y never breaks a tie
     order = np.lexsort((t, np.maximum(t, y)))
     meta = {"kind": "baseline", "seed": None, "c": None, "window_exponent": None}
-    return PointSet._ordered(tuple(zip(t[order].tolist(), y[order].tolist())), meta)
+    return PointSet._ordered(t[order], y[order], meta)
 
 
 def greedy_construct(window_exponent: int) -> PointSet:
@@ -128,7 +126,7 @@ def greedy_construct(window_exponent: int) -> PointSet:
             m += 1
     # Accepted in scan order, which is (inf_norm, x, y) order, inside the window.
     meta = {"kind": "baseline", "seed": None, "c": None, "window_exponent": window_exponent}
-    return PointSet._ordered(tuple(zip(xs[:m].tolist(), ys[:m].tolist())), meta)
+    return PointSet._ordered(xs[:m], ys[:m], meta)
 
 
 def _block_lines(

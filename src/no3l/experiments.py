@@ -22,8 +22,9 @@ next to the exact bounds of no3l.analytics.  A trial is one task of the
 pool; the Monte Carlo maps contiguous chunks of seeds, one per worker (or
 narrower, so that one block row of the sampler holds the chunk), hashes
 each chunk's windows side by side in one sampler pass, and reads each
-seed's X_T and Y_T from its arrays through the same helpers that
-shell_counts and box_triple_counts use, with no PointSet per seed.
+seed's X_T and Y_T as a trial does, through shell_counts and
+box_triple_counts, from a PointSet that views the seed's slice of the
+pass's arrays.
 """
 
 from __future__ import annotations
@@ -32,15 +33,11 @@ import io
 import json
 import math
 import os
-from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from functools import partial
 from itertools import pairwise
 from pathlib import Path
 from statistics import fmean, median, variance
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .analytics import ENUMERATION_CAP, VARIANCE_CAP, exact_reports
 from .construct import delete_max_with_profile, density_profile
@@ -51,14 +48,13 @@ from .sampling import (
     SamplerConfig,
     _block_row_seeds,
     _hash_seeds,
-    _shell_sizes,
     decode_json,
     read_ascii,
     sample_window,
     shell_counts,
     write_pointset,
 )
-from .triples import _anchor_counts, box_profile, count_collinear_triples
+from .triples import box_triple_counts, count_collinear_triples
 
 # JSON value types accepted for each manifest field annotation.
 _JSON_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
@@ -409,19 +405,17 @@ def _mc_vectors(args: tuple[Sequence[int], float, int]) -> list[tuple[list[int],
     """X_T and Y_T, T = 0 .. w - 1, of each seed of a chunk, from one
     _hash_seeds pass over all of them.
 
-    A seed's X_T come from its norm array and its Y_T from the kernel's
-    counts of its points in [1, 2**(w-1)]^2, which lead its points; neither
-    builds a PointSet.
+    Each seed's points are a slice of the pass's arrays, which a PointSet
+    views as they are; its X_T and Y_T come from shell_counts and
+    box_triple_counts, as a trial's do.
     """
     seeds, c, w = args
     xs, ys, ends = _hash_seeds(seeds, c, w)
-    norms = np.maximum(xs, ys)
     vectors = []
-    for lo, hi in pairwise(ends.tolist()):
-        norm_prefix = partial(bisect_right, norms[lo:hi].tolist())
-        box = norm_prefix(1 << (w - 1))
-        counts = _anchor_counts(xs[lo:lo + box], ys[lo:lo + box]).tolist()
-        vectors.append((_shell_sizes(norm_prefix, w), box_profile(norm_prefix, counts, w - 1)))
+    for seed, (lo, hi) in zip(seeds, pairwise(ends.tolist())):
+        meta = {"kind": "sampled", "seed": seed, "c": c, "window_exponent": w}
+        q = PointSet._ordered(xs[lo:hi], ys[lo:hi], meta)
+        vectors.append((shell_counts(q, w), box_triple_counts(q, w - 1)))
     return vectors
 
 

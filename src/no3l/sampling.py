@@ -62,13 +62,15 @@ Inclusion probabilities: shell T >= 1 keeps a point with probability
 min(1, c / (2**T * sqrt(T))); shell 0 (the single point (1, 1)) with
 probability min(1, c).
 
-A point is an ``(x, y)`` tuple of Python ints.  Shell T is the set of
-points whose infinity norm lies in [2**T, 2**(T+1)); the box of exponent
-T is [1, 2**T]^2.  Points are totally ordered by (inf_norm, x, y), and
-"largest" always refers to that order: a PointSet stores its members in
-it, and it is what makes deleting the largest member of each triple
-depend only on a norm prefix of the sample.  Shells and norms are exact
-integer arithmetic (bit lengths, never floating-point logs).
+A point is a pair of integers (x, y), each below 2**63 in absolute value:
+a PointSet holds its members as int64 columns and yields them as (x, y)
+tuples of Python ints.  Shell T is the set of points whose infinity norm
+lies in [2**T, 2**(T+1)); the box of exponent T is [1, 2**T]^2.  Points
+are totally ordered by (inf_norm, x, y), and "largest" always refers to
+that order: a PointSet stores its members in it, and it is what makes
+deleting the largest member of each triple depend only on a norm prefix
+of the sample.  Shells and norms are exact integer arithmetic (bit
+lengths, never floating-point logs).
 """
 
 from __future__ import annotations
@@ -79,10 +81,9 @@ import math
 import operator
 import os
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, pairwise, takewhile
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from itertools import pairwise, takewhile
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -95,21 +96,15 @@ _Y_SALT = 0xC2B2AE3D27D4EB4F
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
 _LOW33 = (1 << 33) - 1
+_INT64_MAX = (1 << 63) - 1
 
-# Most grid cells hashed per vectorized block.  At 2**16 cells the block's
-# two uint64 buffers (1 MiB) stay in a 2 MiB L2 cache.  On a 2-core Xeon,
-# the median sample_window call over seeds 1, 2, ... (median of 3 fresh
-# processes) took, for 2**14 / 2**15 / 2**16 / 2**17 cells: W = 8, c = 0.5
-# (1000 calls, whole window in 4 / 2 / 1 / 1 blocks): 0.45 / 0.40 / 0.45 /
-# 0.48 ms, inside the noise; W = 12, c = 1.0 (10 calls): 74 / 62 / 53 / 62
-# ms; W = 13, c = 0.1 (5 calls): 223 / 190 / 183 / 212 ms.
+# Most grid cells hashed per vectorized block; at 2**16 the block's two
+# uint64 buffers (1 MiB) stay in a 2 MiB L2 cache.  Medians of 6 fresh
+# processes on a 2-core Xeon at 2**14 / 2**15 / 2**16 / 2**17 cells: W = 8,
+# c = 0.5 Monte Carlo chunks (seeds 1 .. 1000): 237 / 198 / 204 / 213 us a
+# seed; one W = 12, c = 1.0 window (seeds 1 .. 10): 46 / 38 / 36 / 38 ms;
+# one W = 13, c = 0.1 window (seeds 1 .. 5): 152 / 130 / 131 / 142 ms.
 _BLOCK_CELLS = 1 << 16
-
-# _hash_seeds's scratch (see _scratch); one module-level set, so it is
-# not safe to sample from two threads of one process at once.
-_z_buf = np.empty(0, dtype=np.uint64)
-_tmp_buf = np.empty(0, dtype=np.uint64)
-_keep_buf = np.empty(0, dtype=bool)
 
 FORMAT_MAGIC = "#no3l v1"
 # The rows as the writer emits them: two integers in their canonical decimal
@@ -186,85 +181,117 @@ class SamplerConfig:
 class PointSet:
     """Finite duplicate-free point set, stored in (inf_norm, x, y) order.
 
+    The members are held as three read-only int64 arrays in that order:
+    ``xs``, ``ys`` and ``norms`` (each member's inf_norm).  Iteration yields
+    (x, y) tuples of Python ints.  Coordinates are integers whose absolute
+    value is below 2**63 (numpy's integers are taken too); a float or a
+    string raises TypeError rather than being truncated or parsed, and a
+    wider integer raises ValueError.
+
     ``meta`` carries provenance: at least the keys kind, seed, c and
     window_exponent (absent values are None).  When window_exponent is set,
-    all members must lie inside that window.  Coordinates are integers
-    (numpy's too, stored as Python ints); a float or a string raises
-    TypeError rather than being truncated or parsed.
+    all members must lie inside that window.
     """
 
-    __slots__ = ("points", "meta")
+    __slots__ = ("xs", "ys", "norms", "meta")
 
-    def __init__(self, points: Iterable[Point], meta: dict | None = None):
+    def __new__(cls, points: Iterable[Point], meta: dict | None = None) -> "PointSet":
         pts = sorted(((operator.index(x), operator.index(y)) for x, y in points), key=norm_lex_key)
-        for i in range(1, len(pts)):
-            if pts[i - 1] == pts[i]:
-                raise ValueError(f"duplicate point {pts[i]}")
-        self.points: tuple[Point, ...] = tuple(pts)
-        self.meta: dict = _windowed_meta(self.points, meta)
+        for p, q in pairwise(pts):
+            if p == q:
+                raise ValueError(f"duplicate point {q}")
+        wide = next((p for p in pts if inf_norm(p) >> 63), None)
+        if wide is not None:
+            raise ValueError(_too_wide(wide))
+        xs, ys = np.array(pts, dtype=np.int64).reshape(-1, 2).T
+        return cls._ordered(xs, ys, _windowed_meta(xs, ys, meta))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
+        return zip(self.xs.tolist(), self.ys.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self.points == other.points and self.meta == other.meta
+        same = np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
+        return same and self.meta == other.meta
 
     def __repr__(self) -> str:
-        return f"PointSet({len(self.points)} points, meta={self.meta!r})"
+        return f"PointSet({len(self)} points, meta={self.meta!r})"
+
+    def __reduce__(self):
+        # numpy unpickles a read-only array as writeable: rebuild the views
+        return PointSet._ordered, (self.xs, self.ys, self.meta)
 
     @classmethod
-    def _ordered(cls, points: tuple[Point, ...], meta: dict) -> "PointSet":
-        """A PointSet of points already as the constructor would store them.
+    def _ordered(cls, xs: np.ndarray, ys: np.ndarray, meta: dict) -> "PointSet":
+        """A PointSet of the int64 arrays xs and ys, already as the
+        constructor would store them.
 
-        The caller guarantees distinct pairs of Python ints in (inf_norm,
-        x, y) order inside meta's window, and a meta with every key;
-        nothing is sorted or checked.
+        The caller guarantees distinct points, coordinates below 2**63 in
+        absolute value, (inf_norm, x, y) order, every member inside meta's
+        window, and a meta with every key; nothing is sorted or checked.
+        The set holds read-only views of the arrays, not copies.
         """
         ps = object.__new__(cls)
-        ps.points = points
+        ps.xs, ps.ys = xs.view(), ys.view()
+        ps.norms = np.maximum(np.abs(xs), np.abs(ys))
+        for column in (ps.xs, ps.ys, ps.norms):
+            column.flags.writeable = False
         ps.meta = meta
         return ps
 
     def norm_prefix(self, n: int) -> int:
-        """How many leading members have inf_norm <= n (a bisection)."""
-        return bisect_right(self.points, n, key=inf_norm)
+        """How many leading members have inf_norm <= n (a bisection); n is any int."""
+        return self.norm_prefixes([n])[0]
+
+    def norm_prefixes(self, sides: Iterable[int]) -> list[int]:
+        """norm_prefix(n) of every n in sides, from one bisection of the norms.
+
+        Each n is clamped to [-1, 2**63 - 1] first, which changes no count,
+        so no numpy cast of a wider int decides one.
+        """
+        clamped = [-1 if n < -1 else _INT64_MAX if n > _INT64_MAX else n for n in sides]
+        return self.norms.searchsorted(clamped, side="right").tolist()
 
     def in_box(self, n: int) -> "PointSet":
         """Members inside [1, n]^2, same provenance.
 
         They are among the leading members, those of norm <= n, and keep
-        their order, so they are not sorted or checked again.
+        their order, so they are not sorted or checked again; when all of
+        those lie in the positive quadrant, the box holds views of them.
         """
-        lead = self.points[: self.norm_prefix(n)]
-        return PointSet._ordered(
-            tuple(p for p in lead if p[0] >= 1 and p[1] >= 1), dict(self.meta)
-        )
+        lead = self.norm_prefix(n)
+        xs, ys = self.xs[:lead], self.ys[:lead]
+        inside = np.minimum(xs, ys) >= 1
+        if not inside.all():
+            xs, ys = xs[inside], ys[inside]
+        return PointSet._ordered(xs, ys, dict(self.meta))
 
 
-def _windowed_meta(points: Sequence[Point], meta: dict | None) -> dict:
-    """meta with every key (absent values None), once every point is checked
-    to lie inside its window_exponent's window, if it declares one."""
+def _too_wide(p: Point) -> str:
+    """The refusal of a point with a coordinate of 2**63 or more in absolute value."""
+    return f"point {p} does not fit in int64: coordinates must be below 2**63 in absolute value"
+
+
+def _windowed_meta(xs: np.ndarray, ys: np.ndarray, meta: dict | None) -> dict:
+    """meta with every key (absent values None), once every point (xs[i],
+    ys[i]) is checked to lie inside its window_exponent's window, if it
+    declares one."""
     full_meta = {k: None for k in _META_KEYS}
     full_meta.update(meta or {})
     w = full_meta["window_exponent"]
     if w is not None:
         if isinstance(w, bool) or not isinstance(w, int) or w < 0:
             raise ValueError(f"window_exponent must be a nonnegative integer, got {w!r}")
-
-        def outside(p: Point) -> bool:
-            # bit_length tests v <= 2**w - 1 without building 2**w for a huge w
-            return min(p) < 1 or max(p).bit_length() > w
-
-        # some point is outside iff (smallest coordinate, largest coordinate) is
-        coords = list(chain.from_iterable(points))
-        if coords and outside((min(coords), max(coords))):
-            first = next(filter(outside, points))
-            raise ValueError(f"point {first} outside declared window [1, 2**{w} - 1]^2")
+        # every int64 value is below 2**w from w = 63 on
+        outside = (np.minimum(xs, ys) < 1) | (np.maximum(xs, ys) >> min(w, 63) != 0)
+        if outside.any():
+            first = outside.argmax()
+            point = (int(xs[first]), int(ys[first]))
+            raise ValueError(f"point {point} outside declared window [1, 2**{w} - 1]^2")
     return full_meta
 
 
@@ -275,20 +302,6 @@ def _keep_bound(prob: float) -> int:
     so it always fits in uint64.
     """
     return (math.ceil(prob * 2.0**53) << 11) - 1
-
-
-def _scratch(cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``cells`` words of the z, tmp and keep scratch buffers.
-
-    The buffers live at module level and only ever grow, so a process that
-    samples many small windows touches its pages once, not once a call.
-    """
-    global _z_buf, _tmp_buf, _keep_buf
-    if _z_buf.size < cells:
-        _z_buf = np.empty(cells, dtype=np.uint64)
-        _tmp_buf = np.empty(cells, dtype=np.uint64)
-        _keep_buf = np.empty(cells, dtype=bool)
-    return _z_buf[:cells], _tmp_buf[:cells], _keep_buf[:cells]
 
 
 def _block_row_seeds(window_exponent: int) -> int:
@@ -307,7 +320,7 @@ def sample_window(cfg: SamplerConfig) -> PointSet:
     """
     meta = {"kind": "sampled", "seed": cfg.seed, "c": cfg.c, "window_exponent": cfg.window_exponent}
     x, y, _ = _hash_seeds([cfg.seed], cfg.c, cfg.window_exponent)
-    return PointSet._ordered(tuple(zip(x.tolist(), y.tolist())), meta)
+    return PointSet._ordered(x, y, meta)
 
 
 def _hash_seeds(
@@ -319,12 +332,12 @@ def _hash_seeds(
     ends[k] <= i < ends[k + 1], in (inf_norm, x, y) order.  The window
     stops before the first shell whose probability is 0.0; the rest,
     [1, n]^2, is hashed as blocks of rows y, at most _BLOCK_CELLS cells (or
-    one row, if wider), in the reused scratch buffers.  A row holds every
-    seed's cells side by side, (seeds[k], x) at k * n + x - 1.  A block
-    makes six passes: the row-column xor, multiply, shift, xor, multiply,
-    and the weak test of z against its rows' shared bound, or else each
-    inner column's x's bound, OR 2**33 - 1.  The few cells that pass get
-    the last xorshift and the exact test (module docstring).
+    one row, if wider), in buffers allocated once per call.  A row holds
+    every seed's cells side by side, (seeds[k], x) at k * n + x - 1.  A
+    block makes six passes: the row-column xor, multiply, shift, xor,
+    multiply, and the weak test of z against its rows' shared bound, or
+    else each inner column's x's bound, OR 2**33 - 1.  The few cells that
+    pass get the last xorshift and the exact test (module docstring).
     """
     none = np.zeros(0, dtype=np.intp)
     probs = (shell_probability(T, c) for T in range(window_exponent))
@@ -340,7 +353,8 @@ def _hash_seeds(
     weak = bound | np.uint64(_LOW33)
     width = len(seeds) * n
     rows_per_block = min(max(1, _BLOCK_CELLS // width), n)
-    z_buf, tmp_buf, keep_buf = _scratch(rows_per_block * width)
+    z_buf, tmp_buf = np.empty((2, rows_per_block * width), dtype=np.uint64)
+    keep_buf = np.empty(rows_per_block * width, dtype=bool)
     # inner word (k, x): the first mix of seeds[k] at x, then the second
     # mix's first xorshift
     x_words = np.arange(1, n + 1, dtype=np.uint64)
@@ -397,25 +411,20 @@ def _hash_seeds(
 def shell_counts(ps: PointSet, window_exponent: int) -> list[int]:
     """Count members per shell T = 0 .. window_exponent - 1.
 
-    Members are in (inf_norm, x, y) order, so each shell is a run found by
-    bisection (_shell_sizes); only the first member can be the origin and
-    only the last can lie past the window.
+    Members are in (inf_norm, x, y) order, so shell T is the run of norms
+    in [2**T, 2**(T+1) - 1], and one bisection of the norms finds every
+    run; only the first member can be the origin and only the last can lie
+    past the window.
     """
     if window_exponent < 1:
         raise ValueError(f"window exponent must be >= 1, got {window_exponent}")
-    pts = ps.points
-    if pts:
-        shell_index(pts[0])
-        if shell_index(pts[-1]) >= window_exponent:
-            raise ValueError(f"point {pts[-1]} outside window of exponent {window_exponent}")
-    return _shell_sizes(ps.norm_prefix, window_exponent)
-
-
-def _shell_sizes(norm_prefix: Callable[[int], int], window_exponent: int) -> list[int]:
-    """Members per shell T = 0 .. window_exponent - 1 of a set in (inf_norm,
-    x, y) order, from norm_prefix(n), how many leading members have
-    inf_norm <= n: shell T is the run of norms in [2**T, 2**(T+1) - 1]."""
-    ends = [norm_prefix((1 << T) - 1) for T in range(window_exponent + 1)]
+    if len(ps):
+        if ps.norms[0] == 0:
+            raise ValueError("the origin lies in no shell")
+        if int(ps.norms[-1]).bit_length() > window_exponent:
+            last = (int(ps.xs[-1]), int(ps.ys[-1]))
+            raise ValueError(f"point {last} outside window of exponent {window_exponent}")
+    ends = ps.norm_prefixes((1 << T) - 1 for T in range(window_exponent + 1))
     return [hi - lo for lo, hi in pairwise(ends)]
 
 
@@ -470,7 +479,7 @@ def write_pointset(ps: PointSet, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(FORMAT_MAGIC + "\n")
         fh.write(meta_line + "\n")
-        for x, y in ps.points:
+        for x, y in ps:
             fh.write(f"{x}\t{y}\n")
 
 
@@ -503,32 +512,39 @@ def _read_meta(fh: TextIO, path: str | os.PathLike) -> dict:
     return meta
 
 
-def _parse_rows(body: str) -> tuple[Point, ...] | None:
-    """The points of a body of rows, or None if any row fails a check.
+def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The x and y columns of a body of rows, or None if any row fails a check.
 
-    Every row must be as the writer emits it (_ROWS), and the rows must be
-    in strictly increasing (inf_norm, x, y) order.  Each check is one pass
-    over the whole body.
+    Every row must be as the writer emits it (_ROWS), its coordinates below
+    2**63 in absolute value, and the rows must be in strictly increasing
+    (inf_norm, x, y) order.  Each check is one pass over the whole body.
     """
     if _ROWS.fullmatch(body) is None:
         return None
     try:
-        values = list(map(int, body.split()))
-    except ValueError:  # a coordinate past int()'s digit limit
+        values = np.array(list(map(int, body.split())), dtype=np.int64)
+    except (ValueError, OverflowError):  # past int()'s digit limit, or 2**63 or more
+        return None
+    if values.size and values.min() == -(1 << 63):
         return None
     xs, ys = values[0::2], values[1::2]
-    keys = list(zip(map(max, map(abs, xs), map(abs, ys)), xs, ys))
-    if not all(map(operator.lt, keys, keys[1:])):
+    norms = np.maximum(np.abs(xs), np.abs(ys))
+    # each row after the one before: a larger norm, or the same norm and a
+    # larger x, or the same norm and x and a larger y (& binds before |)
+    if not ((norms[1:] > norms[:-1]) | (norms[1:] == norms[:-1]) & (
+        (xs[1:] > xs[:-1]) | (xs[1:] == xs[:-1]) & (ys[1:] > ys[:-1])
+    )).all():
         return None
-    return tuple(zip(xs, ys))
+    return xs, ys
 
 
 def _row_error(path: str | os.PathLike, body: str) -> ValueError:
     """The error of the first row of body that fails a check.
 
     Each row is checked in turn, in this order: it ends in a newline, has
-    two tab-separated fields, holds two canonical integers, and comes after
-    the row before it.  Only a body that _parse_rows refused gets here.
+    two tab-separated fields, holds two canonical integers, each below
+    2**63 in absolute value, and comes after the row before it.  Only a
+    body that _parse_rows refused gets here.
     """
     rows = body.split("\n")[:-1]  # the last piece is "" or a line with no newline
     prev = None
@@ -536,15 +552,20 @@ def _row_error(path: str | os.PathLike, body: str) -> ValueError:
         fields = row.split("\t")
         if len(fields) != 2:
             return ValueError(f"{path}:{ln}: expected two tab-separated fields")
-        parsed = _parse_rows(row + "\n")
-        if parsed is None:
+        try:
+            p = (int(fields[0]), int(fields[1])) if _ROWS.fullmatch(row + "\n") else None
+        except ValueError:  # past int()'s digit limit
+            p = None
+        if p is None:
             return ValueError(
                 f"{path}:{ln}: coordinates must be plain decimal integers,"
                 f" got {fields[0]!r} and {fields[1]!r}"
             )
-        key = norm_lex_key(parsed[0])
+        if inf_norm(p) >> 63:
+            return ValueError(f"{path}:{ln}: {_too_wide(p)}")
+        key = norm_lex_key(p)
         if prev is not None and key <= prev:
-            return ValueError(f"{path}:{ln}: points not strictly ordered at {parsed[0]}")
+            return ValueError(f"{path}:{ln}: points not strictly ordered at {p}")
         prev = key
     return ValueError(f"{path}:{3 + len(rows)}: the last line has no final newline")
 
@@ -572,8 +593,8 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
     fh = io.StringIO(read_ascii(path))  # splits lines at "\n" only, as the writer does
     meta = _read_meta(fh, path)
     body = fh.read()
-    pts = _parse_rows(body)
-    if pts is None:
+    columns = _parse_rows(body)
+    if columns is None:
         raise _row_error(path, body)
     # Distinct and in order, as checked above.
-    return PointSet._ordered(pts, _windowed_meta(pts, meta))
+    return PointSet._ordered(*columns, _windowed_meta(*columns, meta))

@@ -77,16 +77,6 @@ _PAIR_BLOCK = 1 << 15
 _FLOAT_KEY_SPAN = 1 << 21
 
 
-def _packed_coords(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y coordinates of pts as int64 arrays."""
-    try:
-        xs = np.array([p[0] for p in pts], dtype=np.int64)
-        ys = np.array([p[1] for p in pts], dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"coordinates must fit in int64 ({exc})") from exc
-    return xs, ys
-
-
 def _float_keys(dx: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Direction keys in [-1, 1]: q = dy / (|dx| + |dy|), signed by dx.
     Exact for spans up to _FLOAT_KEY_SPAN (see the module docstring).  Takes
@@ -181,16 +171,14 @@ def prefix_triple_counts(ps: PointSet | Iterable[Point]) -> list[int]:
     storage order).  Summing a prefix of the result counts the triples among
     the corresponding smallest points.
     """
-    pts = ps.points if isinstance(ps, PointSet) else PointSet(ps).points
-    if len(pts) < 3:  # no triple, whatever the coordinates
-        return [0] * len(pts)
-    return _anchor_counts(*_packed_coords(pts)).tolist()
+    ordered = ps if isinstance(ps, PointSet) else PointSet(ps)
+    return _anchor_counts(ordered.xs, ordered.ys).tolist()
 
 
 def _anchor_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Prefix triple counts of the points (xs[i], ys[i]), int64 arrays in
-    PointSet order: the anchors 2 .. m - 1 one block at a time, and 0 for
-    the first two points, which have fewer than two earlier points.
+    """Prefix triple counts of the points (xs[i], ys[i]), a PointSet's
+    columns: the anchors 2 .. m - 1 one block at a time, and 0 for the
+    first two points, which have fewer than two earlier points.
 
     The key depends on the set's span s, the larger coordinate range; the
     gcd key needs s * (s + 1) + s to fit in int64, and wider sets are
@@ -231,20 +219,17 @@ def _anchor_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return counts
 
 
-def box_profile(
-    norm_prefix: Callable[[int], int], counts: Sequence[int], t_max: int
-) -> list[int]:
+def box_profile(ps: PointSet, counts: Sequence[int], t_max: int) -> list[int]:
     """The profile [triples in [1, 2**T]^2 for T = 0 .. t_max] from prefix counts.
 
-    The set is in the positive quadrant and in (inf_norm, x, y) order;
-    norm_prefix(n) is how many of its leading members have inf_norm <= n,
-    and ``counts`` the prefix_triple_counts of its leading members, at least
-    all those of norm <= 2**t_max.  A triple lies in the box of exponent T
-    exactly when its largest member has norm <= 2**T, so each entry is a
-    prefix sum of the counts.
+    ps lies in the positive quadrant, and ``counts`` are the
+    prefix_triple_counts of its leading members, at least all those of
+    norm <= 2**t_max.  A triple lies in the box of exponent T exactly when
+    its largest member has norm <= 2**T, so each entry is a prefix sum of
+    the counts.
     """
     sums = [0, *accumulate(counts)]
-    return [sums[norm_prefix(1 << T)] for T in range(t_max + 1)]
+    return [sums[k] for k in ps.norm_prefixes(1 << T for T in range(t_max + 1))]
 
 
 def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
@@ -259,4 +244,4 @@ def box_triple_counts(ps: PointSet | Iterable[Point], t_max: int) -> list[int]:
         raise ValueError(f"box exponent must be >= 0, got {t_max}")
     ordered = ps if isinstance(ps, PointSet) else PointSet(ps)
     box = ordered.in_box(1 << t_max)
-    return box_profile(box.norm_prefix, prefix_triple_counts(box), t_max)
+    return box_profile(box, prefix_triple_counts(box), t_max)

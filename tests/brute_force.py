@@ -21,7 +21,7 @@ SHELL_EXPONENT_CAP = 30
 
 
 def _as_points(obj: PointSet | Iterable[Point]) -> list[Point]:
-    pts = list(obj.points) if isinstance(obj, PointSet) else [tuple(p) for p in obj]
+    pts = list(obj) if isinstance(obj, PointSet) else [tuple(p) for p in obj]
     if len(set(pts)) != len(pts):
         raise ValueError("point set contains duplicates")
     return pts

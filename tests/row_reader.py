@@ -3,9 +3,9 @@
 ``read_pointset(path)`` reads the header with the library's own
 ``_read_meta`` and then walks the rows in a loop: each must end in a
 newline, hold two tab-separated fields, each field an integer in its
-canonical decimal form, and come after the row before it in
-(inf_norm, x, y) order; after the rows, every point is tested against
-the declared window.  The first failing check raises.
+canonical decimal form, both below 2**63 in absolute value, and come
+after the row before it in (inf_norm, x, y) order; after the rows, every
+point is tested against the declared window.  The first failing check raises.
 ``no3l.sampling.read_pointset`` checks the rows in passes over the whole
 body instead, and the tests require both to return the same set or raise
 the same message.
@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import os
 
-from no3l.sampling import _META_KEYS, PointSet, _read_meta, norm_lex_key
+import numpy as np
+
+from no3l.sampling import _META_KEYS, PointSet, _read_meta, inf_norm, norm_lex_key
 
 
 def read_pointset(path: str | os.PathLike) -> PointSet:
@@ -38,6 +40,11 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
                     f"{path}:{ln}: coordinates must be plain decimal integers,"
                     f" got {fields[0]!r} and {fields[1]!r}"
                 )
+            if inf_norm(p) >= 2**63:
+                raise ValueError(
+                    f"{path}:{ln}: point {p} does not fit in int64:"
+                    " coordinates must be below 2**63 in absolute value"
+                )
             key = norm_lex_key(p)
             if prev_key is not None and key <= prev_key:
                 raise ValueError(f"{path}:{ln}: points not strictly ordered at {p}")
@@ -52,4 +59,6 @@ def read_pointset(path: str | os.PathLike) -> PointSet:
         for p in pts:
             if min(p) < 1 or max(p).bit_length() > w:
                 raise ValueError(f"point {p} outside declared window [1, 2**{w} - 1]^2")
-    return PointSet._ordered(tuple(pts), full_meta)
+    xs = np.array([x for x, _ in pts], dtype=np.int64)
+    ys = np.array([y for _, y in pts], dtype=np.int64)
+    return PointSet._ordered(xs, ys, full_meta)

@@ -94,6 +94,15 @@ def test_verify_reports_grid_triples(tmp_path, capsys):
     assert "triples: 0" in capsys.readouterr().out
 
 
+def test_verify_box_past_int64_counts_the_whole_set(tmp_path, capsys):
+    # --box has no upper bound; a side past every int64 norm is the whole set
+    path = _grid3(tmp_path / "grid.tsv")
+    assert main(["verify", "--in", str(path)]) == 1
+    whole = capsys.readouterr().out
+    assert main(["verify", "--in", str(path), "--box", str(10**30)]) == 1
+    assert capsys.readouterr().out == whole == "triples: 8\n"
+
+
 def test_verify_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--in", str(tmp_path / "nope.tsv")]) == 2
     assert "error" in capsys.readouterr().err

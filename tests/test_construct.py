@@ -9,7 +9,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from no3l import construct
@@ -50,7 +50,7 @@ def test_delete_max_on_a_hand_case():
     ps = PointSet([(1, 1), (2, 2), (3, 3), (1, 2), (3, 1)])
     # (3,1): collinear with (1,2)? need a third: (1,2),(2,2)? not collinear with (3,1)
     out = delete_max_of_triples(ps)
-    survivors = set(out.points)
+    survivors = set(out)
     assert (3, 3) not in survivors
     assert count_collinear_triples(out) == 0
     assert out.meta["kind"] == "constructed"
@@ -59,10 +59,10 @@ def test_delete_max_on_a_hand_case():
 def test_delete_max_deletes_exactly_prefix_positives():
     q = sample_window(SamplerConfig(seed=21, c=0.7, window_exponent=6))
     s = delete_max_of_triples(q)
-    ordered = sorted(q.points, key=norm_lex_key)
+    ordered = sorted(q, key=norm_lex_key)
     counts = prefix_triple_counts(ordered)
     want = tuple(p for p, k in zip(ordered, counts) if k == 0)
-    assert s.points == want
+    assert tuple(s) == want
     assert s.meta["seed"] == q.meta["seed"]
     assert s.meta["c"] == q.meta["c"]
     assert s.meta["window_exponent"] == q.meta["window_exponent"]
@@ -74,7 +74,7 @@ def test_delete_max_output_is_triple_free(seed):
     q = sample_window(SamplerConfig(seed=seed, c=0.8, window_exponent=6))
     s = delete_max_of_triples(q)
     assert count_collinear_triples(s) == 0
-    assert set(s.points) <= set(q.points)
+    assert set(s) <= set(q)
 
 
 @pytest.mark.parametrize("seed,c,w", [(1, 0.8, 6), (5, 3.0, 5), (9, 0.3, 8)])
@@ -93,10 +93,26 @@ def test_delete_max_with_profile_rejects_a_sample_off_the_positive_quadrant(off)
         delete_max_with_profile(sample, 2)
 
 
+@given(
+    st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6)), max_size=30, unique=True)
+)
+@example([(1, 1), (0, 5), (-1, 7), (7, -1)])  # not the first member off the quadrant
+@settings(max_examples=100, deadline=None)
+def test_delete_max_with_profile_names_the_first_member_of_least_coordinate(pts):
+    sample = PointSet(pts)
+    low = min(sample, key=min, default=(1, 1))
+    if min(low) >= 1:
+        assert delete_max_with_profile(sample, 3)[1] == box_triple_counts(sample, 3)
+        return
+    with pytest.raises(ValueError) as exc:
+        delete_max_with_profile(sample, 3)
+    assert str(exc.value) == f"point {low} outside the positive quadrant"
+
+
 def test_modular_parabola_small_sets():
-    assert modular_parabola(2).points == ((1, 1), (2, 2))
-    assert modular_parabola(3).points == ((1, 1), (2, 1), (3, 3))
-    assert modular_parabola(5).points == ((1, 1), (2, 4), (3, 4), (4, 1), (5, 5))
+    assert tuple(modular_parabola(2)) == ((1, 1), (2, 2))
+    assert tuple(modular_parabola(3)) == ((1, 1), (2, 1), (3, 3))
+    assert tuple(modular_parabola(5)) == ((1, 1), (2, 4), (3, 4), (4, 1), (5, 5))
 
 
 def test_modular_parabola_equals_the_sorting_constructor():
@@ -105,7 +121,7 @@ def test_modular_parabola_equals_the_sorting_constructor():
         pts = [(t, (t * t - 1) % p + 1) for t in range(1, p + 1)]
         got = modular_parabola(p)
         assert got == PointSet(pts, {"kind": "baseline"})
-        assert all(type(v) is int for pt in got.points for v in pt)
+        assert all(type(v) is int for pt in got for v in pt)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 101])
@@ -156,7 +172,7 @@ def test_greedy_sizes_and_triple_freeness():
 
 @pytest.mark.parametrize("w", range(1, 10))
 def test_greedy_matches_reference_walk(w):
-    assert greedy_construct(w).points == tuple(_reference_greedy(w))
+    assert tuple(greedy_construct(w)) == tuple(_reference_greedy(w))
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64])
@@ -164,12 +180,12 @@ def test_greedy_chunked_scatter_matches_reference_walk(monkeypatch, cells):
     # chunks of one line, of a few lines, and lines longer than a chunk
     monkeypatch.setattr(construct, "_SCATTER_CELLS", cells)
     for w in (4, 6):
-        assert greedy_construct(w).points == tuple(_reference_greedy(w))
+        assert tuple(greedy_construct(w)) == tuple(_reference_greedy(w))
 
 
 def test_greedy_smallest_windows():
-    assert greedy_construct(1).points == ((1, 1),)
-    assert greedy_construct(2).points == ((1, 1), (1, 2), (2, 1), (2, 2))
+    assert tuple(greedy_construct(1)) == ((1, 1),)
+    assert tuple(greedy_construct(2)) == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def test_greedy_rejects_oversized_window():
@@ -221,7 +237,7 @@ def test_repair_is_exact_on_every_box_of_the_window(seed, w, c):
 
     n = (1 << w) - 1
     small, large = repaired(w), repaired(w + 1)
-    assert small.points == large.in_box(n).points
+    assert tuple(small) == tuple(large.in_box(n))
     sides = [n] if n >= 2 else []
     assert density_profile(small, sides) == density_profile(large, sides)
 

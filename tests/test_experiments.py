@@ -99,7 +99,7 @@ def test_run_trials_per_trial_contents(small_run):
         assert tr.x == shell_counts(q, man.window_exponent)
         y = box_triple_counts(q, man.window_exponent)
         assert tr.y == y[:-1]
-        assert s.points == delete_max_of_triples(q).points
+        assert tuple(s) == tuple(delete_max_of_triples(q))
         assert count_collinear_triples(s) == 0
         # per-shell retention: the deletion rule charges each removed
         # point to a triple whose largest member it is
@@ -128,7 +128,7 @@ def _patched_repair(monkeypatch, edit):
 
     def repair(q, w):
         s, y = real(q, w)
-        return PointSet(edit(s.points, w), s.meta), y
+        return PointSet(edit(s, w), s.meta), y
 
     monkeypatch.setattr(experiments, "delete_max_with_profile", repair)
     monkeypatch.setenv("NO3L_THREADS", "1")
@@ -305,6 +305,24 @@ def test_verify_theorem_semantics(small_run):
 def test_event_record_degenerate_convention():
     ev = EventRecord(T=3, x_ok=False, y_ok=True, e_ok=False)
     assert not ev.e_ok
+
+
+def test_monte_carlo_reads_each_seed_through_the_trials_routines(monkeypatch):
+    # X_T and Y_T of every seed come from shell_counts and box_triple_counts,
+    # the routines a trial uses, on the seed's own sampled set
+    monkeypatch.setenv("NO3L_THREADS", "1")
+    calls = []
+    for name in ("shell_counts", "box_triple_counts"):
+        def spy(q, t, real=getattr(experiments, name), name=name):
+            calls.append((name, q.meta["seed"]))
+            return real(q, t)
+        monkeypatch.setattr(experiments, name, spy)
+    seeds = range(7, 12)
+    mc = monte_carlo_moments([2, 3], 0.5, seeds)
+    assert calls == [(n, s) for s in seeds for n in ("shell_counts", "box_triple_counts")]
+    for seed, x, y in zip(seeds, mc.x_by_seed, mc.y_by_seed):
+        q = sample_window(SamplerConfig(seed=seed, c=0.5, window_exponent=4))
+        assert x == shell_counts(q, 4)[2:] and y == box_triple_counts(q, 3)[2:]
 
 
 def test_lemma_report_zero_rate_degenerates():

@@ -12,6 +12,8 @@ files.
 import hashlib
 import math
 import os
+import pickle
+import re
 import subprocess
 import sys
 from itertools import pairwise
@@ -29,6 +31,7 @@ from no3l.sampling import (
     SamplerConfig,
     _keep_bound,
     inf_norm,
+    norm_lex_key,
     read_pointset,
     sample_window,
     shell_counts,
@@ -107,7 +110,7 @@ def _reference_scan(cfg: SamplerConfig) -> list[tuple[int, int]]:
 def test_sample_window_matches_scalar_scan(seed, c, w):
     cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
     ps = sample_window(cfg)
-    assert sorted(ps.points) == sorted(_reference_scan(cfg))
+    assert sorted(ps) == sorted(_reference_scan(cfg))
     assert ps.meta["kind"] == "sampled"
     assert ps.meta["seed"] == seed
     assert ps.meta["c"] == c
@@ -126,7 +129,7 @@ def test_sample_window_matches_scalar_scan_across_blocks(monkeypatch, block, see
     # shells (probability 1).
     monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
     cfg = SamplerConfig(seed=seed, c=c, window_exponent=w)
-    assert sorted(sample_window(cfg).points) == sorted(_reference_scan(cfg))
+    assert sorted(sample_window(cfg)) == sorted(_reference_scan(cfg))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -137,7 +140,7 @@ def test_one_block_spanning_every_shell_matches_the_scalar_scan(seed):
     n = 255
     assert min(sampling._BLOCK_CELLS // n, n) == n
     cfg = SamplerConfig(seed=seed, c=0.5, window_exponent=8)
-    assert sorted(sample_window(cfg).points) == sorted(_reference_scan(cfg))
+    assert sorted(sample_window(cfg)) == sorted(_reference_scan(cfg))
 
 
 def _xorshift30(v: int) -> int:
@@ -229,7 +232,7 @@ def test_sample_window_matches_scalar_scan_hypothesis(seeds, w, fraction, log_sc
         chunk = _chunk_points(seeds, c, w)
         alone = [sample_window(SamplerConfig(seed=s, c=c, window_exponent=w)) for s in seeds]
     for seed, got, ps in zip(seeds, chunk, alone):
-        assert tuple(got) == ps.points
+        assert tuple(got) == tuple(ps)
         assert sorted(got) == sorted(_reference_scan(SamplerConfig(seed=seed, c=c, window_exponent=w)))
 
 
@@ -257,7 +260,7 @@ def test_subnormal_rates_match_the_scalar_scan(c, first_zero):
     zero_shells = [t for t in range(w) if shell_probability(t, c) == 0.0]
     assert zero_shells == ([] if first_zero is None else list(range(first_zero, w)))
     cfg = SamplerConfig(seed=3, c=c, window_exponent=w)
-    got = sample_window(cfg).points
+    got = tuple(sample_window(cfg))
     assert sorted(got) == sorted(_reference_scan(cfg))
     assert all(shell_probability(shell_index(p), c) > 0.0 for p in got)
 
@@ -274,7 +277,7 @@ def fresh_samples():
         "import sys\n"
         "from no3l.sampling import SamplerConfig, sample_window\n"
         "seed, c, w = sys.argv[1:]\n"
-        "print(sample_window(SamplerConfig(int(seed), float(c), int(w))).points)\n"
+        "print(tuple(sample_window(SamplerConfig(int(seed), float(c), int(w)))))\n"
     )
     out = {}
     for args in REUSE_CONFIGS:
@@ -291,17 +294,17 @@ def fresh_samples():
 
 @pytest.mark.parametrize("block", [7, 64, 1 << 16])
 def test_reused_scratch_leaks_no_stale_cells(monkeypatch, fresh_samples, block):
-    # The block buffers outlive each call and only grow: a chunk of two
-    # small windows after a large window, a single small one after the
-    # chunk, and the large one again must read only what their own blocks
-    # wrote.
+    # The block buffers come from np.empty each call, which may hand back
+    # memory an earlier call filled: a chunk of two small windows after a
+    # large window, a single small one after the chunk, and the large one
+    # again must read only what their own blocks wrote.
     monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
     large, small, other = REUSE_CONFIGS
-    assert str(sample_window(SamplerConfig(*large)).points) == fresh_samples[large]
+    assert str(tuple(sample_window(SamplerConfig(*large)))) == fresh_samples[large]
     chunk = _chunk_points([small[0], other[0]], 0.5, 8)
     assert [str(tuple(pts)) for pts in chunk] == [fresh_samples[small], fresh_samples[other]]
     for args in (small, large):
-        assert str(sample_window(SamplerConfig(*args)).points) == fresh_samples[args]
+        assert str(tuple(sample_window(SamplerConfig(*args)))) == fresh_samples[args]
 
 
 # sha256 of write_pointset(sample_window(cfg)) at benchmark scale, where the
@@ -366,7 +369,7 @@ def test_sample_window_deterministic_and_seed_sensitive():
     b = sample_window(SamplerConfig(seed=1, c=0.2, window_exponent=6))
     other = sample_window(SamplerConfig(seed=2, c=0.2, window_exponent=6))
     assert a == b
-    assert a.points != other.points
+    assert tuple(a) != tuple(other)
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=3, max_value=6))
@@ -374,7 +377,7 @@ def test_sample_window_deterministic_and_seed_sensitive():
 def test_sample_window_monotone_in_rate(seed, w):
     lo = sample_window(SamplerConfig(seed=seed, c=0.1, window_exponent=w))
     hi = sample_window(SamplerConfig(seed=seed, c=0.4, window_exponent=w))
-    assert set(lo.points) <= set(hi.points)
+    assert set(lo) <= set(hi)
 
 
 @given(
@@ -386,8 +389,8 @@ def test_sample_window_monotone_in_rate(seed, w):
 def test_sample_window_equals_the_checked_constructor(seed, w, c):
     # the sampler hands PointSet its points already ordered and unchecked
     ps = sample_window(SamplerConfig(seed=seed, c=c, window_exponent=w))
-    assert ps == PointSet(list(ps.points), ps.meta)
-    assert all(type(v) is int for p in ps.points for v in p)
+    assert ps == PointSet(list(ps), ps.meta)
+    assert all(type(v) is int for p in ps for v in p)
 
 
 def test_shell_counts_partition_the_sample():
@@ -425,19 +428,52 @@ def test_shell_counts_equal_the_per_point_count(pts, w):
 
 def test_pointset_sorts_and_rejects_duplicates():
     ps = PointSet([(3, 1), (1, 1), (1, 2)])
-    assert ps.points == ((1, 1), (1, 2), (3, 1))
+    assert tuple(ps) == ((1, 1), (1, 2), (3, 1))
     with pytest.raises(ValueError):
         PointSet([(1, 1), (1, 1)])
 
 
 def test_pointset_takes_integer_coordinates_only():
     ps = PointSet([(np.int64(3), np.uint8(4)), (True, 2)])
-    assert ps.points == ((1, 2), (3, 4))
-    assert all(type(v) is int for p in ps.points for v in p)
+    assert tuple(ps) == ((1, 2), (3, 4))
+    assert all(type(v) is int for p in ps for v in p)
     # a float or a string is refused, never truncated to (1, 2) or parsed
     for bad in [(1.5, 2), (1, 2.0), ("3", "4"), (np.float64(1.0), 1)]:
         with pytest.raises(TypeError):
             PointSet([bad])
+
+
+INT64_EDGE = 2**63 - 1
+
+
+def test_pointset_takes_coordinates_below_2_63_in_absolute_value():
+    ps = PointSet([(INT64_EDGE, 1), (-INT64_EDGE, INT64_EDGE), (1, 1)])
+    assert tuple(ps) == ((1, 1), (-INT64_EDGE, INT64_EDGE), (INT64_EDGE, 1))
+    assert ps.norms.tolist() == [1, INT64_EDGE, INT64_EDGE]
+    # -2**63 fits in int64, but its absolute value, the norm, does not
+    for far in (2**63, -(2**63), 2**70):
+        with pytest.raises(ValueError, match=re.escape(f"point (1, {far}) does not fit in int64")):
+            PointSet([(1, 1), (1, far)])
+
+
+@given(st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_the_checked_constructor_names_the_first_bad_point_in_order(pts):
+    # the first duplicate, else the first point outside the window, in
+    # (inf_norm, x, y) order, whatever the order the points come in
+    ordered = sorted(pts, key=norm_lex_key)
+    dups = [q for p, q in pairwise(ordered) if p == q]
+    outside = [p for p in ordered if min(p) < 1 or max(p) > 7]
+    if dups:
+        want = f"duplicate point {dups[0]}"
+    elif outside:
+        want = f"point {outside[0]} outside declared window [1, 2**3 - 1]^2"
+    else:
+        assert tuple(PointSet(pts, {"window_exponent": 3})) == tuple(ordered)
+        return
+    with pytest.raises(ValueError) as exc:
+        PointSet(pts, {"window_exponent": 3})
+    assert str(exc.value) == want
 
 
 def test_pointset_window_validation():
@@ -450,8 +486,34 @@ def test_pointset_window_validation():
 
 def test_pointset_in_box():
     ps = PointSet([(1, 1), (2, 5), (9, 9)])
-    assert ps.in_box(5).points == ((1, 1), (2, 5))
-    assert ps.in_box(1).points == ((1, 1),)
+    assert tuple(ps.in_box(5)) == ((1, 1), (2, 5))
+    assert tuple(ps.in_box(1)) == ((1, 1),)
+
+
+@pytest.mark.parametrize("n, lead", [(10**30, 4), (2**63, 4), (INT64_EDGE, 4), (-(10**30), 0)])
+def test_norm_prefix_and_in_box_take_any_int(n, lead):
+    # the side is clamped to the int64 norms' range before the bisection
+    ps = PointSet([(1, 1), (0, 2), (3, INT64_EDGE), (-INT64_EDGE, 5)])
+    assert ps.norm_prefix(n) == lead
+    assert ps.norm_prefixes([n, 2, -1]) == [lead, 2, 0]
+    assert tuple(ps.in_box(n)) == (((1, 1), (3, INT64_EDGE)) if lead else ())
+
+
+def test_a_pointset_stays_read_only_through_pickle_and_in_box():
+    # a pool returns Q and S pickled, and numpy unpickles a read-only
+    # array as writeable; in_box views the leading members when all lie in
+    # the quadrant, and copies them when some do not
+    q = sample_window(SamplerConfig(seed=1, c=0.5, window_exponent=8))
+    back = pickle.loads(pickle.dumps(q))
+    assert back == q
+    assert tuple(back) == tuple(q)
+    mixed = PointSet([(0, 1), (1, 1), (2, -2), (2, 2)], {"kind": "baseline"})
+    assert pickle.loads(pickle.dumps(mixed)) == mixed
+    for ps in (q, back, q.in_box(100), back.in_box(1 << 8), mixed.in_box(2)):
+        for column in (ps.xs, ps.ys, ps.norms):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7
+    assert tuple(mixed.in_box(2)) == ((1, 1), (2, 2))
 
 
 @given(
@@ -515,6 +577,21 @@ def test_read_pointset_rejects_wrong_field_count(tmp_path):
         read_pointset(path)
 
 
+@pytest.mark.parametrize("far", [2**63, -(2**63)])
+def test_read_pointset_refuses_a_coordinate_of_2_63_naming_its_line(tmp_path, far):
+    ok = f"#no3l v1\n#meta {NULL_META}\n1\t1\n{-INT64_EDGE}\t{INT64_EDGE}\n"
+    path = tmp_path / "wide.tsv"
+    path.write_text(ok, encoding="ascii")
+    assert tuple(read_pointset(path)) == ((1, 1), (-INT64_EDGE, INT64_EDGE))
+    path.write_text(ok + f"1\t{far}\n", encoding="ascii")
+    with pytest.raises(ValueError) as exc:
+        read_pointset(path)
+    assert str(exc.value) == (
+        f"{path}:5: point (1, {far}) does not fit in int64:"
+        " coordinates must be below 2**63 in absolute value"
+    )
+
+
 def test_read_pointset_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text(f"#no3l v1\n#meta {NULL_META}\n2\t2\n1\t1\n", encoding="ascii")
@@ -546,7 +623,7 @@ def mutated_writer_output(draw) -> str:
     coord = st.integers(lo, hi)
     pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12, unique=True))
     ps = PointSet(pts, {"kind": "sampled", "seed": 3, "window_exponent": window})
-    rows = [f"{x}\t{y}" for x, y in ps.points]
+    rows = [f"{x}\t{y}" for x, y in ps]
     newline = "\n"
     for kind in draw(st.lists(st.sampled_from(ROW_MUTATIONS), min_size=1, max_size=2)):
         i = draw(st.integers(0, len(rows) - 1))

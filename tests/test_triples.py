@@ -177,7 +177,7 @@ def test_counter_equals_bruteforce_on_wide_sets(seed):
 def test_vectorized_path_on_a_large_set():
     ps = sample_window(SamplerConfig(seed=3, c=6.0, window_exponent=5))
     assert len(ps) > 192  # several anchor blocks
-    counts = _counts_by_largest(ps.points)
+    counts = _counts_by_largest(tuple(ps))
     assert prefix_triple_counts(ps) == counts
     assert count_collinear_triples(ps) == sum(counts)
 
@@ -215,7 +215,7 @@ def _no_sort(p):
 @settings(max_examples=60, deadline=None)
 def test_box_triple_counts_of_a_pointset_sort_nothing_and_match_a_shuffled_list(pts, t_max, rnd):
     ps = PointSet(pts)
-    shuffled = list(ps.points)
+    shuffled = list(ps)
     rnd.shuffle(shuffled)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling, "norm_lex_key", _no_sort)
@@ -229,7 +229,7 @@ def test_box_triple_counts_of_a_pointset_sort_nothing_and_match_a_shuffled_list(
 
 def test_a_pointset_and_a_shuffled_list_of_its_points_give_the_same_counts():
     ps = sample_window(SamplerConfig(seed=3, c=6.0, window_exponent=5))
-    shuffled = list(ps.points)
+    shuffled = list(ps)
     random.Random(5).shuffle(shuffled)
     assert prefix_triple_counts(ps) == prefix_triple_counts(shuffled)
     assert box_triple_counts(ps, 4) == box_triple_counts(shuffled, 4)
