@@ -22,6 +22,7 @@ domain and a bench --nmin past every box side the window profiles.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, replace
@@ -256,8 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main call of a process, not at import, and reused by
+# every later call: parsing leaves the parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -135,14 +135,6 @@ def norm_lex_key(p: Point) -> tuple[int, int, int]:
     return (inf_norm(p), p[0], p[1])
 
 
-def shell_index(p: Point) -> int:
-    """Exponent T with 2**T <= inf_norm(p) < 2**(T+1); the origin has no shell."""
-    m = inf_norm(p)
-    if m == 0:
-        raise ValueError("the origin lies in no shell")
-    return m.bit_length() - 1
-
-
 def shell_probability(T: int, c: float) -> float:
     """Inclusion probability on shell T at a finite sampling rate c >= 0."""
     if T < 0:
@@ -226,18 +218,22 @@ class PointSet:
         return PointSet._ordered, (self.xs, self.ys, self.meta)
 
     @classmethod
-    def _ordered(cls, xs: np.ndarray, ys: np.ndarray, meta: dict) -> "PointSet":
+    def _ordered(
+        cls, xs: np.ndarray, ys: np.ndarray, meta: dict, norms: np.ndarray | None = None
+    ) -> "PointSet":
         """A PointSet of the int64 arrays xs and ys, already as the
         constructor would store them.
 
         The caller guarantees distinct points, coordinates below 2**63 in
         absolute value, (inf_norm, x, y) order, every member inside meta's
         window, and a meta with every key; nothing is sorted or checked.
+        norms, if given, are the members' inf_norms; else they are computed.
         The set holds read-only views of the arrays, not copies.
         """
         ps = object.__new__(cls)
-        ps.xs, ps.ys = xs.view(), ys.view()
-        ps.norms = np.maximum(np.abs(xs), np.abs(ys))
+        if norms is None:
+            norms = np.maximum(np.abs(xs), np.abs(ys))
+        ps.xs, ps.ys, ps.norms = xs.view(), ys.view(), norms.view()
         for column in (ps.xs, ps.ys, ps.norms):
             column.flags.writeable = False
         ps.meta = meta
@@ -260,15 +256,16 @@ class PointSet:
         """Members inside [1, n]^2, same provenance.
 
         They are among the leading members, those of norm <= n, and keep
-        their order, so they are not sorted or checked again; when all of
-        those lie in the positive quadrant, the box holds views of them.
+        their order and their norms, so they are not sorted, checked or
+        normed again; when all of those lie in the positive quadrant, the
+        box holds views of them.
         """
         lead = self.norm_prefix(n)
-        xs, ys = self.xs[:lead], self.ys[:lead]
+        xs, ys, norms = self.xs[:lead], self.ys[:lead], self.norms[:lead]
         inside = np.minimum(xs, ys) >= 1
         if not inside.all():
-            xs, ys = xs[inside], ys[inside]
-        return PointSet._ordered(xs, ys, dict(self.meta))
+            xs, ys, norms = xs[inside], ys[inside], norms[inside]
+        return PointSet._ordered(xs, ys, dict(self.meta), norms)
 
 
 def _too_wide(p: Point) -> str:

@@ -22,9 +22,25 @@ block never cross rows.
 
 Only the direction key depends on the set's coordinate span s:
 
-- s <= 2**21 (every window, greedy set and parabola the program builds):
-  the float key.  Of a difference (dx, dy), it is q = dy / (|dx| + |dy|)
-  signed by dx, computed as dy / (dx + copysign(dy, dx)), in [-1, 1].
+- s <= 2**13 (every window up to W = 13, every greedy set and every
+  parabola of modulus p below 2**13): the int32 key, the float key q
+  below scaled by 2**30 and truncated, trunc(2**30 * dy / (dx +
+  copysign(dy, dx))).  Shifted to [0, s], the coordinates, differences and
+  sums are exact in float32, and so is 2**30 * dy; one float64 division
+  writes the quotient straight into an int32 buffer.  The key is exact:
+  two distinct keys q are fractions with denominators at most 2s, so they
+  differ by at least 1 / (4 * s**2), which is 2**28 / s**2 >= 4 units
+  after scaling.  A correctly rounded quotient errs by at most 2**-23
+  units, and equal fractions round to the same float.  The least nonzero
+  |q| is 1 / (2s), at least 2**16 units from 0, while q = 0 is computed
+  as 0 exactly.  So the quotients of distinct keys are more than 1 apart
+  and never both inside (-1, 1), and truncate to distinct integers.  Keys
+  lie in [-2**30, 2**30]; the sentinels are 2**30 + 1 + j, below 2**31
+  for the at most (s + 1)**2 points of the set.
+- 2**13 < s <= 2**21 (the windows of W = 14 .. 20 and the wider
+  parabolas): the float key.  Of a
+  difference (dx, dy), it is q = dy / (|dx| + |dy|) signed by dx,
+  computed as dy / (dx + copysign(dy, dx)), in [-1, 1].
   For dx != 0 it is r / (1 + |r|) of the slope r = dy / dx, which
   increases strictly with r; along the vertical it is +1 upward and -1
   downward.  So two
@@ -36,12 +52,16 @@ Only the direction key depends on the set's coordinate span s:
   fraction whose denominator |dx| + |dy| is at most 2s <= 2**22, so two
   distinct keys differ by at least 2**-44, while a correctly rounded
   quotient errs by at most 2**-54, and equal fractions round to the same
-  float.  No gcd, no class bit and no sign normalization are needed.
+  float.  No gcd, no class bit and no sign normalization are needed.  The
+  sentinels are 2 + j.
 - s > 2**21: the gcd key, the difference divided by its gcd, packed as
   a * (s + 1) + b in int64, with the sentinels s * (s + 1) + s + 1 + j.
   It needs s * (s + 1) + s < 2**63: a set whose span is wider is rejected
   with ValueError, whatever the set's size.  Below 2**63 there is then room
   for more than 5 * 10**9 sentinels, more points than any set in memory.
+
+In every key the j >= i cells get their sentinels after keying, so the
+0 / 0 of the diagonal never reaches the sort.
 
 One side: the earlier points on a line through an anchor o lie on one side
 of it.  Were p and r earlier points on either side, convexity of the norm
@@ -65,16 +85,34 @@ from .sampling import Point, PointSet
 
 # Row cells, earlier-point pairs and the sentinels after them, keyed and
 # sorted together per block of anchors.  It bounds the block's temporaries.
-# The kernel alone took 16.5 / 13.4 / 12.4 / 12.2 ns a pair at 2**13 /
-# 2**14 / 2**15 / 2**16 on the W = 12, c = 1.0, seed 1 Q (one worker, best
-# of 5).  The benchmark's construct-verify took a median wall time of 2.00
-# / 1.88 / 1.91 / 1.87 s and CPU time of 2.58 / 2.33 / 2.26 / 2.23 s (4
-# interleaved runs each), and 1.81 / 1.66 s wall at 2**14 / 2**15 in
-# another 4 each; 2**16 peaked 1.1 MB higher (2-core Xeon).
+# With the int32 key, the kernel alone took 10.3 / 8.2 / 7.1 / 6.7 ns a
+# pair at 2**13 / 2**14 / 2**15 / 2**16 on the W = 12, c = 1.0, seed 1 Q
+# (one worker; median of 5 processes, each the best of 5).  The benchmark's
+# construct-verify took a median wall time of 0.871 s at 2**15 and 0.853 s
+# at 2**16, 2**15 faster in 2 of 5 interleaved pairs, and the same peak
+# RSS, 40.4 MB (2-core Xeon).
 _PAIR_BLOCK = 1 << 15
 
-# Widest span the float key counts exactly (see the module docstring).
+# Widest spans the int32 and the float key count exactly (see the module
+# docstring); the int32 key is the faster.
+_INT32_KEY_SPAN = 1 << 13
 _FLOAT_KEY_SPAN = 1 << 21
+
+# The int32 key's scale: its keys lie in [-2**30, 2**30], and its sentinels
+# start above them, at 2**30 + 1.
+_INT32_KEY_SCALE = 1 << 30
+
+
+def _int32_keys(dx: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Direction keys in [-2**30, 2**30]: trunc(2**30 * q) of the float key
+    q.  Exact for spans up to _INT32_KEY_SPAN (see the module docstring).
+    Takes float32 differences and a third float32 array of their shape, and
+    overwrites all three: the keys are returned in an int32 view of t."""
+    dx += np.copysign(dy, dx, out=t)
+    dy *= _INT32_KEY_SCALE
+    keys = t.view(np.int32)
+    np.divide(dy, dx, out=keys, dtype=np.float64, casting="unsafe")
+    return keys
 
 
 def _float_keys(dx: np.ndarray, dy: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -192,17 +230,20 @@ def _anchor_counts(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"coordinate span {s} too large to pack directions exactly in int64"
         )
-    if s <= _FLOAT_KEY_SPAN:
-        # Shifted to [0, s], the coordinates and their differences are exact
-        # in float64.
+    # Shifted to [0, s], the coordinates and their differences are exact
+    # in float32 up to _INT32_KEY_SPAN and in float64 up to _FLOAT_KEY_SPAN.
+    if s > _FLOAT_KEY_SPAN:
+        keys_of = partial(_gcd_keys, s=s)
+        sentinels = s * (s + 1) + s + 1 + np.arange(m, dtype=np.int64)
+    elif s > _INT32_KEY_SPAN:
         xs = (xs - xs.min()).astype(np.float64)
         ys = (ys - ys.min()).astype(np.float64)
-        keys_of, top = _float_keys, 2
+        keys_of, sentinels = _float_keys, 2 + np.arange(m, dtype=np.float64)
     else:
-        keys_of, top = partial(_gcd_keys, s=s), s * (s + 1) + s + 1
-    # Above every key: [-1, 1] for the float key, |key| <= s * (s + 1) + s
-    # for the gcd key.
-    sentinels = top + np.arange(m, dtype=xs.dtype)
+        xs = (xs - xs.min()).astype(np.float32)
+        ys = (ys - ys.min()).astype(np.float32)
+        keys_of = _int32_keys
+        sentinels = _INT32_KEY_SCALE + 1 + np.arange(m, dtype=np.int32)
     # A block of several rows holds at most _PAIR_BLOCK cells, a block of one
     # row at most m - 1, and no block more than all the anchors' rows.
     size = min(max(_PAIR_BLOCK, m - 1), (m - 2) * (m - 1))

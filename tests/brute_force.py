@@ -3,7 +3,10 @@
 ``count_collinear_triples_bruteforce`` tests all C(m, 3) triples of a set
 with the cross product, against which the triple kernel is checked;
 ``shell_size`` is the closed-form number of positive-quadrant points in a
-dyadic shell, which the acceptance tests use as E[X_T] / p_T.
+dyadic shell, which the acceptance tests use as E[X_T] / p_T, and
+``shell_index`` is a point's shell, found from its norm alone, against
+which the sampler's shell bisections and the exact shell-pair counts are
+checked.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from no3l.sampling import Point, PointSet
+from no3l.sampling import Point, PointSet, inf_norm
 
 BRUTE_FORCE_CAP = 2000
 
@@ -48,3 +51,11 @@ def shell_size(T: int) -> int:
     if T > SHELL_EXPONENT_CAP:
         raise OverflowError(f"shell exponent {T} exceeds cap {SHELL_EXPONENT_CAP}")
     return 3 * 4**T - 2 * 2**T
+
+
+def shell_index(p: Point) -> int:
+    """Exponent T with 2**T <= inf_norm(p) < 2**(T+1); the origin has no shell."""
+    m = inf_norm(p)
+    if m == 0:
+        raise ValueError("the origin lies in no shell")
+    return m.bit_length() - 1

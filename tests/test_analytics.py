@@ -32,9 +32,10 @@ from no3l.analytics import (
 )
 from no3l.experiments import monte_carlo_moments, normalized_moments, x_floor, y_ceiling
 from no3l.parallel import map_ordered
-from no3l.sampling import SamplerConfig, sample_window, shell_index, shell_probability
+from no3l.sampling import SamplerConfig, sample_window, shell_probability
 from no3l.triples import box_triple_counts, count_collinear_triples
 from beta_grid import beta_box_grid
+from brute_force import shell_index
 from lattice_lines import box_directions, collinear, line_through
 
 # number of lines with at least two points in [1, 2**T]^2

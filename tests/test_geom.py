@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from no3l.sampling import inf_norm, norm_lex_key, shell_index
-from brute_force import SHELL_EXPONENT_CAP, shell_size
+from no3l.sampling import inf_norm, norm_lex_key
+from brute_force import SHELL_EXPONENT_CAP, shell_index, shell_size
 from lattice_lines import (
     LatticeLine,
     canonical_direction,

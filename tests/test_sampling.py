@@ -35,10 +35,10 @@ from no3l.sampling import (
     read_pointset,
     sample_window,
     shell_counts,
-    shell_index,
     shell_probability,
     write_pointset,
 )
+from brute_force import shell_index
 from row_reader import read_pointset as read_pointset_by_rows
 from scalar_hash import MASK64, mix64, point_uniform
 
@@ -522,12 +522,15 @@ def test_a_pointset_stays_read_only_through_pickle_and_in_box():
 )
 @settings(max_examples=100, deadline=None)
 def test_pointset_in_box_equals_a_filtered_rebuild(pts, n):
-    # in_box takes its members from the leading points without sorting
-    # again; that must be the set the constructor builds from a filter.
+    # in_box takes its members and their norms from the leading points
+    # without sorting or norming again; that must be the set the
+    # constructor builds from a filter.
     ps = PointSet(pts, {"kind": "sampled", "seed": 3})
     assert ps.norm_prefix(n) == sum(1 for p in pts if inf_norm(p) <= n)
     box = ps.in_box(n)
-    assert box == PointSet([(x, y) for x, y in pts if 1 <= x <= n and 1 <= y <= n], ps.meta)
+    rebuilt = PointSet([(x, y) for x, y in pts if 1 <= x <= n and 1 <= y <= n], ps.meta)
+    assert box == rebuilt
+    assert np.array_equal(box.norms, rebuilt.norms)
     assert box.meta is not ps.meta
 
 

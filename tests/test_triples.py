@@ -6,12 +6,12 @@ block sizes, so that short rows full of sentinels are exercised too; its
 per-point prefix counts are cross-checked against a slow triple
 enumerator kept here as an oracle, whose output is itself checked against
 itertools.combinations.
-The float key is checked directly on near-colliding directions, and the
-one-side property it rests on is checked on sets with runs through points.
-Sets whose span straddles the float key's limit, and near-colliding
-directions just below it, check the choice of direction key;
-test_triples_gcd_key.py runs the small-span oracle tests again with the gcd
-key.
+The int32 and float keys are checked directly on near-colliding
+directions, and the one-side property they rest on is checked on sets with
+runs through points.  Sets whose span straddles either key's limit, and
+near-colliding directions just below it, check the choice of direction key;
+test_triples_float_key.py and test_triples_gcd_key.py run the small-span
+oracle tests again with the float and the gcd key.
 """
 
 import math
@@ -310,12 +310,12 @@ def _gcd_key_counts(pts):
 
 
 @st.composite
-def straddling_sets(draw):
-    """Sets of span s in [2**21 - 8, 2**21 + 8], so either key: a box of side s
-    that may hold the origin, two points fixing the span, random points, and
+def straddling_sets(draw, limit=2**21):
+    """Sets of span s in [limit - 8, limit + 8], so both keys that meet at
+    that limit (2**13 or 2**21): a box of side s that may hold the origin, two points fixing the span, random points, and
     horizontal, vertical or sloped runs that extend to both sides of a point,
     so that the runs' anchors lie at their left and right ends."""
-    s = draw(st.integers(2**21 - 8, 2**21 + 8))
+    s = draw(st.integers(limit - 8, limit + 8))
     x0, y0 = draw(st.integers(-2 * s, s)), draw(st.integers(-2 * s, s))
 
     def inside():
@@ -339,13 +339,23 @@ def straddling_sets(draw):
     return sorted(pts)
 
 
+def _check_straddling_set(pts, limit):
+    xs, ys = zip(*pts)
+    assert abs(max(max(xs) - min(xs), max(ys) - min(ys)) - limit) <= 8
+    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+    assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+
+
 @given(straddling_sets())
 @settings(max_examples=150, deadline=None)
 def test_spans_straddling_the_float_key_limit_are_counted_exactly(pts):
-    xs, ys = zip(*pts)
-    assert abs(max(max(xs) - min(xs), max(ys) - min(ys)) - 2**21) <= 8
-    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
-    assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+    _check_straddling_set(pts, 2**21)
+
+
+@given(straddling_sets(2**13))
+@settings(max_examples=150, deadline=None)
+def test_spans_straddling_the_int32_key_limit_are_counted_exactly(pts):
+    _check_straddling_set(pts, 2**13)
 
 
 # Farey neighbours p/q, p2/q2 (|p2 * q - p * q2| == 1) with q, q2 in
@@ -358,34 +368,65 @@ FAREY_PAIRS = [
     ((1048573, 2**21 - 3), (699049, 1398100)),  # near 1/2
     ((2**21 - 1, 2**21), (2**21 - 2, 2**21 - 1)),  # near 1, keys 2**-44 apart
 ]
-
-
-@pytest.mark.parametrize("pair", FAREY_PAIRS)
-@pytest.mark.parametrize(
+# The same with q, q2 in (2**12, 2**13]: near 1, the keys p / (p + q) are
+# about 2**-28 apart, 4 units of the int32 key, its margin.
+INT32_FAREY_PAIRS = [
+    ((1, 2**13), (1, 2**13 - 1)),  # near 0
+    ((2731, 2**13), (2730, 2**13 - 3)),  # near 1/3
+    ((4095, 2**13 - 1), (4094, 2**13 - 3)),  # near 1/2
+    ((2**13 - 1, 2**13), (2**13 - 2, 2**13 - 1)),  # near 1, keys 4 units apart
+]
+FLIPS = pytest.mark.parametrize(
     "flip",
     [lambda x, y: (x, y), lambda x, y: (y, x), lambda x, y: (-x, y), lambda x, y: (-y, -x)],
     ids=["as-is", "transposed", "x-negated", "negated-transposed"],
 )
-def test_farey_neighbour_directions_get_distinct_float_keys(pair, flip, monkeypatch):
+
+
+def _farey_set(pair, flip, span):
+    """An anchor o and three points before it, b, c and d = 2c - b, as
+    flipped: b and c lie along the two Farey-neighbour directions from o;
+    d lies on the line through b and c, whose direction from o is a Farey
+    neighbour of c's too.  The one triple is b, c, d.  Also returns the
+    differences from the anchor, as the kernel keys them, in float64."""
     (p, q), (p2, q2) = pair
-    assert abs(p2 * q - p * q2) == 1 and 2**20 < min(q, q2) <= max(q, q2) <= 2**21
-    # From anchor o, b and c lie along the two directions; d = 2c - b lies on
-    # the line through b and c, whose direction from o is a Farey neighbour of
-    # c's too.  The one triple is b, c, d.
-    o = (2**21 + 1, 2**21 + 1)
+    assert abs(p2 * q - p * q2) == 1 and span // 2 < min(q, q2) <= max(q, q2) <= span
+    o = (span + 1, span + 1)
     steps = [(q, p), (q2, p2), (2 * q2 - q, 2 * p2 - p)]
     pts = [flip(*o)] + [flip(o[0] - a, o[1] - b) for a, b in steps]
-    # the differences from the anchor, as the kernel keys them
     dx, dy = (np.array(v, dtype=np.float64) - v0 for v, v0 in zip(zip(*pts[1:]), pts[0]))
-    assert len(set(triples._float_keys(dx, dy, np.empty(3)).tolist())) == 3
+    return pts, dx, dy
 
-    def no_gcd_key(*args, **kwargs):
-        raise AssertionError("span <= 2**21 must take the float key")
 
-    monkeypatch.setattr(triples, "_gcd_keys", no_gcd_key)
+def _check_one_triple(pts, monkeypatch, *unused_keys):
+    """The kernel counts the one triple of a Farey set without the keys
+    named, which its span must not take."""
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the set's span takes another key")
+
+    for name in unused_keys:
+        monkeypatch.setattr(triples, name, unused)
     assert count_collinear_triples_bruteforce(pts) == 1
     assert prefix_triple_counts(pts) == _counts_by_largest(pts)
     assert sum(prefix_triple_counts(pts)) == 1
+
+
+@pytest.mark.parametrize("pair", FAREY_PAIRS)
+@FLIPS
+def test_farey_neighbour_directions_get_distinct_float_keys(pair, flip, monkeypatch):
+    pts, dx, dy = _farey_set(pair, flip, 2**21)
+    assert len(set(triples._float_keys(dx, dy, np.empty(3)).tolist())) == 3
+    _check_one_triple(pts, monkeypatch, "_gcd_keys")
+
+
+@pytest.mark.parametrize("pair", INT32_FAREY_PAIRS)
+@FLIPS
+def test_farey_neighbour_directions_get_distinct_int32_keys(pair, flip, monkeypatch):
+    pts, dx, dy = _farey_set(pair, flip, 2**13)
+    keys = triples._int32_keys(dx.astype(np.float32), dy.astype(np.float32), np.empty(3, np.float32))
+    assert len(set(keys.tolist())) == 3
+    _check_one_triple(pts, monkeypatch, "_float_keys", "_gcd_keys")
 
 
 @st.composite
@@ -415,33 +456,53 @@ def test_earlier_points_on_a_line_through_an_anchor_lie_on_one_side(pts):
                 assert ax * bx + ay * by > 0
 
 
+@given(runs_through_points())
+@settings(max_examples=150, deadline=None)
+def test_runs_through_points_are_counted_exactly(pts):
+    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+
+
 _near = st.integers(-3, 3)
 
 
-@given(
-    st.tuples(st.integers(-(2**21), 2**21), st.integers(-(2**21), 2**21)),
-    st.one_of(
+def _differences(span):
+    """A nonzero difference within span, and a second one: a small offset
+    of it, or a multiple of its primitive direction, so parallel or nearly."""
+    return st.tuples(st.integers(-span, span), st.integers(-span, span)), st.one_of(
         st.tuples(_near, _near).map(lambda e: ("offset", e)),
         st.integers(-8, 8).map(lambda k: ("multiple", k)),
-    ),
-)
-@settings(max_examples=300, deadline=None)
-def test_float_keys_agree_exactly_on_one_line_through_the_anchor(d, other):
-    # Two differences of span <= 2**21 get one key when and only when they
-    # are parallel, with up and down along the vertical kept apart.
+    )
+
+
+def _check_key_pair(d, other, span, keys_of, dtype, scale):
+    """keys_of gives d and the difference that other makes of it one key
+    when and only when they are parallel, with up and down along the
+    vertical kept apart, and keys in [-scale, scale]."""
     kind, e = other
     if kind == "offset":
         d2 = (d[0] + e[0], d[1] + e[1])
     else:
         g = math.gcd(*d) or 1
         d2 = (d[0] // g * e, d[1] // g * e)
-    assume(d != (0, 0) and d2 != (0, 0) and max(map(abs, d2)) <= 2**21)
-    dx, dy = (np.array(v, dtype=np.float64) for v in zip(d, d2))
-    keys = triples._float_keys(dx, dy, np.empty(2)).tolist()
+    assume(d != (0, 0) and d2 != (0, 0) and max(map(abs, d2)) <= span)
+    dx, dy = (np.array(v, dtype=dtype) for v in zip(d, d2))
+    keys = keys_of(dx, dy, np.empty(2, dtype=dtype)).tolist()
     parallel = d[0] * d2[1] == d[1] * d2[0]
     split_vertical = d[0] == d2[0] == 0 and d[1] * d2[1] < 0
     assert (keys[0] == keys[1]) == (parallel and not split_vertical)
-    assert all(-1 <= k <= 1 for k in keys)
+    assert all(-scale <= k <= scale for k in keys)
+
+
+@given(*_differences(2**21))
+@settings(max_examples=300, deadline=None)
+def test_float_keys_agree_exactly_on_one_line_through_the_anchor(d, other):
+    _check_key_pair(d, other, 2**21, triples._float_keys, np.float64, 1)
+
+
+@given(*_differences(2**13))
+@settings(max_examples=300, deadline=None)
+def test_int32_keys_agree_exactly_on_one_line_through_the_anchor(d, other):
+    _check_key_pair(d, other, 2**13, triples._int32_keys, np.float32, 2**30)
 
 
 _small_negative_sets = st.lists(
@@ -449,7 +510,7 @@ _small_negative_sets = st.lists(
 )
 
 
-@given(st.one_of(random_sets, _small_negative_sets, straddling_sets()))
+@given(st.one_of(random_sets, _small_negative_sets, straddling_sets(2**13), straddling_sets()))
 @settings(max_examples=150, deadline=None)
 def test_float_and_gcd_keys_give_identical_prefix_counts(pts):
     assert prefix_triple_counts(pts) == _gcd_key_counts(pts)

@@ -1,8 +1,8 @@
 """The small-span triple oracle tests again, with the gcd direction key.
 
-Sets of span up to triples._FLOAT_KEY_SPAN take the float key; with that
-limit at 0 every set takes the gcd key, so both keys pass the same oracles,
-at the same anchor block sizes.
+Sets of span up to triples._FLOAT_KEY_SPAN take the int32 or the float
+key; with that limit at 0 every set takes the gcd key, so every key passes
+the same oracles, at the same anchor block sizes.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from test_triples import (  # noqa: F401  (collected here under the gcd key)
     test_full_grid_counts,
     test_full_span_differences_of_consecutive_anchors,
     test_prefix_counts_match_enumeration,
+    test_runs_through_points_are_counted_exactly,
     test_small_hand_cases,
     test_spans_straddling_the_float_key_limit_are_counted_exactly,
     test_triples_within_box,
