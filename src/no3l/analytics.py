@@ -99,8 +99,9 @@ sum of p(x) * beta(x) = 3 * E[Y_T], which ties the scan to the count.
 The exact phase has two entries.  exact_mean(T, c) counts E[Y_T] alone.
 exact_reports(t_values, c) gives, per exponent, one count of E[Y_T], one
 count of shell pairs and one scan, which builds beta and the variance
-bounds where T <= VARIANCE_CAP.  Its docstring says how the work is dealt
-to the worker pool; neither the dealing nor the worker count changes a
+bounds where T <= VARIANCE_CAP.  The docstring of _exact_plan, which
+makes its tasks, says how the work is dealt to the worker pool; neither
+the dealing, the order the tasks run in nor the worker count changes a
 bit of the output.
 
 Caps: the scans are quartic in the box side, so exact_reports leaves out
@@ -113,11 +114,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .parallel import map_ordered, resolve_workers
+from .parallel import Plan, map_ordered, resolve_workers, run_task
 from .sampling import shell_probability
 
 ENUMERATION_CAP = 7
@@ -206,12 +208,6 @@ def _count_tasks(T: int, workers: int) -> list[tuple]:
     return [(_mean_counts, (T, gs)) for gs in _deal(range(2, 1 << T), workers)]
 
 
-def _call(task: tuple) -> object:
-    """Run one task of the exact phase, a (_mean_counts or _scan_chunk, args) pair."""
-    fn, args = task
-    return fn(args)
-
-
 def _mean_from_counts(T: int, c: float, parts: Sequence[np.ndarray]) -> float:
     """E[Y_T] from _mean_counts' per-shell-triple integer sums over slices of the g."""
     counts = sum(parts, np.zeros((T + 1) ** 3, dtype=np.int64))
@@ -230,7 +226,7 @@ def exact_mean(T: int, c: float) -> float:
     """
     _require_cap(T, MEAN_CAP, "the exact mean")
     shell_probability(0, c)  # reject a bad rate before counting
-    return _mean_from_counts(T, c, map_ordered(_call, _count_tasks(T, resolve_workers())))
+    return _mean_from_counts(T, c, map_ordered(run_task, _count_tasks(T, resolve_workers())))
 
 
 def _direction_line_sums(
@@ -364,17 +360,31 @@ def exact_reports(
     sharing one point by sum of p(x) * beta(x)**2, v2 bounds pairs sharing
     two points by sum_w4, and v3 is the diagonal E[Y_T].
 
+    The tasks come from _exact_plan, whose docstring says how the work is
+    dealt; they go through one map_ordered call, and _exact_join joins
+    them.  lemma_report maps the same plan's tasks together with its Monte
+    Carlo chunks instead.
+    """
+    plan = _exact_plan(t_values, c)
+    return plan.join(map_ordered(run_task, plan.tasks))
+
+
+def _exact_plan(t_values: Sequence[int], c: float) -> Plan:
+    """The tasks of exact_reports(t_values, c), checked before any is made.
+
     Each exponent is planned once, largest box first.  Its count of E[Y_T]
-    deals its g round-robin into one task per worker.  Its scan is one
-    task where T <= VARIANCE_CAP, so beta and v1 are summed in one order
+    deals its g round-robin into one task per worker, each estimated at
+    its slice's share of n**2 * (T + 1)**3 cells.  Its scan is one task
+    where T <= VARIANCE_CAP, so beta and v1 are summed in one order
     whatever the worker count; past that it deals the directions with
-    2b < n the same way, dirs[k::w].  Its _pair_counts, which the
-    two-point directions need, is made in the calling process.  Every
-    task goes through one map_ordered call, and each exponent joins its
-    own run of the results.  The counts add as integers and math.fsum
-    joins the shell-pair parts and the scans' per-direction parts: it
-    rounds the exact sum once, so neither the dealing nor the worker
-    count can change a bit.
+    2b < n the same way, dirs[k::w].  A scan task is estimated at
+    len(dirs) * n**2 cells.  Its _pair_counts, which the two-point
+    directions need, is made by the join, in the calling process.  Each
+    exponent joins its own run of the results.  The counts add as
+    integers and math.fsum joins the shell-pair parts and the scans'
+    per-direction parts: it rounds the exact sum once, so neither the
+    dealing, the order the tasks run in nor the worker count can change a
+    bit.
     """
     ts = [t for t in t_values if t <= ENUMERATION_CAP]
     if ts:
@@ -385,17 +395,27 @@ def exact_reports(
         shell_probability(0, c)  # reject a non-finite rate before scanning
     workers = resolve_workers()
     tasks: list[tuple] = []
+    cells: list[int] = []
     runs = {}  # T -> (start, end of its counts, end of its scans) in tasks
     for T in sorted(set(ts), reverse=True):
         n = 1 << T
         start = len(tasks)
-        tasks += _count_tasks(T, workers)
+        counts = _count_tasks(T, workers)
+        tasks += counts
+        cells += [n * n * (T + 1) ** 3 * len(gs) // (n - 2) for _, (_, gs) in counts]
         mid = len(tasks)
         dirs = [(a, b) for a, b in _box_directions(n) if abs(a) <= b and 2 * b < n]
         slices = [dirs] if T <= VARIANCE_CAP else _deal(dirs, workers)
         tasks += [(_scan_chunk, (T, c, part)) for part in slices]
+        cells += [len(part) * n * n for part in slices]
         runs[T] = (start, mid, len(tasks))
-    outs = map_ordered(_call, tasks)
+    return Plan(tasks, cells, partial(_exact_join, ts, c, runs))
+
+
+def _exact_join(
+    ts: list[int], c: float, runs: dict[int, tuple[int, int, int]], outs: Sequence
+) -> tuple[list[LineWeightReport], list[VarianceBoundReport]]:
+    """exact_reports' two lists from the results of _exact_plan's tasks, in plan order."""
     done = {}
     for T, (start, mid, end) in runs.items():
         scans = outs[mid:end]

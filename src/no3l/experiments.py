@@ -17,14 +17,15 @@ Rerunning a manifest must reproduce every output file exactly.
 
 Every seeded batch lives here: a manifest's trials and the Monte Carlo
 moments of X_T and Y_T share one batch check, one moment routine and the
-event thresholds x_floor and y_ceiling; lemma_report sets those moments
-next to the exact bounds of no3l.analytics.  A trial is one task of the
-pool; the Monte Carlo maps contiguous chunks of seeds, one per worker (or
+event rules of _event_bounds; lemma_report sets those moments next to
+the exact bounds of no3l.analytics.  A trial is one task of the pool;
+the Monte Carlo maps contiguous chunks of seeds, one per worker (or
 narrower, so that one block row of the sampler holds the chunk), hashes
 each chunk's windows side by side in one sampler pass, and reads each
 seed's X_T and Y_T as a trial does, through shell_counts and
 box_triple_counts, from a PointSet that views the seed's slice of the
-pass's arrays.
+pass's arrays.  lemma_report runs those chunks and the exact phase's
+tasks in one map, largest estimate first, and joins each in plan order.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from itertools import pairwise
 from pathlib import Path
-from statistics import fmean, median, variance
+from statistics import fmean, median
 from typing import Iterable, Sequence
 
-from .analytics import ENUMERATION_CAP, VARIANCE_CAP, exact_reports
+from .analytics import ENUMERATION_CAP, VARIANCE_CAP, _exact_plan
 from .construct import delete_max_with_profile, density_profile
-from .parallel import map_ordered, resolve_workers
+from .parallel import Plan, map_ordered, resolve_workers, run_task
 from .sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
@@ -158,11 +160,21 @@ class EventRecord:
 
 
 def seed_moments(rows: Sequence[Sequence[int]]) -> tuple[list[float], list[float]]:
-    """Per column of rows, one row per seed: statistics.fmean and
-    statistics.variance (0.0 for a single seed), correctly rounded on counts."""
+    """Per column of rows, one row of integer counts per seed: the mean and
+    the sample variance (0.0 for a single seed), each correctly rounded.
+
+    The mean is statistics.fmean.  The variance is the rational
+    (n * sum(x**2) - sum(x)**2) / (n * (n - 1)) of exact integer sums,
+    the one statistics.variance rounds, and int / int rounds it
+    correctly, so it is the same float.
+    """
+    n = len(rows)
     columns = list(zip(*rows))
     means = [fmean(col) for col in columns]
-    variances = [float(variance(col)) if len(col) > 1 else 0.0 for col in columns]
+    variances = [
+        (n * sum(x * x for x in col) - sum(col) ** 2) / (n * (n - 1)) if n > 1 else 0.0
+        for col in columns
+    ]
     return means, variances
 
 
@@ -193,15 +205,25 @@ def y_ceiling(t: int, c: float, k1_hat: float) -> float:
     return 2.0 * k1_hat * c**3 * 2**t / math.sqrt(t)
 
 
+def _event_bounds(t: int, c: float, k1_hat: float) -> tuple[float, float]:
+    """(x_min, y_max): a seed meets event X at T when X_T >= x_min and
+    event Y when Y_T <= y_max.
+
+    x_min is x_floor(T, c), or 1 where that floor is 0 (c = 0), so that
+    X_T = 0 misses there (EventRecord's convention).
+    """
+    floor = x_floor(t, c)
+    return (floor if floor > 0 else 1), y_ceiling(t, c, k1_hat)
+
+
 def _seed_events(
     t_values: Sequence[int], x: Sequence[int], y: Sequence[int], c: float, k1_hat: float
 ) -> list[EventRecord]:
     """One seed's EventRecords; x[i] and y[i] are its X_T and Y_T at T = t_values[i]."""
     events = []
     for t, xt, yt in zip(t_values, x, y):
-        floor = x_floor(t, c)
-        x_ok = xt >= floor if floor > 0 else xt > 0
-        y_ok = yt <= y_ceiling(t, c, k1_hat)
+        x_min, y_max = _event_bounds(t, c, k1_hat)
+        x_ok, y_ok = xt >= x_min, yt <= y_max
         events.append(EventRecord(T=t, x_ok=x_ok, y_ok=y_ok, e_ok=x_ok and y_ok))
     return events
 
@@ -424,8 +446,17 @@ def monte_carlo_moments(
 ) -> TrialStatistics:
     """Sample X_T and Y_T over the given seeds and summarize their moments.
 
-    Every input is checked before any sample is drawn.
+    Every input is checked before any sample is drawn.  The chunks of
+    _mc_plan go through one map_ordered call, and _mc_join joins them.
     """
+    plan = _mc_plan(t_values, c, seeds)
+    return plan.join(map_ordered(run_task, plan.tasks))
+
+
+def _mc_plan(t_values: Sequence[int], c: float, seeds: Sequence[int]) -> Plan:
+    """The _mc_vectors tasks of monte_carlo_moments(t_values, c, seeds),
+    checked before any is made, each estimated at its seeds times the
+    (2**w - 1)**2 cells of one window."""
     ts = list(t_values)
     if not ts or sorted(set(ts)) != ts:
         raise ValueError(f"need strictly increasing box exponents, got {t_values}")
@@ -443,8 +474,17 @@ def monte_carlo_moments(
     # Contiguous chunks, one per worker unless one block row of _hash_seeds
     # cannot hold that many seeds side by side.
     width = min(-(-len(seeds) // resolve_workers()), _block_row_seeds(w))
-    chunks = [(seeds[i:i + width], c, w) for i in range(0, len(seeds), width)]
-    vectors = [v for chunk in map_ordered(_mc_vectors, chunks) for v in chunk]
+    chunks = [seeds[i:i + width] for i in range(0, len(seeds), width)]
+    return Plan(
+        [(_mc_vectors, (chunk, c, w)) for chunk in chunks],
+        [len(chunk) * ((1 << w) - 1) ** 2 for chunk in chunks],
+        partial(_mc_join, ts, c),
+    )
+
+
+def _mc_join(ts: list[int], c: float, outs: Sequence) -> TrialStatistics:
+    """monte_carlo_moments' summary from its chunks' vectors, in seed order."""
+    vectors = [v for chunk in outs for v in chunk]
     x_by_seed = [[xv[t] for t in ts] for xv, _ in vectors]
     y_by_seed = [[yv[t] for t in ts] for _, yv in vectors]
     x_mean, x_var = seed_moments(x_by_seed)
@@ -455,7 +495,7 @@ def monte_carlo_moments(
     return TrialStatistics(
         t_values=ts,
         c=c,
-        sample_size=len(seeds),
+        sample_size=len(vectors),
         x_by_seed=x_by_seed,
         y_by_seed=y_by_seed,
         x_mean=x_mean,
@@ -467,6 +507,32 @@ def monte_carlo_moments(
         k1_hat=k1_hat,
         k2_hat=k2_hat,
     )
+
+
+def _map_plans(plans: Sequence[Plan]) -> list:
+    """Each plan's join, from one map_ordered call over all their tasks.
+
+    The tasks run largest estimate first (a stable sort), so the longest
+    ones start while the others fill in behind them, and every result goes
+    back to its plan position before the joins: neither the order nor the
+    worker count can change a bit.
+    """
+    tasks = [task for plan in plans for task in plan.tasks]
+    cells = [est for plan in plans for est in plan.cells]
+    order = sorted(range(len(tasks)), key=cells.__getitem__, reverse=True)
+    outs: list = [None] * len(tasks)
+    for i, out in zip(order, map_ordered(run_task, [tasks[i] for i in order])):
+        outs[i] = out
+    joined, start = [], 0
+    for plan in plans:
+        joined.append(plan.join(outs[start:start + len(plan.tasks)]))
+        start += len(plan.tasks)
+    return joined
+
+
+def _field_dict(obj: object) -> dict:
+    """A dataclass's fields by name, values as they are (asdict copies them deeply)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def lemma_report(
@@ -487,16 +553,23 @@ def lemma_report(
     sample retains nothing), the Y-side never does, and the Chebyshev bound
     is None.  Every input is checked before any sample is drawn or any line
     family scanned.
+
+    The Monte Carlo chunks and the exact phase's tasks share one pool map,
+    largest estimate first (_map_plans); the report equals the one that
+    monte_carlo_moments and exact_reports give when called apart.
     """
     ts = list(t_values)
-    mc = monte_carlo_moments(ts, c, seeds)
-    weights, bounds = exact_reports(ts, c) if c > 0 else ([], [])
-    by_t = list(zip(*(
-        _seed_events(ts, xv, yv, c, mc.k1_hat) for xv, yv in zip(mc.x_by_seed, mc.y_by_seed)
-    )))
-    x_miss = [fmean(not ev.x_ok for ev in col) for col in by_t]
-    y_miss = [fmean(not ev.y_ok for ev in col) for col in by_t]
-    miss_freq = [fmean(not ev.e_ok for ev in col) for col in by_t]
+    plans = [_mc_plan(ts, c, seeds)]
+    if c > 0:
+        plans.append(_exact_plan(ts, c))
+    mc, *exact = _map_plans(plans)
+    weights, bounds = exact[0] if exact else ([], [])
+    x_miss, y_miss, miss_freq = [], [], []
+    for t, xs, ys in zip(ts, zip(*mc.x_by_seed), zip(*mc.y_by_seed)):
+        x_min, y_max = _event_bounds(t, c, mc.k1_hat)
+        x_miss.append(fmean(x < x_min for x in xs))
+        y_miss.append(fmean(y > y_max for y in ys))
+        miss_freq.append(fmean(x < x_min or y > y_max for x, y in zip(xs, ys)))
     top_half = range(len(ts) // 2, len(ts) - 1)
     decay_ok = all(miss_freq[i + 1] <= miss_freq[i] / 1.5 for i in top_half)
     return {
@@ -505,9 +578,9 @@ def lemma_report(
         "sample_size": mc.sample_size,
         "enum_cap": ENUMERATION_CAP,
         "var_cap": VARIANCE_CAP,
-        "monte_carlo": asdict(mc),
-        "weights": [asdict(w) for w in weights],
-        "variance_bounds": [asdict(v) for v in bounds],
+        "monte_carlo": _field_dict(mc),
+        "weights": [_field_dict(w) for w in weights],
+        "variance_bounds": [_field_dict(v) for v in bounds],
         "x_miss_freq": x_miss,
         "y_miss_freq": y_miss,
         "event_miss_freq": miss_freq,

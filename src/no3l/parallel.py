@@ -9,12 +9,18 @@ either way, so downstream output is identical whatever the worker count.
 Pools exist at one level only: no mapped function (a trial, a chunk of
 Monte Carlo seeds, a scan task) maps again, so the triple-kernel calls and
 everything else a worker does run serially inside that worker.
+
+A batch whose tasks are of several kinds is a Plan: (fn, args) tasks,
+each with an estimate of its cost, and the join that turns their results
+into the batch's answer.  map_ordered(run_task, plan.tasks) runs them, so
+tasks of several plans can share one map.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 A = TypeVar("A")
@@ -45,3 +51,23 @@ def map_ordered(fn: Callable[[A], R], items: Sequence[A]) -> list[R]:
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The tasks of one batch, their cost estimates, and the join of their results.
+
+    tasks[i] is an (fn, args) pair that run_task calls as fn(args), and
+    cells[i] its estimated cost in cell operations; join takes the results
+    in task order.
+    """
+
+    tasks: list[tuple[Callable, object]]
+    cells: list[int]
+    join: Callable[[list], object]
+
+
+def run_task(task: tuple[Callable[[A], R], A]) -> R:
+    """fn(args) of one (fn, args) task of a Plan."""
+    fn, args = task
+    return fn(args)

@@ -22,22 +22,24 @@ block never cross rows.
 
 Only the direction key depends on the set's coordinate span s:
 
-- s <= 2**13 (every window up to W = 13, every greedy set and every
-  parabola of modulus p below 2**13): the int32 key, the float key q
+- s < 2**14 (every window up to W = 14, every greedy set and every
+  parabola of modulus p below 2**14): the int32 key, the float key q
   below scaled by 2**30 and truncated, trunc(2**30 * dy / (dx +
   copysign(dy, dx))).  Shifted to [0, s], the coordinates, differences and
   sums are exact in float32, and so is 2**30 * dy; one float64 division
   writes the quotient straight into an int32 buffer.  The key is exact:
-  two distinct keys q are fractions with denominators at most 2s, so they
-  differ by at least 1 / (4 * s**2), which is 2**28 / s**2 >= 4 units
-  after scaling.  A correctly rounded quotient errs by at most 2**-23
-  units, and equal fractions round to the same float.  The least nonzero
-  |q| is 1 / (2s), at least 2**16 units from 0, while q = 0 is computed
-  as 0 exactly.  So the quotients of distinct keys are more than 1 apart
-  and never both inside (-1, 1), and truncate to distinct integers.  Keys
-  lie in [-2**30, 2**30]; the sentinels are 2**30 + 1 + j, below 2**31
-  for the at most (s + 1)**2 points of the set.
-- 2**13 < s <= 2**21 (the windows of W = 14 .. 20 and the wider
+  two distinct keys q are fractions p1 / D1 and p2 / D2 with denominators
+  at most 2s <= 2**15 - 2.  With D1 == D2 they differ by at least
+  1 / D1, more than 2**15 units after scaling; with D1 != D2 by at least
+  1 / (D1 * D2), and D1 * D2 <= (2**15 - 2) * (2**15 - 3), so by more
+  than 1 + 2**-14 units.  A correctly rounded quotient errs by at most
+  2**-23 units, and equal fractions round to the same float.  The least
+  nonzero |q| is 1 / (2s), more than 2**15 units from 0, while q = 0 is
+  computed as 0 exactly.  So the quotients of distinct keys are more than
+  1 apart and never both inside (-1, 1), and truncate to distinct
+  integers.  Keys lie in [-2**30, 2**30]; the sentinels are 2**30 + 1 + j,
+  below 2**31 for the at most (s + 1)**2 points of the set.
+- 2**14 <= s <= 2**21 (the windows of W = 15 .. 20 and the wider
   parabolas): the float key.  Of a
   difference (dx, dy), it is q = dy / (|dx| + |dy|) signed by dx,
   computed as dy / (dx + copysign(dy, dx)), in [-1, 1].
@@ -95,7 +97,7 @@ _PAIR_BLOCK = 1 << 15
 
 # Widest spans the int32 and the float key count exactly (see the module
 # docstring); the int32 key is the faster.
-_INT32_KEY_SPAN = 1 << 13
+_INT32_KEY_SPAN = (1 << 14) - 1
 _FLOAT_KEY_SPAN = 1 << 21
 
 # The int32 key's scale: its keys lie in [-2**30, 2**30], and its sentinels

@@ -315,7 +315,7 @@ def test_lemmas_rejects_bad_input_before_any_work(capsys, monkeypatch, flags, ne
         raise AssertionError("sampled or scanned before validating")
 
     monkeypatch.setattr(experiments, "_mc_vectors", no_work)
-    monkeypatch.setattr(experiments, "exact_reports", no_work)
+    monkeypatch.setattr(experiments, "map_ordered", no_work)
     assert main(["lemmas", "--tmin", "3", "--c", "0.5", "--trials", "2", *flags]) == 2
     err = capsys.readouterr().err
     assert needle in err

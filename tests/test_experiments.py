@@ -8,11 +8,14 @@ statistics recomputed from the persisted per-trial point files.
 import json
 import math
 import statistics
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from no3l import experiments, parallel
+from no3l import analytics, experiments, parallel
+from no3l.analytics import exact_reports
 from no3l.construct import delete_max_of_triples
 from no3l.experiments import (
     _JSON_FIELD_TYPES,
@@ -24,6 +27,7 @@ from no3l.experiments import (
     lemma_report_csv,
     monte_carlo_moments,
     run_trials,
+    seed_moments,
     verify_theorem,
 )
 from no3l.parallel import map_ordered, resolve_workers
@@ -359,6 +363,55 @@ def test_lemma_report_moments_are_the_statistics_of_each_column():
         assert mc[f"{name}_var"] == [statistics.variance(col) for col in columns]
     single = lemma_report([3, 4], 0.5, [7])["monte_carlo"]
     assert single["x_var"] == single["y_var"] == [0.0, 0.0]
+
+
+def test_lemma_report_maps_every_task_once_largest_estimate_first(monkeypatch):
+    ts, c, seeds = [2, 3, 4], 0.4, range(1, 11)
+    plans = [experiments._mc_plan(ts, c, seeds), analytics._exact_plan(ts, c)]
+    tasks = [task for plan in plans for task in plan.tasks]
+    cells = [est for plan in plans for est in plan.cells]
+    want = [tasks[i] for i in sorted(range(len(tasks)), key=lambda i: -cells[i])]
+    calls = []
+
+    def recording(fn, items):
+        calls.append(list(items))
+        return map_ordered(fn, items)
+
+    monkeypatch.setattr(experiments, "map_ordered", recording)
+    monkeypatch.setattr(analytics, "map_ordered", recording)
+    lemma_report(ts, c, seeds)
+    assert calls == [want]
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_lemma_report_equals_its_parts_called_apart(monkeypatch, workers):
+    monkeypatch.setenv("NO3L_THREADS", workers)
+    ts, seeds = range(3, 8), range(1, 201)
+    rep = lemma_report(ts, 0.5, seeds)
+    weights, bounds = exact_reports(ts, 0.5)
+    assert rep["monte_carlo"] == asdict(monte_carlo_moments(ts, 0.5, seeds))
+    assert rep["weights"] == [asdict(w) for w in weights]
+    assert rep["variance_bounds"] == [asdict(v) for v in bounds]
+
+
+@st.composite
+def _count_columns(draw):
+    """One to four columns of n >= 2 counts: arbitrary or constant, up to 10**12."""
+    n = draw(st.integers(2, 40))
+    value = st.integers(0, 10**12)
+    column = st.one_of(st.lists(value, min_size=n, max_size=n), value.map(lambda v: [v] * n))
+    return draw(st.lists(column, min_size=1, max_size=4))
+
+
+@given(_count_columns())
+@example([[0, 1], [7, 7]])
+@example([[10**12, 0, 1], [10**12] * 3])
+@settings(max_examples=300, deadline=None)
+def test_seed_moments_variance_is_statistics_variance_to_the_bit(columns):
+    _, variances = seed_moments(list(zip(*columns)))
+    assert [v.hex() for v in variances] == [
+        float(statistics.variance(col)).hex() for col in columns
+    ]
 
 
 # Where each lemma CSV column lives in a lemma_report; "T" is the row's exponent.

@@ -309,10 +309,14 @@ def _gcd_key_counts(pts):
         return prefix_triple_counts(pts)
 
 
+# The widest span the int32 key takes; the float key takes spans up to 2**21.
+INT32_LIMIT = 2**14 - 1
+
+
 @st.composite
 def straddling_sets(draw, limit=2**21):
     """Sets of span s in [limit - 8, limit + 8], so both keys that meet at
-    that limit (2**13 or 2**21): a box of side s that may hold the origin, two points fixing the span, random points, and
+    that limit (INT32_LIMIT or 2**21): a box of side s that may hold the origin, two points fixing the span, random points, and
     horizontal, vertical or sloped runs that extend to both sides of a point,
     so that the runs' anchors lie at their left and right ends."""
     s = draw(st.integers(limit - 8, limit + 8))
@@ -339,11 +343,32 @@ def straddling_sets(draw, limit=2**21):
     return sorted(pts)
 
 
+def _key_of_span(s):
+    """The name of the key function the kernel takes for span s, at the current limits."""
+    if s > triples._FLOAT_KEY_SPAN:
+        return "_gcd_keys"
+    return "_float_keys" if s > triples._INT32_KEY_SPAN else "_int32_keys"
+
+
+def _forbid_keys(mp, *names):
+    """Make the key functions named raise, through the MonkeyPatch mp."""
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the set's span takes another key")
+
+    for name in names:
+        mp.setattr(triples, name, unused)
+
+
 def _check_straddling_set(pts, limit):
+    """The kernel counts pts exactly, with the two keys its span does not take forced to raise."""
     xs, ys = zip(*pts)
-    assert abs(max(max(xs) - min(xs), max(ys) - min(ys)) - limit) <= 8
-    assert prefix_triple_counts(pts) == _counts_by_largest(pts)
-    assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
+    s = max(max(xs) - min(xs), max(ys) - min(ys))
+    assert abs(s - limit) <= 8
+    with pytest.MonkeyPatch.context() as mp:
+        _forbid_keys(mp, *{"_int32_keys", "_float_keys", "_gcd_keys"} - {_key_of_span(s)})
+        assert prefix_triple_counts(pts) == _counts_by_largest(pts)
+        assert count_collinear_triples(pts) == count_collinear_triples_bruteforce(pts)
 
 
 @given(straddling_sets())
@@ -352,10 +377,10 @@ def test_spans_straddling_the_float_key_limit_are_counted_exactly(pts):
     _check_straddling_set(pts, 2**21)
 
 
-@given(straddling_sets(2**13))
+@given(straddling_sets(INT32_LIMIT))
 @settings(max_examples=150, deadline=None)
 def test_spans_straddling_the_int32_key_limit_are_counted_exactly(pts):
-    _check_straddling_set(pts, 2**13)
+    _check_straddling_set(pts, INT32_LIMIT)
 
 
 # Farey neighbours p/q, p2/q2 (|p2 * q - p * q2| == 1) with q, q2 in
@@ -368,13 +393,14 @@ FAREY_PAIRS = [
     ((1048573, 2**21 - 3), (699049, 1398100)),  # near 1/2
     ((2**21 - 1, 2**21), (2**21 - 2, 2**21 - 1)),  # near 1, keys 2**-44 apart
 ]
-# The same with q, q2 in (2**12, 2**13]: near 1, the keys p / (p + q) are
-# about 2**-28 apart, 4 units of the int32 key, its margin.
+# The same with q, q2 in (2**13, 2**14): near 1, p + q and p2 + q2 are
+# just below 2**15, so the keys p / (p + q) are just over 2**-30 apart,
+# 1 unit of the int32 key, its margin.
 INT32_FAREY_PAIRS = [
-    ((1, 2**13), (1, 2**13 - 1)),  # near 0
-    ((2731, 2**13), (2730, 2**13 - 3)),  # near 1/3
-    ((4095, 2**13 - 1), (4094, 2**13 - 3)),  # near 1/2
-    ((2**13 - 1, 2**13), (2**13 - 2, 2**13 - 1)),  # near 1, keys 4 units apart
+    ((1, 2**14 - 1), (1, 2**14 - 2)),  # near 0
+    ((5461, 2**14 - 2), (5460, 2**14 - 5)),  # near 1/3
+    ((8191, 2**14 - 1), (8190, 2**14 - 3)),  # near 1/2
+    ((2**14 - 2, 2**14 - 1), (2**14 - 3, 2**14 - 2)),  # near 1, keys 1 unit apart
 ]
 FLIPS = pytest.mark.parametrize(
     "flip",
@@ -401,12 +427,7 @@ def _farey_set(pair, flip, span):
 def _check_one_triple(pts, monkeypatch, *unused_keys):
     """The kernel counts the one triple of a Farey set without the keys
     named, which its span must not take."""
-
-    def unused(*args, **kwargs):
-        raise AssertionError("the set's span takes another key")
-
-    for name in unused_keys:
-        monkeypatch.setattr(triples, name, unused)
+    _forbid_keys(monkeypatch, *unused_keys)
     assert count_collinear_triples_bruteforce(pts) == 1
     assert prefix_triple_counts(pts) == _counts_by_largest(pts)
     assert sum(prefix_triple_counts(pts)) == 1
@@ -423,7 +444,7 @@ def test_farey_neighbour_directions_get_distinct_float_keys(pair, flip, monkeypa
 @pytest.mark.parametrize("pair", INT32_FAREY_PAIRS)
 @FLIPS
 def test_farey_neighbour_directions_get_distinct_int32_keys(pair, flip, monkeypatch):
-    pts, dx, dy = _farey_set(pair, flip, 2**13)
+    pts, dx, dy = _farey_set(pair, flip, INT32_LIMIT)
     keys = triples._int32_keys(dx.astype(np.float32), dy.astype(np.float32), np.empty(3, np.float32))
     assert len(set(keys.tolist())) == 3
     _check_one_triple(pts, monkeypatch, "_float_keys", "_gcd_keys")
@@ -499,10 +520,10 @@ def test_float_keys_agree_exactly_on_one_line_through_the_anchor(d, other):
     _check_key_pair(d, other, 2**21, triples._float_keys, np.float64, 1)
 
 
-@given(*_differences(2**13))
+@given(*_differences(INT32_LIMIT))
 @settings(max_examples=300, deadline=None)
 def test_int32_keys_agree_exactly_on_one_line_through_the_anchor(d, other):
-    _check_key_pair(d, other, 2**13, triples._int32_keys, np.float32, 2**30)
+    _check_key_pair(d, other, INT32_LIMIT, triples._int32_keys, np.float32, 2**30)
 
 
 _small_negative_sets = st.lists(
@@ -510,7 +531,7 @@ _small_negative_sets = st.lists(
 )
 
 
-@given(st.one_of(random_sets, _small_negative_sets, straddling_sets(2**13), straddling_sets()))
+@given(st.one_of(random_sets, _small_negative_sets, straddling_sets(INT32_LIMIT), straddling_sets()))
 @settings(max_examples=150, deadline=None)
 def test_float_and_gcd_keys_give_identical_prefix_counts(pts):
     assert prefix_triple_counts(pts) == _gcd_key_counts(pts)
