@@ -19,13 +19,11 @@ Every seeded batch lives here: a manifest's trials and the Monte Carlo
 moments of X_T and Y_T share one batch check, one moment routine and the
 event rules of _event_bounds; lemma_report sets those moments next to
 the exact bounds of no3l.analytics.  A trial is one task of the pool;
-the Monte Carlo maps contiguous chunks of seeds, one per worker (or
-narrower, so that one block row of the sampler holds the chunk), hashes
-each chunk's windows side by side in one sampler pass, and reads each
-seed's X_T and Y_T as a trial does, through shell_counts and
-box_triple_counts, from a PointSet that views the seed's slice of the
-pass's arrays.  lemma_report runs those chunks and the exact phase's
-tasks in one map, largest estimate first, and joins each in plan order.
+the Monte Carlo maps contiguous chunks of seeds, one per worker, and
+reads each seed's X_T and Y_T as a trial does, through shell_counts and
+box_triple_counts, from the sets sample_windows hashes side by side.
+lemma_report runs those chunks and the exact phase's tasks in one map,
+largest estimate first, and joins each in plan order.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
-from itertools import pairwise
 from pathlib import Path
 from statistics import fmean, median
 from typing import Iterable, Sequence
@@ -48,11 +45,10 @@ from .sampling import (
     WINDOW_EXPONENT_CAP,
     PointSet,
     SamplerConfig,
-    _block_row_seeds,
-    _hash_seeds,
     decode_json,
     read_ascii,
     sample_window,
+    sample_windows,
     shell_counts,
     write_pointset,
 )
@@ -424,21 +420,10 @@ class TrialStatistics:
 
 
 def _mc_vectors(args: tuple[Sequence[int], float, int]) -> list[tuple[list[int], list[int]]]:
-    """X_T and Y_T, T = 0 .. w - 1, of each seed of a chunk, from one
-    _hash_seeds pass over all of them.
-
-    Each seed's points are a slice of the pass's arrays, which a PointSet
-    views as they are; its X_T and Y_T come from shell_counts and
-    box_triple_counts, as a trial's do.
-    """
+    """X_T and Y_T, T = 0 .. w - 1, of each seed of a chunk, from
+    shell_counts and box_triple_counts, as a trial's are."""
     seeds, c, w = args
-    xs, ys, ends = _hash_seeds(seeds, c, w)
-    vectors = []
-    for seed, (lo, hi) in zip(seeds, pairwise(ends.tolist())):
-        meta = {"kind": "sampled", "seed": seed, "c": c, "window_exponent": w}
-        q = PointSet._ordered(xs[lo:hi], ys[lo:hi], meta)
-        vectors.append((shell_counts(q, w), box_triple_counts(q, w - 1)))
-    return vectors
+    return [(shell_counts(q, w), box_triple_counts(q, w - 1)) for q in sample_windows(seeds, c, w)]
 
 
 def monte_carlo_moments(
@@ -471,9 +456,9 @@ def _mc_plan(t_values: Sequence[int], c: float, seeds: Sequence[int]) -> Plan:
         raise ValueError("need at least one seed")
     w = ts[-1] + 1
     _check_batch(min(seeds), max(seeds), c, w)
-    # Contiguous chunks, one per worker unless one block row of _hash_seeds
-    # cannot hold that many seeds side by side.
-    width = min(-(-len(seeds) // resolve_workers()), _block_row_seeds(w))
+    # Contiguous chunks, one per worker; sample_windows decides how the
+    # seeds of a chunk share its passes.
+    width = -(-len(seeds) // resolve_workers())
     chunks = [seeds[i:i + width] for i in range(0, len(seeds), width)]
     return Plan(
         [(_mc_vectors, (chunk, c, w)) for chunk in chunks],

@@ -33,9 +33,12 @@ kept).  At p == 0.0 it would be -1, but such a shell keeps nothing, and
 neither does any shell past it (p does not grow with T), so the window
 is cut at the first one.  Only a subnormal c reaches p == 0.0.
 
-The window [1, n]^2 is hashed as blocks of rows y, and one pass can hash
-several seeds: a row holds every seed's cells (seed, x) side by side, so
-a chunk of narrow windows is hashed in long rows.  Shell T is
+sample_windows hashes seeds side by side, in passes of as many seeds as
+one row of _BLOCK_CELLS cells holds, at least one: a pass's row y holds
+every seed's cells (seed, x) side by side, so narrow windows are hashed
+in long rows.  A pass hashes [1, n]^2 as blocks of at most _BLOCK_CELLS
+cells: whole rows y, or column tiles of one row where a row is wider, so
+that a block's buffers stay in cache.  Shell T is
 {(x, y) : max(shell x, shell y) == T}, with shell v = bit_length(v) - 1,
 and p does not grow with T, so cell (x, y) has the bound
 min(b(x), b(y)), b(v) the bound of v's shell: one bound per row and one
@@ -82,7 +85,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from itertools import pairwise, takewhile
+from itertools import pairwise, product, takewhile
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -303,21 +306,35 @@ def _keep_bound(prob: float) -> int:
 
 def _block_row_seeds(window_exponent: int) -> int:
     """How many seeds' cells of one row of the window fit side by side in
-    _BLOCK_CELLS cells, at least 1: the widest chunk of seeds one block row
-    of _hash_seeds holds."""
+    _BLOCK_CELLS cells, at least 1: the most seeds one pass of
+    sample_windows hashes."""
     return max(1, _BLOCK_CELLS // ((1 << window_exponent) - 1))
 
 
 def sample_window(cfg: SamplerConfig) -> PointSet:
-    """One seeded realization over the window of cfg.
+    """One seeded realization over the window of cfg: the one-seed case of sample_windows."""
+    return sample_windows([cfg.seed], cfg.c, cfg.window_exponent)[0]
 
-    It is the one-seed case of _hash_seeds, whose kept points lie in the
-    window, once each, in (inf_norm, x, y) order, so they go into the
-    PointSet as they are.
+
+def sample_windows(seeds: Sequence[int], c: float, window_exponent: int) -> list[PointSet]:
+    """Each seed's realization at rate c over the window, in seed order.
+
+    Seeds, rate and window are checked as SamplerConfig checks them.  A
+    pass of _hash_seeds hashes _block_row_seeds seeds side by side; its
+    points lie in the window, once each, in (inf_norm, x, y) order, so each
+    seed's set holds read-only views of its slice of the pass's arrays.
     """
-    meta = {"kind": "sampled", "seed": cfg.seed, "c": cfg.c, "window_exponent": cfg.window_exponent}
-    x, y, _ = _hash_seeds([cfg.seed], cfg.c, cfg.window_exponent)
-    return PointSet._ordered(x, y, meta)
+    for seed in (min(seeds, default=0), max(seeds, default=0)):
+        SamplerConfig(seed=seed, c=c, window_exponent=window_exponent)
+    per_pass = _block_row_seeds(window_exponent)
+    sets = []
+    for start in range(0, len(seeds), per_pass):
+        chunk = seeds[start:start + per_pass]
+        x, y, ends = _hash_seeds(chunk, c, window_exponent)
+        for seed, (lo, hi) in zip(chunk, pairwise(ends.tolist())):
+            meta = {"kind": "sampled", "seed": seed, "c": c, "window_exponent": window_exponent}
+            sets.append(PointSet._ordered(x[lo:hi], y[lo:hi], meta))
+    return sets
 
 
 def _hash_seeds(
@@ -328,13 +345,14 @@ def _hash_seeds(
     Returns (x, y, ends): the kept points of seeds[k] are (x[i], y[i]) for
     ends[k] <= i < ends[k + 1], in (inf_norm, x, y) order.  The window
     stops before the first shell whose probability is 0.0; the rest,
-    [1, n]^2, is hashed as blocks of rows y, at most _BLOCK_CELLS cells (or
-    one row, if wider), in buffers allocated once per call.  A row holds
-    every seed's cells side by side, (seeds[k], x) at k * n + x - 1.  A
-    block makes six passes: the row-column xor, multiply, shift, xor,
-    multiply, and the weak test of z against its rows' shared bound, or
-    else each inner column's x's bound, OR 2**33 - 1.  The few cells that
-    pass get the last xorshift and the exact test (module docstring).
+    [1, n]^2, is hashed as blocks of at most _BLOCK_CELLS cells, whole rows
+    y or else column tiles of one row, in buffers allocated once per call.
+    A row holds every seed's cells side by side, (seeds[k], x) at
+    k * n + x - 1.  A block makes six passes: the row-column xor, multiply,
+    shift, xor, multiply, and the weak test of z against its rows' shared
+    bound, or else each inner column's x's bound, OR 2**33 - 1.  The few
+    cells that pass get the last xorshift and the exact test (module
+    docstring).
     """
     none = np.zeros(0, dtype=np.intp)
     probs = (shell_probability(T, c) for T in range(window_exponent))
@@ -349,15 +367,17 @@ def _hash_seeds(
     )
     weak = bound | np.uint64(_LOW33)
     width = len(seeds) * n
+    tile = min(width, _BLOCK_CELLS)
     rows_per_block = min(max(1, _BLOCK_CELLS // width), n)
-    z_buf, tmp_buf = np.empty((2, rows_per_block * width), dtype=np.uint64)
-    keep_buf = np.empty(rows_per_block * width, dtype=bool)
+    z_buf, tmp_buf = np.empty((2, rows_per_block * tile), dtype=np.uint64)
+    keep_buf = np.empty(rows_per_block * tile, dtype=bool)
     # inner word (k, x): the first mix of seeds[k] at x, then the second
     # mix's first xorshift
     x_words = np.arange(1, n + 1, dtype=np.uint64)
     x_words *= np.uint64(_X_SALT)
     inner = (np.array(seeds, dtype=np.uint64)[:, None] ^ x_words).ravel()
-    _mix64_inplace(inner, tmp_buf[:width])
+    # scratch of its own: a row may be wider than the block buffers
+    _mix64_inplace(inner, np.empty_like(inner))
     inner ^= inner >> np.uint64(30)
     row_words = np.arange(1, n + 1, dtype=np.uint64)
     row_words *= np.uint64(_Y_SALT)
@@ -365,19 +385,20 @@ def _hash_seeds(
 
     ys_out = [none]
     cols_out = [none]
-    for r0 in range(0, n, rows_per_block):
-        r1 = min(r0 + rows_per_block, n)
-        cells = (r1 - r0) * width
+    for r0, c0 in product(range(0, n, rows_per_block), range(0, width, tile)):
+        r1, c1 = min(r0 + rows_per_block, n), min(c0 + tile, width)
+        cells = (r1 - r0) * (c1 - c0)
         z = z_buf[:cells]
-        np.bitwise_xor(row_words[r0:r1, None], inner, out=z.reshape(-1, width))
+        np.bitwise_xor(row_words[r0:r1, None], inner[c0:c1], out=z.reshape(-1, c1 - c0))
         z *= np.uint64(_MIX_MUL1)
         z ^= np.right_shift(z, np.uint64(27), out=tmp_buf[:cells])
         z *= np.uint64(_MIX_MUL2)
         # h <= b implies z <= b | (2**33 - 1): h >> 33 == z >> 33 (module
         # docstring).  The weak bounds of rows y = r0 + 1 .. r1 do not grow
         # with y, so equal ends mean one for every row, a scalar; else each
-        # inner column tests its x's, the same n bounds for every seed.
-        # Neither is below the cell's weak bound.
+        # inner column tests its x's, the same n bounds for every seed (a
+        # block of several rows holds whole rows).  Neither is below the
+        # cell's weak bound.
         keep = keep_buf[:cells]
         if weak[r0] == weak[r1 - 1]:
             np.less_equal(z, weak[r0], out=keep)
@@ -390,8 +411,9 @@ def _hash_seeds(
         h ^= h >> np.uint64(31)
         # keep_row is y - 1 and keep_col % n is x - 1; b does not grow with
         # v, so min(b(x), b(y)) = b(max(x, y))
-        keep_row, keep_col = np.divmod(idx, width)
+        keep_row, keep_col = np.divmod(idx, c1 - c0)
         keep_row += r0
+        keep_col += c0
         exact = h <= bound[np.maximum(keep_row, keep_col % n)]
         ys_out.append(keep_row[exact])
         cols_out.append(keep_col[exact])

@@ -247,7 +247,7 @@ def test_lemmas_json_contains_exact_and_sampled_means(tmp_path):
 def test_lemmas_json_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     # The 20 seeds go in chunks of 20, 10 + 10 and 7 + 7 + 6 at 1, 2 and 3
     # workers; blocks of 255 cells, one row of the W = 8 window, make each
-    # chunk one seed.
+    # sampler pass one seed.
     written = []
     for workers, block in (("1", None), ("2", None), ("3", None), ("1", 255)):
         monkeypatch.setenv("NO3L_THREADS", workers)

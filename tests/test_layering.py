@@ -63,6 +63,29 @@ def test_module_imports_follow_the_layering():
     assert seen == LAYERS
 
 
+def test_experiments_takes_sampled_sets_from_the_sampler_alone():
+    # how seeds share a sampler pass, and how a pass's arrays become
+    # PointSets, is decided in no3l.sampling: experiments imports none of
+    # its private names and builds no set through PointSet._ordered
+    tree = ast.parse((Path(no3l.__file__).parent / "experiments.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("sampling", 1), ("no3l.sampling", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    ordered = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_ordered"
+    ]
+    assert private == [] and ordered == []
+
+
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_a_fresh_import_loads_exactly_its_layer(module):
     # the child imports the package this suite imported

@@ -34,6 +34,7 @@ from no3l.sampling import (
     norm_lex_key,
     read_pointset,
     sample_window,
+    sample_windows,
     shell_counts,
     shell_probability,
     write_pointset,
@@ -141,6 +142,54 @@ def test_one_block_spanning_every_shell_matches_the_scalar_scan(seed):
     assert min(sampling._BLOCK_CELLS // n, n) == n
     cfg = SamplerConfig(seed=seed, c=0.5, window_exponent=8)
     assert sorted(sample_window(cfg)) == sorted(_reference_scan(cfg))
+
+
+@pytest.mark.parametrize(
+    "block,seeds,c,w",
+    [(100, [4], 0.8, 9), (100, [2, 5, 1, 7], 2.0, 6), (40, [11, 3, 8], 0.4, 4)],
+)
+def test_rows_wider_than_a_block_are_cut_into_tiles(monkeypatch, block, seeds, c, w):
+    # 100-cell blocks cut each 511-cell row at W = 9 into 6 tiles, the last
+    # of 11 cells, and each 4 * 63-cell row of a chunk at W = 6 into 3,
+    # whose edges fall inside a seed's columns; 40 cells cut 3 * 15 into
+    # 40 + 5.  sample_windows takes the same seeds in passes of 1, 1 and 2
+    # seeds (_block_row_seeds), whose rows are cut into tiles at W = 9 only.
+    monkeypatch.setattr(sampling, "_BLOCK_CELLS", block)
+    refs = [sorted(_reference_scan(SamplerConfig(s, c, w)), key=norm_lex_key) for s in seeds]
+    assert _chunk_points(seeds, c, w) == refs
+    assert [list(ps) for ps in sample_windows(seeds, c, w)] == refs
+
+
+def test_sample_windows_hash_one_block_row_of_seeds_a_pass(monkeypatch):
+    # 45 cells a block hold three rows of the W = 4 window side by side:
+    # seven seeds take passes of 3, 3 and 1, and each seed's set is the one
+    # sample_window gives it alone, with its meta and read-only columns
+    monkeypatch.setattr(sampling, "_BLOCK_CELLS", 45)
+    hash_seeds, passes = sampling._hash_seeds, []
+
+    def recording(seeds, c, w):
+        passes.append(list(seeds))
+        return hash_seeds(seeds, c, w)
+
+    monkeypatch.setattr(sampling, "_hash_seeds", recording)
+    seeds = [9, 1, 4, 2**64 - 1, 0, 7, 3]
+    sets = sample_windows(seeds, 0.7, 4)
+    assert passes == [seeds[:3], seeds[3:6], seeds[6:]]
+    assert sets == [sample_window(SamplerConfig(s, 0.7, 4)) for s in seeds]
+    for seed, ps in zip(seeds, sets):
+        assert ps.meta == {"kind": "sampled", "seed": seed, "c": 0.7, "window_exponent": 4}
+        assert not any(col.flags.writeable for col in (ps.xs, ps.ys, ps.norms))
+    assert sample_windows([], 0.7, 4) == []
+
+
+@pytest.mark.parametrize(
+    "seeds,c,w",
+    [([1, -1], 0.5, 4), ([2**64, 3], 0.5, 4), ([1], -0.5, 4), ([], math.nan, 4),
+     ([1], 0.5, 0), ([], 0.5, WINDOW_EXPONENT_CAP + 1)],
+)
+def test_sample_windows_checks_as_the_sampler_config_does(seeds, c, w):
+    with pytest.raises(ValueError):
+        sample_windows(seeds, c, w)
 
 
 def _xorshift30(v: int) -> int:
@@ -265,7 +314,9 @@ def test_subnormal_rates_match_the_scalar_scan(c, first_zero):
     assert all(shell_probability(shell_index(p), c) > 0.0 for p in got)
 
 
-REUSE_CONFIGS = [(1, 1.0, 12), (2, 0.5, 8), (3, 0.5, 8)]
+# A W = 9 large window: blocks of 7 or 64 cells cut each of its rows into
+# 73 or 8 tiles, so the test makes 2 * 511 * 73 block passes at most.
+REUSE_CONFIGS = [(1, 1.0, 9), (2, 0.5, 8), (3, 0.5, 8)]
 
 
 @pytest.fixture(scope="module")

@@ -553,14 +553,26 @@ def test_box_triple_counts_cumulative():
     assert counts == sorted(counts)
 
 
-@given(
-    pts=st.lists(st.tuples(st.integers(-12, 20), st.integers(-12, 20)), max_size=60, unique=True),
-    t_max=st.integers(0, 5),
-)
+@st.composite
+def box_sets(draw):
+    """(points, t_max): mostly points of the box [1, 2**t_max]^2, and some
+    outside it, on the axes, off the positive quadrant or past the box."""
+    t_max = draw(st.integers(0, 5))
+    side = 1 << t_max
+    inside = st.tuples(st.integers(1, side), st.integers(1, side))
+    around = st.tuples(st.integers(-12, 2 * side + 4), st.integers(-12, 2 * side + 4))
+    outside = around.filter(lambda p: min(p) < 1 or max(p) > side)
+    pts = draw(st.lists(inside, max_size=48, unique=True))
+    pts += draw(st.lists(outside, max_size=12, unique=True))
+    return pts, t_max
+
+
+@given(box_sets())
 @settings(max_examples=100, deadline=None)
-def test_box_triple_counts_of_any_set_count_each_box(pts, t_max):
+def test_box_triple_counts_of_any_set_count_each_box(case):
     # members on the axes, off the positive quadrant or past every box
     # count in no box, wherever they fall in the set's order
+    pts, t_max = case
     ps = PointSet(pts)
     got = box_triple_counts(ps, t_max)
     assert got == [count_collinear_triples(ps.in_box(1 << t)) for t in range(t_max + 1)]
